@@ -44,8 +44,11 @@ def appell_poly(k: int, m: int) -> CliffordPolynomial:
     """The k-th Appell polynomial in R_{0,m}, expanded exactly."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    total = CliffordPolynomial.zero(m)
-    for s in range(k + 1):
-        term = paravector_power(m, k - s) * paravector_power(m, s, conjugated=True)
-        total = total + term * t_coeff(k, s, m)
+    # Horner's rule in Xbar: Q_0 = T_k, Q_i = Q_(i-1) Xbar + T_(k-i) X^i, P_k = Q_k
+    x, xbar = paravector_power(m, 1), paravector_power(m, 1, conjugated=True)
+    x_power = CliffordPolynomial.constant(m, 1)
+    total = CliffordPolynomial.constant(m, t_coeff(k, k, m))
+    for i in range(1, k + 1):
+        x_power = x_power * x
+        total = total * xbar + x_power * t_coeff(k, k - i, m)
     return total

@@ -81,7 +81,7 @@ def _frac(text: str) -> Fraction:
 
 
 def _coeff_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+    return tuple(_frac(part.strip()) for part in text.split(",") if part.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +657,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON ({exc})", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -13,14 +13,10 @@ validation, not a separate polynomial type.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from math import comb
+from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .algebra import (
-    Multivector,
-    ScalarLike,
-    coerce_fraction,
-    parse_fraction,
-)
+from .algebra import Multivector, coerce_fraction
 
 Monomial = Tuple[int, ...]
 
@@ -53,7 +49,9 @@ class CliffordPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coef in items:
             key = tuple(exps)
-            if len(key) != m + 1 or any(not isinstance(x, int) or x < 0 for x in key):
+            if len(key) != m + 1 or any(
+                not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in key
+            ):
                 raise ValueError(f"monomial {exps!r} must give {m + 1} nonnegative exponents")
             for i, x in enumerate(key):
                 if x and i not in scope:
@@ -337,10 +335,14 @@ class CliffordPolynomial:
         pairs = []
         for entry in obj.get("terms", []):
             exps = [0] * (m + 1)
+            seen = set()
             for raw_i, e in entry["monomial"].items():
                 i = int(raw_i)
                 if not 0 <= i <= m:
                     raise ValueError(f"variable index {i} out of range 0..{m}")
+                if i in seen:
+                    raise ValueError(f"monomial names x{i} more than once")
+                seen.add(i)
                 exps[i] = e
             pairs.append((tuple(exps), Multivector.from_obj(entry["coef"])))
         return cls(m, pairs, var_scope=obj.get("vars"))
@@ -396,55 +398,14 @@ def _homogeneous_exponents(count: int, degree: int) -> Iterator[Tuple[int, ...]]
             yield (first,) + rest
 
 
-def _scalar_laplacian(
-    poly: Mapping[Tuple[int, ...], Fraction]
-) -> dict[Tuple[int, ...], Fraction]:
-    out: dict[Tuple[int, ...], Fraction] = {}
+def _scalar_laplacian(poly: Mapping[Tuple[int, ...], int]) -> dict[Tuple[int, ...], int]:
+    out: dict[Tuple[int, ...], int] = {}
     for exps, q in poly.items():
         for pos, e in enumerate(exps):
-            if e < 2:
-                continue
-            key = exps[:pos] + (e - 2,) + exps[pos + 1 :]
-            acc = out.get(key, Fraction(0)) + q * e * (e - 1)
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _nullspace(columns: Sequence[Sequence[Fraction]], nrows: int) -> list[list[Fraction]]:
-    """Reduced-echelon kernel basis of the matrix whose columns are given."""
-    ncols = len(columns)
-    rows = [[columns[c][r] for c in range(ncols)] for r in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -rows[pr][fc]
-        basis.append(vec)
-    return basis
+            if e >= 2:
+                key = exps[:pos] + (e - 2,) + exps[pos + 1 :]
+                out[key] = out.get(key, 0) + q * e * (e - 1)
+    return {key: q for key, q in out.items() if q}
 
 
 def polyharmonic_basis(
@@ -456,10 +417,20 @@ def polyharmonic_basis(
 ) -> list[CliffordPolynomial]:
     """Basis of homogeneous degree-``degree`` polynomials killed by laplacian^order.
 
-    Computed by exact row reduction of the iterated-Laplacian matrix in the
-    graded-lex monomial basis; the returned list is deterministic and
-    linearly independent.  ``value`` scales every element by a constant
-    multivector (default: the scalar 1).
+    Write p = sum_j x^j b_j, with x the first of ``yvars`` and every b_j free
+    of x, and let L be the Laplacian in the other y variables.  Expanding
+    laplacian^k = sum_i C(k,i) d_x^(2i) L^(k-i) shows that p lies in the
+    kernel of laplacian^k exactly when, for every j >= 0,
+
+        (j+2k)!/j! b_(j+2k) = -sum_(i<k) C(k,i) (j+2i)!/j! L^(k-i) b_(j+2i),
+
+    the Cauchy-Kovalevskaya recurrence in x; b_0..b_(2k-1) are free.  There
+    is one element per free monomial, i.e. per monomial whose x-exponent is
+    below 2*order, listed in graded-lex order; the element's part of
+    x-degree below 2*order is exactly that monomial with coefficient 1.
+    This is the reduced-echelon kernel basis of the iterated-Laplacian
+    matrix in the graded-lex monomial basis.  ``value`` scales every element
+    by a constant multivector (default: the scalar 1).
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -468,42 +439,58 @@ def polyharmonic_basis(
     variables = tuple(sorted(yvars)) if yvars is not None else tuple(range(2, m + 1))
     if not variables or not all(0 <= v <= m for v in variables):
         raise ValueError(f"yvars must be a nonempty subset of x0..x{m}")
-    monos = list(_homogeneous_exponents(len(variables), degree))
-    if degree - 2 * order < 0:
-        vectors = []
-        for i in range(len(monos)):
-            vec = [Fraction(0)] * len(monos)
-            vec[i] = Fraction(1)
-            vectors.append(vec)
-    else:
-        targets = list(_homogeneous_exponents(len(variables), degree - 2 * order))
-        index = {t: i for i, t in enumerate(targets)}
-        cols = []
-        for mono in monos:
-            poly = {mono: Fraction(1)}
-            for _ in range(order):
-                poly = _scalar_laplacian(poly)
-            col = [Fraction(0)] * len(targets)
-            for t, q in poly.items():
-                col[index[t]] = q
-            cols.append(col)
-        vectors = _nullspace(cols, len(targets))
-    scope = frozenset(variables)
     if value is None:
         value_mv = Multivector.scalar(m, 1)
     elif isinstance(value, Multivector):
         value_mv = value
     else:
         value_mv = Multivector.scalar(m, value)
+    if value_mv.m != m:
+        raise ValueError(f"coefficient dimension mismatch: m={value_mv.m} vs m={m}")
+    scope = frozenset(variables)
+    pattern = list(value_mv.items())
+    # a_j = j! b_j turns the recurrence into a_(j+2k) = -sum_i C(k,i) L^(k-i) a_(j+2i)
+    # over the integers; step[(rest, i)] caches C(k,i) L^(k-i) of one monomial
+    step: dict[Tuple[Tuple[int, ...], int], dict[Tuple[int, ...], int]] = {}
+    factorial = [1]
+    for j in range(1, degree + 1):
+        factorial.append(factorial[-1] * j)
+    dense: dict[Tuple[int, Tuple[int, ...]], Monomial] = {}
     out = []
-    for vec in vectors:
+    for free in _homogeneous_exponents(len(variables), degree):
+        if free[0] >= 2 * order:
+            continue
+        a: list[dict[Tuple[int, ...], int]] = [{} for _ in range(degree + 1)]
+        a[free[0]] = {free[1:]: factorial[free[0]]}
+        for j in range(free[0] % 2, degree - 2 * order + 1, 2):
+            acc: dict[Tuple[int, ...], int] = {}
+            for i in range(order):
+                for rest, c in a[j + 2 * i].items():
+                    image = step.get((rest, i))
+                    if image is None:
+                        image = {rest: comb(order, i)}
+                        for _ in range(order - i):
+                            image = _scalar_laplacian(image)
+                        step[rest, i] = image
+                    for t, w in image.items():
+                        acc[t] = acc.get(t, 0) - c * w
+            a[j + 2 * order] = {t: c for t, c in acc.items() if c}
         terms: dict[Monomial, Multivector] = {}
-        for coef, mono in zip(vec, monos):
-            if not coef:
-                continue
-            dense = [0] * (m + 1)
-            for pos, v in enumerate(variables):
-                dense[v] = mono[pos]
-            terms[tuple(dense)] = value_mv * coef
-        out.append(CliffordPolynomial(m, terms, var_scope=scope))
+        for j, aj in enumerate(a):
+            for rest, c in aj.items():
+                key = dense.get((j, rest))
+                if key is None:
+                    exps = [0] * (m + 1)
+                    for v, e in zip(variables, (j,) + rest):
+                        exps[v] = e
+                    key = dense[j, rest] = tuple(exps)
+                if pattern:
+                    terms[key] = Multivector._unsafe(
+                        m,
+                        {
+                            mask: Fraction(c * v.numerator, factorial[j] * v.denominator)
+                            for mask, v in pattern
+                        },
+                    )
+        out.append(CliffordPolynomial._unsafe(m, scope, terms))
     return out

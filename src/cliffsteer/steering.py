@@ -65,7 +65,7 @@ class SteeringSymbol:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         rate = coerce_fraction(self.rate)
         object.__setattr__(self, "rate", rate)
-        if not isinstance(self.power, int) or self.power < 0:
+        if not isinstance(self.power, int) or isinstance(self.power, bool) or self.power < 0:
             raise ValueError("symbol power must be a nonnegative integer")
         if self.kind != KIND_POWEXP:
             if self.power:

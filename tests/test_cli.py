@@ -161,6 +161,50 @@ class TestVerifyOperators:
         assert code == 2
         assert "error" in err
 
+    def test_zero_denominator_argument_exit_two(self, capsys):
+        for argv in (
+            ["verify", "--op", "deq", "--coeffs", "1/0,1"],
+            ["verify", "--op", "lame", "--mu", "1/0", "--lambda", "1"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert "not an exact rational: '1/0'" in err and "Traceback" not in err
+
+    def test_zero_denominator_in_document_exit_two(self, capsys, monkeypatch):
+        doc = json.dumps(
+            {
+                "m": M,
+                "terms": [
+                    {
+                        "symbol": {"bar": False, "kind": "powexp", "power": 0, "rate": "1/0"},
+                        "coef": CliffordPolynomial.constant(M, 1, range(2, M + 1)).to_obj(),
+                    }
+                ],
+            }
+        )
+        code, out, err = run(
+            capsys, ["verify", "--op", "cr"], stdin_text=doc, monkeypatch=monkeypatch
+        )
+        assert code == 2 and not out
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_non_canonical_monomials_exit_two(self, capsys, monkeypatch):
+        for monomial in ({"2": True}, {"2": 1, "02": 1}):
+            doc = json.dumps(
+                {
+                    "m": M,
+                    "vars": [2, 3, 4],
+                    "terms": [{"monomial": monomial, "coef": e(M, 2).to_obj()}],
+                }
+            )
+            code, out, err = run(
+                capsys, ["verify", "--op", "infra"], stdin_text=doc, monkeypatch=monkeypatch
+            )
+            assert code == 2 and not out
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestBasisAndAppell:
     def test_basis_size(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -148,33 +149,33 @@ class TestParavectorPowers:
         assert got == expected
 
 
-def _sympy_kernel_dimension(degree, order, nvars):
+def _sympy_kernel_basis(degree, order, nvars):
+    """Kernel of laplacian^order on degree-``degree`` forms as sympy's nullspace vectors.
+
+    Columns follow the package's monomial order (graded-lex, earliest variable
+    largest first), so the vectors are the reduced-echelon basis in that order.
+    """
     symbols = sympy.symbols(f"t0:{nvars}")
     monos = sorted(
         sympy.polys.monomials.itermonomials(symbols, degree, degree),
         key=sympy.polys.orderings.monomial_key("grlex", symbols),
+        reverse=True,
     )
+    exponents = [sympy.Poly(mono, *symbols).monoms()[0] for mono in monos]
+    if degree < 2 * order:
+        return exponents, [sympy.eye(len(monos)).col(i) for i in range(len(monos))]
     lap = lambda f: sum(sympy.diff(f, s, 2) for s in symbols)
-    rows = []
-    target = sorted(
-        sympy.polys.monomials.itermonomials(symbols, degree - 2 * order, degree - 2 * order),
-        key=sympy.polys.orderings.monomial_key("grlex", symbols),
-    ) if degree - 2 * order >= 0 else []
-    columns = []
+    images = []
     for mono in monos:
         image = mono
         for _ in range(order):
             image = sympy.expand(lap(image))
-        poly = sympy.Poly(image, *symbols) if image != 0 else None
-        col = []
-        for tmono in target:
-            key = sympy.Poly(tmono, *symbols).monoms()[0]
-            col.append(poly.coeff_monomial(key) if poly else 0)
-        columns.append(col)
-    if not target:
-        return len(monos)
-    matrix = sympy.Matrix(list(map(list, zip(*columns))))
-    return len(matrix.nullspace())
+        images.append(sympy.Poly(image, *symbols).as_dict() if image != 0 else {})
+    targets = sorted({t for image in images for t in image})
+    matrix = sympy.Matrix(
+        [[image.get(t, 0) for image in images] for t in targets]
+    )
+    return exponents, matrix.nullspace()
 
 
 class TestPolyharmonicBasis:
@@ -192,10 +193,43 @@ class TestPolyharmonicBasis:
         basis = polyharmonic_basis(2, 2, 4)
         assert len(basis) == 6
 
-    def test_dimension_matches_sympy_oracle(self):
-        for degree, order, m in ((3, 1, 4), (4, 1, 4), (4, 2, 4), (5, 2, 4), (3, 1, 3)):
+    def test_elements_match_sympy_nullspace(self):
+        points = ((3, 1, 4), (4, 1, 4), (4, 2, 4), (5, 2, 4), (3, 1, 3), (6, 2, 5), (5, 1, 5))
+        for degree, order, m in points + ((3, 2, 4),):
             ours = polyharmonic_basis(degree, order, m)
-            assert len(ours) == _sympy_kernel_dimension(degree, order, m - 1)
+            exponents, vectors = _sympy_kernel_basis(degree, order, m - 1)
+            assert len(ours) == len(vectors)
+            for poly, vec in zip(ours, vectors):
+                got = {}
+                for mono, mv in poly.items():
+                    assert mv == mv.scalar_part()
+                    got[mono[2:]] = mv.scalar_part()
+                expected = {e: Fraction(int(q.p), int(q.q)) for e, q in zip(exponents, vec) if q}
+                assert got == expected
+
+    def test_low_part_is_one_free_monomial(self):
+        # the part of x-degree below 2*order, x the first y variable, is a single
+        # monomial with coefficient 1; these run over all free monomials in order
+        for degree, order, m, yvars in (
+            (4, 1, 4, (2, 3, 4)),
+            (5, 2, 4, (2, 3, 4)),
+            (6, 3, 5, (2, 3, 4, 5)),
+            (5, 1, 5, (3, 5)),
+            (2, 2, 4, (2, 3, 4)),
+        ):
+            lows = []
+            for poly in polyharmonic_basis(degree, order, m, yvars=yvars):
+                low = [(mono, mv) for mono, mv in poly.items() if mono[yvars[0]] < 2 * order]
+                assert len(low) == 1 and low[0][1] == 1
+                lows.append(low[0][0])
+            free = []
+            for ys in itertools.product(range(degree + 1), repeat=len(yvars)):
+                if sum(ys) == degree and ys[0] < 2 * order:
+                    exps = [0] * (m + 1)
+                    for v, e in zip(yvars, ys):
+                        exps[v] = e
+                    free.append((ys, tuple(exps)))
+            assert lows == [exps for _, exps in sorted(free, reverse=True)]
 
     def test_every_element_is_annihilated_and_independent(self):
         for degree, order in ((4, 1), (5, 2), (3, 1)):
@@ -255,3 +289,21 @@ class TestJson:
         p = CliffordPolynomial.monomial(3, {0: 2, 2: 1}, 1)
         term = p.to_obj()["terms"][0]
         assert term["monomial"] == {"0": 2, "2": 1}
+
+    def _doc(self, monomial):
+        return {
+            "m": 3,
+            "vars": [0, 1, 2, 3],
+            "terms": [{"monomial": monomial, "coef": scalar(3, 1).to_obj()}],
+        }
+
+    def test_boolean_exponent_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            CliffordPolynomial.from_obj(self._doc({"2": True}))
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            CliffordPolynomial(3, {(0, 0, True, 0): 1})
+
+    def test_colliding_monomial_keys_rejected(self):
+        for monomial in ({"2": 1, "02": 1}, {"2": 0, "02": 3}):
+            with pytest.raises(ValueError, match="x2 more than once"):
+                CliffordPolynomial.from_obj(self._doc(monomial))
