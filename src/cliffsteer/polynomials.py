@@ -13,7 +13,7 @@ validation, not a separate polynomial type.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .algebra import Multivector, coerce_fraction
@@ -436,7 +436,7 @@ def polyharmonic_basis(
         raise ValueError("degree must be nonnegative")
     if order < 1:
         raise ValueError("order must be at least 1")
-    variables = tuple(sorted(yvars)) if yvars is not None else tuple(range(2, m + 1))
+    variables = tuple(sorted(set(yvars))) if yvars is not None else tuple(range(2, m + 1))
     if not variables or not all(0 <= v <= m for v in variables):
         raise ValueError(f"yvars must be a nonempty subset of x0..x{m}")
     if value is None:
@@ -452,16 +452,13 @@ def polyharmonic_basis(
     # a_j = j! b_j turns the recurrence into a_(j+2k) = -sum_i C(k,i) L^(k-i) a_(j+2i)
     # over the integers; step[(rest, i)] caches C(k,i) L^(k-i) of one monomial
     step: dict[Tuple[Tuple[int, ...], int], dict[Tuple[int, ...], int]] = {}
-    factorial = [1]
-    for j in range(1, degree + 1):
-        factorial.append(factorial[-1] * j)
-    dense: dict[Tuple[int, Tuple[int, ...]], Monomial] = {}
+    fact = [factorial(j) for j in range(degree + 1)]
     out = []
     for free in _homogeneous_exponents(len(variables), degree):
         if free[0] >= 2 * order:
             continue
         a: list[dict[Tuple[int, ...], int]] = [{} for _ in range(degree + 1)]
-        a[free[0]] = {free[1:]: factorial[free[0]]}
+        a[free[0]] = {free[1:]: fact[free[0]]}
         for j in range(free[0] % 2, degree - 2 * order + 1, 2):
             acc: dict[Tuple[int, ...], int] = {}
             for i in range(order):
@@ -478,17 +475,14 @@ def polyharmonic_basis(
         terms: dict[Monomial, Multivector] = {}
         for j, aj in enumerate(a):
             for rest, c in aj.items():
-                key = dense.get((j, rest))
-                if key is None:
-                    exps = [0] * (m + 1)
-                    for v, e in zip(variables, (j,) + rest):
-                        exps[v] = e
-                    key = dense[j, rest] = tuple(exps)
+                exps = [0] * (m + 1)
+                for v, e in zip(variables, (j,) + rest):
+                    exps[v] = e
                 if pattern:
-                    terms[key] = Multivector._unsafe(
+                    terms[tuple(exps)] = Multivector._unsafe(
                         m,
                         {
-                            mask: Fraction(c * v.numerator, factorial[j] * v.denominator)
+                            mask: Fraction(c * v.numerator, fact[j] * v.denominator)
                             for mask, v in pattern
                         },
                     )

@@ -67,6 +67,8 @@ class SteeringSymbol:
         object.__setattr__(self, "rate", rate)
         if not isinstance(self.power, int) or isinstance(self.power, bool) or self.power < 0:
             raise ValueError("symbol power must be a nonnegative integer")
+        if not isinstance(self.bar, bool):
+            raise ValueError("symbol bar flag must be true or false")
         if self.kind != KIND_POWEXP:
             if self.power:
                 raise ValueError("trigonometric symbols carry no power")
@@ -141,7 +143,7 @@ class SteeringSymbol:
     def from_obj(cls, obj: Mapping) -> "SteeringSymbol":
         return cls(
             obj["kind"],
-            bar=bool(obj.get("bar", False)),
+            bar=obj.get("bar", False),
             power=obj.get("power", 0),
             rate=parse_fraction(obj.get("rate", 0)),
         )

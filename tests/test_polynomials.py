@@ -262,6 +262,11 @@ class TestPolyharmonicBasis:
         for with_value, bare in zip(basis, plain):
             assert with_value == bare * value
 
+    def test_repeated_yvars_count_once(self):
+        assert polyharmonic_basis(2, 1, 4, yvars=[2, 2, 3]) == polyharmonic_basis(
+            2, 1, 4, yvars=[2, 3]
+        )
+
     def test_deterministic(self):
         a = polyharmonic_basis(4, 2, 4)
         b = polyharmonic_basis(4, 2, 4)

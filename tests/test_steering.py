@@ -64,11 +64,13 @@ class TestSymbols:
         with pytest.raises(ValueError, match="power"):
             SteeringSymbol(kind="sin", power=1, rate=Fraction(1))
 
-    def test_boolean_power_rejected(self):
+    def test_booleans_and_integers_not_interchangeable(self):
         with pytest.raises(ValueError, match="nonnegative integer"):
             SteeringSymbol(kind="powexp", power=True)
         with pytest.raises(ValueError, match="nonnegative integer"):
             SteeringSymbol.from_obj({"kind": "powexp", "power": True, "rate": "0/1"})
+        with pytest.raises(ValueError, match="bar flag"):
+            SteeringSymbol.from_obj({"kind": "powexp", "bar": "false", "power": 1, "rate": "0/1"})
 
     def test_symbol_d_power(self):
         out = symbol_d(SteeringSymbol.power_exp(2, 0), 1, M)
