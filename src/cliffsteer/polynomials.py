@@ -49,9 +49,7 @@ class CliffordPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coef in items:
             key = tuple(exps)
-            if len(key) != m + 1 or any(
-                not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in key
-            ):
+            if len(key) != m + 1 or any(type(x) is not int or x < 0 for x in key):
                 raise ValueError(f"monomial {exps!r} must give {m + 1} nonnegative exponents")
             for i, x in enumerate(key):
                 if x and i not in scope:

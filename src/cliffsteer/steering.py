@@ -65,9 +65,9 @@ class SteeringSymbol:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         rate = coerce_fraction(self.rate)
         object.__setattr__(self, "rate", rate)
-        if not isinstance(self.power, int) or isinstance(self.power, bool) or self.power < 0:
+        if type(self.power) is not int or self.power < 0:
             raise ValueError("symbol power must be a nonnegative integer")
-        if not isinstance(self.bar, bool):
+        if type(self.bar) is not bool:
             raise ValueError("symbol bar flag must be true or false")
         if self.kind != KIND_POWEXP:
             if self.power:
