@@ -22,7 +22,6 @@ from .steering import (
     RootSpec,
     SteeringExpression,
     SteeringSymbol,
-    blade_lmul,
     ck_table,
     construct_eigen,
     construct_exp_left,
@@ -60,7 +59,6 @@ __all__ = [
     "CoefficientTable",
     "DSolveSpec",
     "RootSpec",
-    "blade_lmul",
     "symbol_d",
     "ck_table",
     "tn_closed_form",

@@ -296,10 +296,16 @@ class Multivector:
         m = obj["m"]
         if not isinstance(m, int):
             raise TypeError("multivector field 'm' must be an integer")
-        pairs = []
+        data: dict[int, Fraction] = {}
         for entry in obj.get("terms", []):
-            pairs.append((mask_from_indices(entry["blades"], m), parse_fraction(entry["coef"])))
-        return cls(m, pairs)
+            mask = mask_from_indices(entry["blades"], m)
+            q = parse_fraction(entry["coef"])
+            if not q:
+                raise ValueError(f"blade {entry['blades']} has a zero coefficient")
+            if mask in data:
+                raise ValueError(f"blade {entry['blades']} is listed more than once")
+            data[mask] = q
+        return cls(m, data)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -339,7 +345,11 @@ def inner_outer(v: Multivector, f: Multivector) -> Tuple[Multivector, Multivecto
     return (vf - fv) * half, (vf + fv) * half
 
 
-def e1_sandwich(a: Multivector) -> Multivector:
-    """e_1 * a * e_1; flips the sign of every blade that commutes with e_1."""
+def e1_sandwich(a):
+    """e_1 * a * e_1; flips the sign of every blade that commutes with e_1.
+
+    ``a`` is a Multivector or anything else with ``m`` that multiplies by
+    multivectors on both sides, such as a Clifford polynomial.
+    """
     e1 = Multivector.blade(a.m, (1,))
     return e1 * a * e1

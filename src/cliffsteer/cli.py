@@ -15,9 +15,9 @@ import time
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import Multivector, blade_product, parse_fraction
+from .algebra import Multivector, parse_fraction
 from .appell import appell_poly
-from .polynomials import CliffordPolynomial, dirac_power, polyharmonic_basis
+from .polynomials import CliffordPolynomial, dirac, polyharmonic_basis
 from .steering import (
     DSolveSpec,
     RootSpec,
@@ -30,7 +30,6 @@ from .steering import (
     construct_trig_left,
     construct_two_sided,
     dsolve,
-    power_coefficient,
     tn_closed_form,
 )
 from .verify import (
@@ -111,34 +110,17 @@ def cmd_construct(args) -> int:
         raise ValueError(
             "right-handed construction is not supported; use --side left or --side both"
         )
+    both = args.side == "both"
     if args.family == "exp":
-        if args.side == "both":
-            seed = CliffordPolynomial.from_obj(doc)
-            expr = construct_two_sided("exp", seed)
-        else:
-            seed = CliffordPolynomial.from_obj(doc)
-            expr = construct_exp_left(seed, args.n)
+        seed = CliffordPolynomial.from_obj(doc)
+        expr = construct_two_sided("exp", seed) if both else construct_exp_left(seed, args.n)
     elif args.family == "trig":
-        if args.side == "both":
-            expr = construct_two_sided(
-                "trig",
-                (
-                    CliffordPolynomial.from_obj(doc["M"]),
-                    CliffordPolynomial.from_obj(doc["N"]),
-                ),
-            )
-        else:
-            expr = construct_trig_left(
-                CliffordPolynomial.from_obj(doc["a1"]),
-                CliffordPolynomial.from_obj(doc["b1"]),
-                args.n,
-            )
+        keys = ("M", "N") if both else ("a1", "b1")
+        a, b = (CliffordPolynomial.from_obj(doc[k]) for k in keys)
+        expr = construct_two_sided("trig", (a, b)) if both else construct_trig_left(a, b, args.n)
     else:
         seeds = [CliffordPolynomial.from_obj(entry) for entry in doc["seeds"]]
-        if args.side == "both":
-            expr = construct_two_sided("power", seeds)
-        else:
-            expr = construct_power_left(seeds, args.n)
+        expr = construct_two_sided("power", seeds) if both else construct_power_left(seeds, args.n)
     if args.m is not None and expr.m != args.m:
         raise ValueError(f"seed dimension m={expr.m} does not match --m {args.m}")
     _emit(expr.to_obj(), args.out)
@@ -515,10 +497,7 @@ def _suite_algebra_random(args):
             exps = tuple(rng2.randint(0, 2) for _ in range(m + 1))
             terms[exps] = _random_multivector(rng2, m)
         p = CliffordPolynomial(m, terms)
-        conj = p.partial(0)
-        for j in range(1, m + 1):
-            conj = conj - Multivector.blade(m, (j,)) * p.partial(j)
-        if conj.cr_left() != p.laplacian(range(0, m + 1)):
+        if dirac(p, "left", -1).cr_left() != p.laplacian(range(0, m + 1)):
             return False, "factorization failure (cr after conjugate)"
         other = p.cr_left()
         other = other.partial(0) * 2 - other.cr_left()

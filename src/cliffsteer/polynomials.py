@@ -144,6 +144,10 @@ class CliffordPolynomial:
 
     def restrict_scope(self, scope: Iterable[int]) -> "CliffordPolynomial":
         """Re-declare the variable scope, failing if the content does not fit."""
+        scope = frozenset(scope)
+        if scope == self.var_scope:
+            # every constructor keeps the monomials inside var_scope
+            return self
         return CliffordPolynomial(self.m, self._terms, var_scope=scope)
 
     # -- ring structure ----------------------------------------------------------
@@ -260,43 +264,19 @@ class CliffordPolynomial:
 
     def dirac_y(self, side: str = "left") -> "CliffordPolynomial":
         """Dirac operator over the y variables x_2..x_m, acting on one side."""
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        total = CliffordPolynomial.zero(self.m, self.var_scope)
-        for j in range(2, self.m + 1):
-            d = self.partial(j)
-            if not d:
-                continue
-            ej = Multivector.blade(self.m, (j,))
-            total = total + (ej * d if side == "left" else d * ej)
-        return total
+        return dirac(self, side, y_only=True)
 
     def cr_left(self) -> "CliffordPolynomial":
         """Generalized Cauchy-Riemann operator acting on the left."""
-        total = self.partial(0)
-        for j in range(1, self.m + 1):
-            d = self.partial(j)
-            if d:
-                total = total + Multivector.blade(self.m, (j,)) * d
-        return total
+        return dirac(self, "left")
 
     def cr_right(self) -> "CliffordPolynomial":
         """Generalized Cauchy-Riemann operator acting on the right."""
-        total = self.partial(0)
-        for j in range(1, self.m + 1):
-            d = self.partial(j)
-            if d:
-                total = total + d * Multivector.blade(self.m, (j,))
-        return total
+        return dirac(self, "right")
 
     def hypercomplex_d(self) -> "CliffordPolynomial":
         """(1/2)(d/dx_0 - sum_j e_j d/dx_j), the hypercomplex derivative."""
-        total = self.partial(0)
-        for j in range(1, self.m + 1):
-            d = self.partial(j)
-            if d:
-                total = total - Multivector.blade(self.m, (j,)) * d
-        return total * Fraction(1, 2)
+        return dirac(self, "left", -1) * Fraction(1, 2)
 
     def laplacian(self, variables: Iterable[int] | None = None) -> "CliffordPolynomial":
         """Sum of second partials over ``variables`` (default: the var_scope)."""
@@ -340,6 +320,8 @@ class CliffordPolynomial:
                     raise ValueError(f"variable index {i} out of range 0..{m}")
                 if i in seen:
                     raise ValueError(f"monomial names x{i} more than once")
+                if raw_i != str(i):
+                    raise ValueError(f"monomial key {raw_i!r} must be written {str(i)!r}")
                 seen.add(i)
                 exps[i] = e
             pairs.append((tuple(exps), Multivector.from_obj(entry["coef"])))
@@ -358,6 +340,25 @@ class CliffordPolynomial:
 
     def __repr__(self) -> str:
         return f"CliffordPolynomial(m={self.m}, {str(self)})"
+
+
+def dirac(f, side: str, sign: int = 1, y_only: bool = False):
+    """d/dx_0 + sign * sum_(j>=1) e_j d/dx_j with e_j acting on ``side``.
+
+    ``y_only`` drops d/dx_0 and e_1 d/dx_1, leaving the y-Dirac operator
+    sum_(j>=2) e_j d/dx_j.  ``f`` is anything with ``m``, ``partial`` and
+    multivector products on both sides: a CliffordPolynomial or a
+    SteeringExpression.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    total = f * 0 if y_only else f.partial(0)
+    for j in range(2 if y_only else 1, f.m + 1):
+        d = f.partial(j)
+        if d:
+            ej = Multivector.blade(f.m, (j,), sign)
+            total = total + (ej * d if side == "left" else d * ej)
+    return total
 
 
 def dirac_power(poly: CliffordPolynomial, k: int, side: str = "left") -> CliffordPolynomial:

@@ -31,11 +31,12 @@ from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 from .algebra import (
     Multivector,
     ScalarLike,
+    e1_sandwich,
     coerce_fraction,
     format_fraction,
     parse_fraction,
 )
-from .polynomials import CliffordPolynomial, dirac_power
+from .polynomials import CliffordPolynomial, dirac, dirac_power
 
 KIND_POWEXP = "powexp"
 KIND_COS = "cos"
@@ -324,21 +325,11 @@ class SteeringExpression:
 
     def cr_left(self) -> "SteeringExpression":
         """d/dx_0 + sum_j e_j d/dx_j applied on the left."""
-        total = self.partial(0)
-        for j in range(1, self.m + 1):
-            d = self.partial(j)
-            if d:
-                total = total + d.lmul(Multivector.blade(self.m, (j,)))
-        return total
+        return dirac(self, "left")
 
     def cr_right(self) -> "SteeringExpression":
         """d/dx_0 + sum_j (d/dx_j)(.)e_j applied on the right."""
-        total = self.partial(0)
-        for j in range(1, self.m + 1):
-            d = self.partial(j)
-            if d:
-                total = total + d.rmul(Multivector.blade(self.m, (j,)))
-        return total
+        return dirac(self, "right")
 
     def hypercomplex_d(self) -> "SteeringExpression":
         """(1/2)(d/dx_0 - sum_j e_j d/dx_j).
@@ -346,12 +337,7 @@ class SteeringExpression:
         The hypercomplex-derivative reading requires the input to be left
         monogenic; the operator itself is applied unconditionally.
         """
-        total = self.partial(0)
-        for j in range(1, self.m + 1):
-            d = self.partial(j)
-            if d:
-                total = total - d.lmul(Multivector.blade(self.m, (j,)))
-        return total * Fraction(1, 2)
+        return dirac(self, "left", -1) * Fraction(1, 2)
 
     def at_origin(self) -> Multivector:
         """Value of the expression at X = 0."""
@@ -397,11 +383,6 @@ class SteeringExpression:
 
     def __repr__(self) -> str:
         return f"SteeringExpression(m={self.m}, {str(self)})"
-
-
-def blade_lmul(b: Multivector, expr: SteeringExpression) -> SteeringExpression:
-    """Left-multiply a steering expression by a multivector."""
-    return expr.lmul(b)
 
 
 # ---------------------------------------------------------------------------
@@ -514,27 +495,70 @@ def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str = "see
         raise ValueError(f"{what} is not annihilated by laplacian^{order}")
 
 
-def _require_right_monogenic(seed: CliffordPolynomial, what: str = "seed") -> None:
-    if seed.dirac_y("right"):
-        raise ValueError(f"{what} is not right monogenic in the y variables")
+def _require_monogenic(seed: CliffordPolynomial, side: str, what: str = "seed") -> None:
+    if seed.dirac_y(side):
+        raise ValueError(f"{what} is not {side} monogenic in the y variables")
 
 
-def _require_left_monogenic(seed: CliffordPolynomial, what: str = "seed") -> None:
-    if seed.dirac_y("left"):
-        raise ValueError(f"{what} is not left monogenic in the y variables")
+def _trig_seeds(seed_cos, seed_sin) -> Tuple[CliffordPolynomial, CliffordPolynomial]:
+    a = _as_steering_seed(seed_cos, "cos seed")
+    b = _as_steering_seed(seed_sin, "sin seed")
+    if a.m != b.m:
+        raise ValueError(f"dimension mismatch: m={a.m} vs m={b.m}")
+    return a, b
 
 
-def _exp_tail(seed: CliffordPolynomial, order: int, signs: int = 1) -> CliffordPolynomial:
-    # sum_k signs^k * c_k * dirac^(2k-1)(seed); signs is +1 or -1
-    table = ck_table(order).c
-    d = seed.dirac_y("left")
-    total = d * (table[0] * signs)
-    factor = signs
-    for k in range(2, order + 1):
-        d = dirac_power(d, 2)
-        factor *= signs
-        total = total + d * (table[k - 1] * factor)
+def _power_seeds(seeds, check) -> list[CliffordPolynomial]:
+    clean = [_as_steering_seed(s, f"seed {i}") for i, s in enumerate(seeds)]
+    if not clean:
+        raise ValueError("at least one seed is required")
+    m = clean[0].m
+    for i, s in enumerate(clean):
+        if s.m != m:
+            raise ValueError(f"dimension mismatch: m={s.m} vs m={m}")
+        check(s, f"seed {i}")
+    return clean
+
+
+def _tail(
+    seed: CliffordPolynomial, order: int, sign: int = 1, rate: ScalarLike = 1
+) -> CliffordPolynomial:
+    # sum_k sign^k c_k rate^(1-2k) dirac^(2k-1)(seed) over k = 1..order
+    total, d = seed * 0, seed
+    for k in range(1, order + 1):
+        d = dirac_power(d, 1 if k == 1 else 2)
+        total = total + d * (_c(k) * sign**k / rate ** (2 * k - 1))
     return total
+
+
+def _exp_terms(h: CliffordPolynomial, order: int, rate: ScalarLike = 1) -> list:
+    return [
+        (SteeringSymbol.power_exp(0, rate), h),
+        (SteeringSymbol.power_exp(0, rate, bar=True), _tail(h, order, 1, rate)),
+    ]
+
+
+def _trig_terms(a: CliffordPolynomial, b: CliffordPolynomial, order: int) -> list:
+    one = Fraction(1)
+    return [
+        (SteeringSymbol.cosine(one), a),
+        (SteeringSymbol.sine(one), b),
+        (SteeringSymbol.cosine(one, bar=True), _tail(b, order, -1)),
+        (SteeringSymbol.sine(one, bar=True), -_tail(a, order, -1)),
+    ]
+
+
+def _power_terms(seeds: Sequence[CliffordPolynomial], order: int) -> list:
+    # A_i feeds z^i and, through c_j/((2j-1)! C(k, i)) dirac^(2j-1) A_i, zb^k with
+    # k = i + 2j - 1; SteeringExpression sums the pieces landing on one symbol
+    terms: list = [(SteeringSymbol.power_exp(i), a) for i, a in enumerate(seeds)]
+    for i, a in enumerate(seeds):
+        d = a
+        for j in range(1, order + 1):
+            d = dirac_power(d, 1 if j == 1 else 2)
+            k = i + 2 * j - 1
+            terms.append((SteeringSymbol.power_exp(k, bar=True), d * power_coefficient(j, k)))
+    return terms
 
 
 def construct_exp_left(seed: CliffordPolynomial, order: int) -> SteeringExpression:
@@ -544,15 +568,7 @@ def construct_exp_left(seed: CliffordPolynomial, order: int) -> SteeringExpressi
         raise ValueError("order must be at least 1")
     h = _as_steering_seed(seed)
     _require_polyharmonic(h, order)
-    tail = _exp_tail(h, order)
-    one = Fraction(1)
-    return SteeringExpression(
-        h.m,
-        [
-            (SteeringSymbol.power_exp(0, one), h),
-            (SteeringSymbol.power_exp(0, one, bar=True), tail),
-        ],
-    )
+    return SteeringExpression(h.m, _exp_terms(h, order))
 
 
 def construct_trig_left(
@@ -563,24 +579,10 @@ def construct_trig_left(
     B2 = sum (-1)^(k+1) c_k dirac^(2k-1) A1."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    a1 = _as_steering_seed(seed_cos, "cos seed")
-    b1 = _as_steering_seed(seed_sin, "sin seed")
-    if a1.m != b1.m:
-        raise ValueError(f"dimension mismatch: m={a1.m} vs m={b1.m}")
+    a1, b1 = _trig_seeds(seed_cos, seed_sin)
     _require_polyharmonic(a1, order, "cos seed")
     _require_polyharmonic(b1, order, "sin seed")
-    a2 = _exp_tail(b1, order, signs=-1)
-    b2 = -_exp_tail(a1, order, signs=-1)
-    one = Fraction(1)
-    return SteeringExpression(
-        a1.m,
-        [
-            (SteeringSymbol.cosine(one), a1),
-            (SteeringSymbol.sine(one), b1),
-            (SteeringSymbol.cosine(one, bar=True), a2),
-            (SteeringSymbol.sine(one, bar=True), b2),
-        ],
-    )
+    return SteeringExpression(a1.m, _trig_terms(a1, b1, order))
 
 
 def construct_power_left(
@@ -594,93 +596,36 @@ def construct_power_left(
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    clean = [_as_steering_seed(s, f"seed {i}") for i, s in enumerate(seeds)]
-    m = clean[0].m
-    for i, s in enumerate(clean):
-        if s.m != m:
-            raise ValueError(f"dimension mismatch: m={s.m} vs m={m}")
-        _require_polyharmonic(s, order, f"seed {i}")
-    top = len(clean) - 1
-    terms: list = [(SteeringSymbol.constant(), clean[0])]
-    for k in range(1, top + 1):
-        terms.append((SteeringSymbol.power_exp(k), clean[k]))
-    for k in range(1, top + 2 * order):
-        tail = CliffordPolynomial.zero(m, range(2, m + 1))
-        for j in range(1, min(order, (k + 1) // 2) + 1):
-            idx = k - 2 * j + 1
-            if idx <= top and clean[idx]:
-                tail = tail + dirac_power(clean[idx], 2 * j - 1) * power_coefficient(j, k)
-        if tail:
-            terms.append((SteeringSymbol.power_exp(k, bar=True), tail))
-    return SteeringExpression(m, terms)
-
-
-def _sandwich_difference(poly: CliffordPolynomial) -> CliffordPolynomial:
-    e1 = Multivector.blade(poly.m, (1,))
-    return poly - e1 * poly * e1
+    clean = _power_seeds(seeds, lambda s, what: _require_polyharmonic(s, order, what))
+    return SteeringExpression(clean[0].m, _power_terms(clean, order))
 
 
 def construct_two_sided(family: str, seeds) -> SteeringExpression:
     """Two-sided monogenic solutions built from right monogenic seeds.
 
     ``family`` selects the steering family: "exp" takes a single seed M,
-    "trig" a pair (M, N) and "power" a sequence (M_0, M_1, ...).  Every
-    seed enters through the difference M - e1 M e1, whose left Dirac
-    derivative supplies the conjugate-side coefficients.
+    "trig" a pair (M, N) and "power" a sequence (M_0, M_1, ...).  The
+    result is the order-1 left construction of that family on the
+    differences M - e1 M e1, which are harmonic and whose left Dirac
+    derivatives supply the conjugate-side coefficients.
     """
-    half = Fraction(1, 2)
-    one = Fraction(1)
+
+    def diff(seed):
+        return seed - e1_sandwich(seed)
+
     if family == "exp":
         seed = _as_steering_seed(seeds)
-        _require_right_monogenic(seed)
-        a = _sandwich_difference(seed)
-        b = a.dirac_y("left") * -half
-        return SteeringExpression(
-            seed.m,
-            [
-                (SteeringSymbol.power_exp(0, one), a),
-                (SteeringSymbol.power_exp(0, one, bar=True), b),
-            ],
-        )
+        _require_monogenic(seed, "right")
+        return SteeringExpression(seed.m, _exp_terms(diff(seed), 1))
     if family == "trig":
         seed_m, seed_n = seeds
-        sm = _as_steering_seed(seed_m, "cos seed")
-        sn = _as_steering_seed(seed_n, "sin seed")
-        if sm.m != sn.m:
-            raise ValueError(f"dimension mismatch: m={sm.m} vs m={sn.m}")
-        _require_right_monogenic(sm, "cos seed")
-        _require_right_monogenic(sn, "sin seed")
-        a1 = _sandwich_difference(sm)
-        b1 = _sandwich_difference(sn)
-        return SteeringExpression(
-            sm.m,
-            [
-                (SteeringSymbol.cosine(one), a1),
-                (SteeringSymbol.sine(one), b1),
-                (SteeringSymbol.cosine(one, bar=True), b1.dirac_y("left") * half),
-                (SteeringSymbol.sine(one, bar=True), a1.dirac_y("left") * -half),
-            ],
-        )
+        sm, sn = _trig_seeds(seed_m, seed_n)
+        _require_monogenic(sm, "right", "cos seed")
+        _require_monogenic(sn, "right", "sin seed")
+        return SteeringExpression(sm.m, _trig_terms(diff(sm), diff(sn), 1))
     if family == "power":
-        clean = [_as_steering_seed(s, f"seed {i}") for i, s in enumerate(seeds)]
-        if not clean:
-            raise ValueError("at least one seed is required")
-        m = clean[0].m
-        for i, s in enumerate(clean):
-            if s.m != m:
-                raise ValueError(f"dimension mismatch: m={s.m} vs m={m}")
-            _require_right_monogenic(s, f"seed {i}")
-        a = [_sandwich_difference(s) for s in clean]
-        terms: list = [(SteeringSymbol.constant(), a[0])]
-        for k in range(1, len(a)):
-            terms.append((SteeringSymbol.power_exp(k), a[k]))
-        for k in range(1, len(a) + 1):
-            tail = a[k - 1].dirac_y("left") * Fraction(-1, 2 * k)
-            if tail:
-                terms.append((SteeringSymbol.power_exp(k, bar=True), tail))
-        return SteeringExpression(m, terms)
+        clean = _power_seeds(seeds, lambda s, what: _require_monogenic(s, "right", what))
+        return SteeringExpression(clean[0].m, _power_terms([diff(s) for s in clean], 1))
     raise ValueError(f"unknown steering family {family!r}")
 
 
@@ -692,14 +637,7 @@ def construct_eigen(rate: ScalarLike, seed: CliffordPolynomial) -> SteeringExpre
         raise ValueError("eigenvalue rate must be nonzero")
     h = _as_steering_seed(seed)
     _require_polyharmonic(h, 1)
-    tail = h.dirac_y("left") * (Fraction(-1, 2) / r)
-    return SteeringExpression(
-        h.m,
-        [
-            (SteeringSymbol.power_exp(0, r), h),
-            (SteeringSymbol.power_exp(0, r, bar=True), tail),
-        ],
-    )
+    return SteeringExpression(h.m, _exp_terms(h, 1, r))
 
 
 # ---------------------------------------------------------------------------
@@ -800,39 +738,20 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
                 f"root {r}: {len(root.monogenic_seeds)} monogenic seeds exceed "
                 f"multiplicity {root.multiplicity}"
             )
-        if not r:
-            if root.harmonic_seed is not None:
+        if root.harmonic_seed is not None:
+            if not r:
                 raise ValueError(
                     "the zero root takes monogenic seeds only (the eigen pair needs 1/(2*rate))"
                 )
-            for k, seed in enumerate(root.monogenic_seeds):
-                mk = _as_steering_seed(seed, f"root 0 seed {k}")
-                if not mk:
-                    continue
-                _require_left_monogenic(mk, f"root 0 seed {k}")
-                solution = solution + SteeringExpression(
-                    spec.m, [(SteeringSymbol.power_exp(k), mk)]
-                )
-            continue
-        if root.harmonic_seed is not None:
             h = _as_steering_seed(root.harmonic_seed, f"root {r} harmonic seed")
             if h:
                 _require_polyharmonic(h, 1, f"root {r} harmonic seed")
-                solution = solution + SteeringExpression(
-                    spec.m,
-                    [
-                        (SteeringSymbol.power_exp(0, r), h),
-                        (
-                            SteeringSymbol.power_exp(0, r, bar=True),
-                            h.dirac_y("left") * (Fraction(-1, 2) / r),
-                        ),
-                    ],
-                )
+                solution = solution + SteeringExpression(spec.m, _exp_terms(h, 1, r))
         for k, seed in enumerate(root.monogenic_seeds):
             mk = _as_steering_seed(seed, f"root {r} seed {k}")
             if not mk:
                 continue
-            _require_left_monogenic(mk, f"root {r} seed {k}")
+            _require_monogenic(mk, "left", f"root {r} seed {k}")
             solution = solution + SteeringExpression(
                 spec.m, [(SteeringSymbol.power_exp(k, r), mk)]
             )

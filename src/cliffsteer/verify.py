@@ -1,9 +1,11 @@
 """Exact residual computation for every supported differential system.
 
 Each operation literally applies the differential operators and returns
-the residual together with an exact-zero flag.  The operators work over
-both steering expressions and plain Clifford polynomials, which expose
-the same cr_left / cr_right / hypercomplex_d surface.
+the residual together with an exact-zero flag.  Every operator here is the
+one Dirac-type operator ``polynomials.dirac``, d/dx_0 + sign * sum_j e_j
+d/dx_j on one side, reached through the cr_left / cr_right /
+hypercomplex_d methods that steering expressions and plain Clifford
+polynomials both expose.
 """
 
 from __future__ import annotations

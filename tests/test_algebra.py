@@ -219,6 +219,17 @@ class TestConstructionAndJson:
         b = Multivector(3, [(0, 2), (5, Fraction(1, 2))])
         assert a.to_obj() == b.to_obj()
 
+    def test_zero_and_repeated_document_terms_rejected(self):
+        def doc(*terms):
+            return {"m": 3, "terms": [{"blades": b, "coef": q} for b, q in terms]}
+
+        with pytest.raises(ValueError, match="zero coefficient"):
+            Multivector.from_obj(doc(([1], "0")))
+        for terms in ((([1], "1"), ([1], "-1")), (([], "1/2"), ([2], "1"), ([], "1/2"))):
+            with pytest.raises(ValueError, match="more than once"):
+                Multivector.from_obj(doc(*terms))
+        assert Multivector.from_obj(doc()) == Multivector.zero(3)
+
     def test_fraction_strings(self):
         assert format_fraction(Fraction(-7, 256)) == "-7/256"
         assert parse_fraction("-7/256") == Fraction(-7, 256)

@@ -206,6 +206,22 @@ class TestVerifyOperators:
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+    def test_non_canonical_key_or_term_alone_exit_two(self, capsys, monkeypatch):
+        zero = {"m": M, "terms": [{"blades": [2], "coef": "0/1"}]}
+        twice = {"m": M, "terms": [{"blades": [2], "coef": "1"}, {"blades": [2], "coef": "-1"}]}
+        cases = [({key: 1}, e(M, 2).to_obj()) for key in ("02", " 2", "+2")]
+        cases += [({"2": 1}, zero), ({"2": 1}, twice)]
+        for monomial, coef in cases:
+            doc = json.dumps(
+                {"m": M, "vars": [2, 3, 4], "terms": [{"monomial": monomial, "coef": coef}]}
+            )
+            code, out, err = run(
+                capsys, ["verify", "--op", "infra"], stdin_text=doc, monkeypatch=monkeypatch
+            )
+            assert code == 2 and not out
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 class TestBasisAndAppell:
     def test_basis_size(self, capsys):
         code, out, _ = run(capsys, ["basis", "--degree", "2", "--n", "1", "--m", "4"])

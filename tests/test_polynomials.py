@@ -48,6 +48,14 @@ class TestRingOperations:
         with pytest.raises(ValueError, match="outside the declared variable scope"):
             CliffordPolynomial.monomial(3, {0: 1}, 1, var_scope=range(2, 4))
 
+    def test_restrict_scope(self):
+        p = ymono(4, {2: 1, 3: 2}, e(4, 1, 3))
+        assert p.restrict_scope(range(2, 5)) is p
+        wider = p.restrict_scope(range(0, 5))
+        assert wider == p and wider.var_scope == frozenset(range(0, 5))
+        with pytest.raises(ValueError, match="outside the declared variable scope"):
+            p.restrict_scope(range(3, 5))
+
 
 class TestDerivatives:
     def test_partial_examples(self):
@@ -310,3 +318,9 @@ class TestJson:
         for monomial in ({"2": 1, "02": 1}, {"2": 0, "02": 3}):
             with pytest.raises(ValueError, match="x2 more than once"):
                 CliffordPolynomial.from_obj(self._doc(monomial))
+
+    def test_non_canonical_monomial_key_rejected(self):
+        for key in ("02", " 2", "+2", "2 "):
+            with pytest.raises(ValueError, match="must be written '2'"):
+                CliffordPolynomial.from_obj(self._doc({key: 1}))
+        assert CliffordPolynomial.from_obj(self._doc({"2": 1})) == x(3, 2)

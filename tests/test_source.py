@@ -1,0 +1,60 @@
+"""Static checks on the package sources, parsed with ast.
+
+The package is stdlib-only, and no module keeps an import it never uses;
+``__init__.py`` is exempt from the second rule since it imports in order
+to re-export.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliffsteer"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+
+
+def test_sources_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "algebra.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_standard_library(path):
+    outside = []
+    for node in _imports(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # relative: inside the package
+                continue
+            names = [node.module]
+        else:
+            names = [alias.name for alias in node.names]
+        outside += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports from outside the standard library: {outside}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    bound = {}
+    for node in _imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted((line, name) for name, line in bound.items() if name not in used)
+    assert not unused, f"{path.name} never uses imported names (line, name): {unused}"

@@ -11,7 +11,6 @@ from cliffsteer.steering import (
     RootSpec,
     SteeringExpression,
     SteeringSymbol,
-    blade_lmul,
     ck_table,
     construct_eigen,
     construct_exp_left,
@@ -101,21 +100,21 @@ class TestSymbols:
 class TestBladeMultiplication:
     def test_e2_flips_bar(self):
         expr = SteeringExpression(M, [(EXP_Z, 1)])
-        assert blade_lmul(e(M, 2), expr) == SteeringExpression(M, [(EXP_ZBAR, e(M, 2))])
+        assert expr.lmul(e(M, 2)) == SteeringExpression(M, [(EXP_ZBAR, e(M, 2))])
 
     def test_e1_does_not_flip(self):
         expr = SteeringExpression(M, [(EXP_Z, 1)])
-        assert blade_lmul(e(M, 1), expr) == SteeringExpression(M, [(EXP_Z, e(M, 1))])
+        assert expr.lmul(e(M, 1)) == SteeringExpression(M, [(EXP_Z, e(M, 1))])
 
     def test_even_blades_do_not_flip(self):
         a = random_y_poly(random.Random(0), M)
         expr = SteeringExpression(M, [(EXP_Z, a)])
-        assert blade_lmul(e(M, 2, 3), expr) == SteeringExpression(M, [(EXP_Z, e(M, 2, 3) * a)])
+        assert expr.lmul(e(M, 2, 3)) == SteeringExpression(M, [(EXP_Z, e(M, 2, 3) * a)])
 
     def test_mixed_blade_parity(self):
         # e1e2 contains one generator of index >= 2, so the bar flips
         expr = SteeringExpression(M, [(EXP_Z, 1)])
-        assert blade_lmul(e(M, 1, 2), expr) == SteeringExpression(M, [(EXP_ZBAR, e(M, 1, 2))])
+        assert expr.lmul(e(M, 1, 2)) == SteeringExpression(M, [(EXP_ZBAR, e(M, 1, 2))])
 
     def test_right_multiplication_never_flips(self):
         expr = SteeringExpression(M, [(EXP_Z, 1)])
@@ -493,6 +492,33 @@ class TestPowerConstructor:
         assert powers and max(powers) <= 1 + 2 * 2 - 1
 
 
+def _dy(p):
+    # the left y-Dirac operator written out term by term
+    total = CliffordPolynomial.zero(p.m, range(2, p.m + 1))
+    for j in range(2, p.m + 1):
+        total = total + e(p.m, j) * p.partial(j)
+    return total
+
+
+def _e1_difference(p):
+    return p - e(p.m, 1) * p * e(p.m, 1)
+
+
+def _right_monogenic_pair(m):
+    # (x2 + x3 e2e3)/2, and x3 - x2 e2e3 plus e2 times the right y-gradient of x2 x3 x4
+    first = (x(m, 2, yonly=True) + ymono(m, {3: 1}, e(m, 2, 3))) * Fraction(1, 2)
+    second = (
+        ymono(m, {3: 1})
+        - ymono(m, {2: 1}, e(m, 2, 3))
+        - ymono(m, {3: 1, 4: 1})
+        + ymono(m, {2: 1, 4: 1}, e(m, 2, 3))
+        + ymono(m, {2: 1, 3: 1}, e(m, 2, 4))
+    )
+    for p in (first, second):
+        assert not p.dirac_y("right")
+    return first, second
+
+
 class TestTwoSidedConstructor:
     def test_exponential_example(self):
         seed = (x(M, 2, yonly=True) + ymono(M, {3: 1}, e(M, 2, 3))) * Fraction(1, 2)
@@ -520,6 +546,34 @@ class TestTwoSidedConstructor:
         other = (x(M, 2, yonly=True) * e(M, 2) - x(M, 3, yonly=True) * e(M, 3)) * Fraction(1, 2)
         got = construct_two_sided("power", (seed, other))
         assert not got.cr_left() and not got.cr_right()
+
+    def test_trig_family_by_value(self):
+        # cos(z)A + sin(z)B + cos(zb)(1/2 dy B) + sin(zb)(-1/2 dy A), A = M - e1 M e1
+        seed_m, seed_n = _right_monogenic_pair(M)
+        a, b = _e1_difference(seed_m), _e1_difference(seed_n)
+        assert a and b and _dy(a) and _dy(b)
+        expected = SteeringExpression(
+            M,
+            [
+                (SteeringSymbol.cosine(1), a),
+                (SteeringSymbol.sine(1), b),
+                (SteeringSymbol.cosine(1, bar=True), _dy(b) * Fraction(1, 2)),
+                (SteeringSymbol.sine(1, bar=True), _dy(a) * Fraction(-1, 2)),
+            ],
+        )
+        assert construct_two_sided("trig", (seed_m, seed_n)) == expected
+
+    def test_power_family_by_value(self):
+        # sum_k z^k A_k + sum_k zb^k (-1/(2k)) dy A_(k-1)
+        seed_m, seed_n = _right_monogenic_pair(M)
+        seeds = [seed_m, seed_n, seed_m * 3]
+        diffs = [_e1_difference(s) for s in seeds]
+        terms = [(SteeringSymbol.power_exp(k), a) for k, a in enumerate(diffs)]
+        for k in range(1, len(diffs) + 1):
+            tail = _dy(diffs[k - 1]) * Fraction(-1, 2 * k)
+            assert tail
+            terms.append((SteeringSymbol.power_exp(k, bar=True), tail))
+        assert construct_two_sided("power", seeds) == SteeringExpression(M, terms)
 
     def test_rejects_non_right_monogenic_seed(self):
         with pytest.raises(ValueError, match="right monogenic"):
@@ -553,6 +607,12 @@ class TestEigenConstructor:
     def test_zero_rate_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             construct_eigen(0, x(M, 2, yonly=True))
+
+    def test_unit_rate_is_the_first_order_exponential(self):
+        rng = random.Random(36)
+        for degree in (0, 1, 2, 3):
+            h = random_harmonic(rng, M, degree)
+            assert construct_eigen(1, h) == construct_exp_left(h, 1)
 
 
 def _monogenic_seed(m):
@@ -592,6 +652,13 @@ class TestDsolve:
             M, (1, -2, 1), (RootSpec(Fraction(1), 2, h, (mono, mono)),)
         )
         assert d_equation_residual(dsolve(spec), (1, -2, 1)).is_zero
+
+    def test_eigen_pair_is_construct_eigen(self):
+        rng = random.Random(37)
+        for rate in (Fraction(1), Fraction(-2), Fraction(3, 2)):
+            h = random_harmonic(rng, M, 2)
+            spec = DSolveSpec(M, (1, -rate), (RootSpec(rate, 1, h),))
+            assert dsolve(spec) == construct_eigen(rate, h)
 
     def test_non_root_rejected(self):
         h = ymono(M, {2: 1}, e(M, 2))
