@@ -13,7 +13,7 @@ validation, not a separate polynomial type.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .algebra import Multivector, coerce_fraction
@@ -43,7 +43,7 @@ class CliffordPolynomial:
         var_scope: Iterable[int] | None = None,
     ):
         scope = frozenset(range(m + 1)) if var_scope is None else frozenset(var_scope)
-        if not all(isinstance(i, int) and 0 <= i <= m for i in scope):
+        if not all(type(i) is int and 0 <= i <= m for i in scope):
             raise ValueError(f"var_scope must be a subset of x0..x{m}")
         data: dict[Monomial, Multivector] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -276,17 +276,26 @@ class CliffordPolynomial:
 
     def hypercomplex_d(self) -> "CliffordPolynomial":
         """(1/2)(d/dx_0 - sum_j e_j d/dx_j), the hypercomplex derivative."""
-        return dirac(self, "left", -1) * Fraction(1, 2)
+        return dirac(self, "left", -1, scale=Fraction(1, 2))
 
     def laplacian(self, variables: Iterable[int] | None = None) -> "CliffordPolynomial":
         """Sum of second partials over ``variables`` (default: the var_scope)."""
         if variables is None:
             variables = self.var_scope
-        total = CliffordPolynomial.zero(self.m, self.var_scope)
-        for i in variables:
-            if 0 <= i <= self.m:
-                total = total + self.partial(i).partial(i)
-        return total
+        indices = [i for i in variables if 0 <= i <= self.m]
+        den = _common_denominator((self,))
+        # lowered monomial -> blade -> numerator over den
+        acc: dict[Monomial, dict[int, int]] = {}
+        for exps, mv in self._terms.items():
+            for i in indices:
+                e = exps[i]
+                if e < 2:
+                    continue
+                target = acc.setdefault(exps[:i] + (e - 2,) + exps[i + 1 :], {})
+                w = e * (e - 1)
+                for mask, q in mv._terms.items():
+                    target[mask] = target.get(mask, 0) + w * q.numerator * (den // q.denominator)
+        return _poly_from_ints(self.m, self.var_scope, acc, den)
 
     # -- serialization ----------------------------------------------------------
 
@@ -314,7 +323,10 @@ class CliffordPolynomial:
         for entry in obj.get("terms", []):
             exps = [0] * (m + 1)
             seen = set()
-            for raw_i, e in entry["monomial"].items():
+            monomial = entry["monomial"]
+            if not isinstance(monomial, Mapping):
+                raise TypeError("polynomial term field 'monomial' must be a JSON object")
+            for raw_i, e in monomial.items():
                 i = int(raw_i)
                 if not 0 <= i <= m:
                     raise ValueError(f"variable index {i} out of range 0..{m}")
@@ -342,23 +354,111 @@ class CliffordPolynomial:
         return f"CliffordPolynomial(m={self.m}, {str(self)})"
 
 
-def dirac(f, side: str, sign: int = 1, y_only: bool = False):
-    """d/dx_0 + sign * sum_(j>=1) e_j d/dx_j with e_j acting on ``side``.
+def _common_denominator(polys: Iterable[CliffordPolynomial]) -> int:
+    den = 1
+    for poly in polys:
+        for mv in poly._terms.values():
+            for q in mv._terms.values():
+                d = q.denominator
+                if den % d:
+                    den = lcm(den, d)
+    return den
 
-    ``y_only`` drops d/dx_0 and e_1 d/dx_1, leaving the y-Dirac operator
-    sum_(j>=2) e_j d/dx_j.  ``f`` is anything with ``m``, ``partial`` and
-    multivector products on both sides: a CliffordPolynomial or a
-    SteeringExpression.
+
+def _poly_from_ints(
+    m: int, scope: frozenset, acc: dict[Monomial, dict[int, int]], den: int
+) -> CliffordPolynomial:
+    # acc holds numerators over ``den``; each Fraction is made once, zeros dropped
+    data = {}
+    for key, masks in acc.items():
+        coef = {mask: Fraction(v, den) for mask, v in masks.items() if v}
+        if coef:
+            data[key] = Multivector._unsafe(m, coef)
+    return CliffordPolynomial._unsafe(m, scope, data)
+
+
+def dirac(f, side: str, sign: int = 1, y_only: bool = False, scale: Fraction = Fraction(1)):
+    """scale * (d/dx_0 + sign * sum_(j>=1) e_j d/dx_j) with e_j acting on ``side``.
+
+    ``y_only`` drops d/dx_0 and e_1 d/dx_1, leaving scale * sign times the
+    y-Dirac operator sum_(j>=2) e_j d/dx_j.  ``f`` is a CliffordPolynomial
+    or a SteeringExpression (anything whose ``items()`` give symbols and
+    y-scoped polynomials, and whose class has ``_unsafe(m, data)``).
+
+    The operator is applied in one pass over the flat (symbol, monomial,
+    blade, coefficient) terms of ``f``.  e_j on e_A is a signed bit flip:
+    the sign is the parity of the generators of A up to and including j on
+    the left, or from j up on the right.  On a steering expression d/dx_0
+    and d/dx_1 act on the symbols through ``SteeringSymbol._dz`` (with
+    d(z-bar)/dx_1 = -e_1), and e_j with j >= 2 on the left flips the bar.
+    Every coefficient is scaled to an integer over one common denominator,
+    the lcm of the coefficient denominators times the lcm of the symbol
+    rate denominators (times that of ``scale``), contributions are summed
+    as integers, and each output coefficient becomes a Fraction once.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    total = f * 0 if y_only else f.partial(0)
-    for j in range(2 if y_only else 1, f.m + 1):
-        d = f.partial(j)
-        if d:
-            ej = Multivector.blade(f.m, (j,), sign)
-            total = total + (ej * d if side == "left" else d * ej)
-    return total
+    scale = coerce_fraction(scale)
+    m = f.m
+    left = side == "left"
+    full = (1 << m) - 1
+    terms = ((None, f),) if isinstance(f, CliffordPolynomial) else tuple(f.items())
+    rate_den = 1
+    if not y_only:
+        for sym, _ in terms:
+            if sym is not None:
+                rate_den = lcm(rate_den, sym.rate.denominator)
+    coef_den = _common_denominator(poly for _, poly in terms)
+    unit = scale.numerator * rate_den
+    # e_j d/dx_j as (multiplier, flip bit, parity selector, lands on the
+    # flipped symbol); d/dx_0 flips nothing
+    gens = {} if y_only else {0: (unit, 0, 0, False)}
+    for j in range(2 if y_only else 1, m + 1):
+        bit = 1 << (j - 1)
+        gens[j] = (sign * unit, bit, (bit << 1) - 1 if left else full ^ (bit - 1), j >= 2)
+    # out symbol -> lowered monomial -> blade -> numerator over the denominator
+    acc: dict = {}
+    for sym, poly in terms:
+        own = acc.setdefault(sym, {})
+        flipped = acc.setdefault(sym.conjugate(), {}) if sym is not None and left else own
+        # (out symbol's monomials, multiplier, flip bit, parity selector) of
+        # d/dx_0 and e_1 d/dx_1 on the symbol; the monomial stays
+        sym_actions = []
+        if sym is not None and not y_only:
+            x1_sign = sign if sym.bar else -sign
+            for q, dsym in sym._dz():
+                out = acc.setdefault(dsym, {})
+                n = q.numerator * (rate_den // q.denominator) * scale.numerator
+                sym_actions.append((out, n, 0, 0))
+                sym_actions.append((out, x1_sign * n, 0, 0 if left else full ^ 1))
+        for exps, mv in poly._terms.items():
+            actions = [(out.setdefault(exps, {}), n, b, s) for out, n, b, s in sym_actions]
+            for j, (n, bit, sel, flips) in gens.items():
+                k = exps[j]
+                if k:
+                    out = (flipped if flips else own).setdefault(
+                        exps[:j] + (k - 1,) + exps[j + 1 :], {}
+                    )
+                    actions.append((out, k * n, bit, sel))
+            if not actions:
+                continue
+            for mask, q in mv._terms.items():
+                c = q.numerator * (coef_den // q.denominator)
+                for target, n, bit, sel in actions:
+                    v = c * n
+                    if (mask & sel).bit_count() & 1:
+                        v = -v
+                    out_mask = mask ^ bit
+                    target[out_mask] = target.get(out_mask, 0) + v
+    den = coef_den * rate_den * scale.denominator
+    if isinstance(f, CliffordPolynomial):
+        return _poly_from_ints(m, f.var_scope, acc.get(None, {}), den)
+    data = {}
+    for sym, monos in acc.items():
+        poly = _poly_from_ints(m, terms[0][1].var_scope, monos, den)
+        if poly:
+            data[sym] = poly
+    return type(f)._unsafe(m, data)
 
 
 def dirac_power(poly: CliffordPolynomial, k: int, side: str = "left") -> CliffordPolynomial:

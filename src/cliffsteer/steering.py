@@ -217,6 +217,16 @@ class SteeringExpression:
         self._terms = {s: data[s] for s in sorted(data, key=SteeringSymbol.sort_key)}
 
     @classmethod
+    def _unsafe(
+        cls, m: int, data: dict[SteeringSymbol, CliffordPolynomial]
+    ) -> "SteeringExpression":
+        # data must map symbols to nonzero polynomials in the y variables
+        expr = object.__new__(cls)
+        expr.m = m
+        expr._terms = {s: data[s] for s in sorted(data, key=SteeringSymbol.sort_key)}
+        return expr
+
+    @classmethod
     def zero(cls, m: int) -> "SteeringExpression":
         return cls(m)
 
@@ -337,7 +347,7 @@ class SteeringExpression:
         The hypercomplex-derivative reading requires the input to be left
         monogenic; the operator itself is applied unconditionally.
         """
-        return dirac(self, "left", -1) * Fraction(1, 2)
+        return dirac(self, "left", -1, scale=Fraction(1, 2))
 
     def at_origin(self) -> Multivector:
         """Value of the expression at X = 0."""

@@ -5,7 +5,12 @@ the residual together with an exact-zero flag.  Every operator here is the
 one Dirac-type operator ``polynomials.dirac``, d/dx_0 + sign * sum_j e_j
 d/dx_j on one side, reached through the cr_left / cr_right /
 hypercomplex_d methods that steering expressions and plain Clifford
-polynomials both expose.
+polynomials both expose.  Each application is a single pass over the
+flat (symbol, monomial, blade, coefficient) terms: e_j acts as a signed
+bit flip on the blade, and the coefficients are summed as integers over
+one common denominator (the lcm of the coefficient denominators times
+that of the symbol rates), so a residual is zero exactly when every
+integer sum is.
 """
 
 from __future__ import annotations

@@ -221,6 +221,17 @@ class TestVerifyOperators:
             assert code == 2 and not out
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_monomial_not_an_object_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        for monomial in ([1], "x", 2, None):
+            term = {"monomial": monomial, "coef": e(M, 2).to_obj()}
+            doc = {"m": M, "vars": [2, 3, 4], "terms": [term]}
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, ["verify", "--op", "cr", "--in", str(path)])
+            assert code == 2 and not out
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+            assert "monomial" in err and "Traceback" not in err
+
 
 class TestBasisAndAppell:
     def test_basis_size(self, capsys):

@@ -314,6 +314,16 @@ class TestJson:
         with pytest.raises(ValueError, match="nonnegative exponents"):
             CliffordPolynomial(3, {(0, 0, True, 0): 1})
 
+    def test_boolean_scope_index_rejected(self):
+        doc = {"m": 4, "vars": [True, 2, 3, 4], "terms": []}
+        with pytest.raises(ValueError, match="var_scope"):
+            CliffordPolynomial.from_obj(doc)
+        for scope in ([True], [2, False]):
+            with pytest.raises(ValueError, match="var_scope"):
+                CliffordPolynomial(4, (), var_scope=scope)
+        ok = CliffordPolynomial.from_obj({"m": 4, "vars": [1, 2, 3, 4], "terms": []})
+        assert ok.to_obj()["vars"] == [1, 2, 3, 4]
+
     def test_colliding_monomial_keys_rejected(self):
         for monomial in ({"2": 1, "02": 1}, {"2": 0, "02": 3}):
             with pytest.raises(ValueError, match="x2 more than once"):
