@@ -69,9 +69,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
-        return [values[0]] * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [q1, q2, q3]
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -80,14 +80,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1 if direction == "higher" else -1
-        q_base, q_change = quartiles(base), quartiles(change)
+        q_base = quartiles(base)
         out[name] = {
             "better": direction,
             "base_median": statistics.median(base),
             "change_median": statistics.median(change),
-            "base_quartiles": [q_base[0], q_base[2]],
-            "change_quartiles": [q_change[0], q_change[2]],
-            "base_iqr": q_base[2] - q_base[0],
+            "base_quartiles": q_base,
+            "change_quartiles": quartiles(change),
+            "base_iqr": q_base[1] - q_base[0],
             "change_wins": sum(1 for b, c in zip(base, change) if sign * (c - b) > 0),
             "pairs": len(pairs),
         }
