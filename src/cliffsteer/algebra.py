@@ -78,13 +78,26 @@ def mask_from_indices(indices: Iterable[int], m: int) -> int:
     mask = 0
     previous = 0
     for j in indices:
-        if not isinstance(j, int) or not 1 <= j <= m:
+        if type(j) is not int or not 1 <= j <= m:
             raise ValueError(f"generator index {j!r} outside 1..{m}")
         if j <= previous:
             raise ValueError("blade indices must be strictly increasing")
         mask |= 1 << (j - 1)
         previous = j
     return mask
+
+
+def document_m(obj, kind: str) -> int:
+    """The checked generator count of a JSON document; ``kind`` names it in errors."""
+    if not isinstance(obj, Mapping):
+        raise TypeError(f"{kind} document must be a JSON object")
+    m = obj["m"]
+    if type(m) is not int or not MIN_GENERATORS <= m <= MAX_GENERATORS:
+        raise ValueError(
+            f"{kind} field 'm' must be an integer in {MIN_GENERATORS}..{MAX_GENERATORS}, "
+            f"got {m!r}"
+        )
+    return m
 
 
 def indices_from_mask(mask: int) -> Tuple[int, ...]:
@@ -291,11 +304,7 @@ class Multivector:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "Multivector":
-        if not isinstance(obj, Mapping):
-            raise TypeError("multivector document must be a JSON object")
-        m = obj["m"]
-        if not isinstance(m, int):
-            raise TypeError("multivector field 'm' must be an integer")
+        m = document_m(obj, "multivector")
         data: dict[int, Fraction] = {}
         for entry in obj.get("terms", []):
             mask = mask_from_indices(entry["blades"], m)

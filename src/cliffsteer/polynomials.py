@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .algebra import Multivector, coerce_fraction
+from .algebra import Multivector, coerce_fraction, document_m
 
 Monomial = Tuple[int, ...]
 
@@ -314,11 +314,7 @@ class CliffordPolynomial:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "CliffordPolynomial":
-        if not isinstance(obj, Mapping):
-            raise TypeError("polynomial document must be a JSON object")
-        m = obj["m"]
-        if not isinstance(m, int):
-            raise TypeError("polynomial field 'm' must be an integer")
+        m = document_m(obj, "polynomial")
         pairs = []
         for entry in obj.get("terms", []):
             exps = [0] * (m + 1)

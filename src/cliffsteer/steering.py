@@ -33,6 +33,7 @@ from .algebra import (
     ScalarLike,
     e1_sandwich,
     coerce_fraction,
+    document_m,
     format_fraction,
     parse_fraction,
 )
@@ -371,11 +372,7 @@ class SteeringExpression:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "SteeringExpression":
-        if not isinstance(obj, Mapping):
-            raise TypeError("steering expression document must be a JSON object")
-        m = obj["m"]
-        if not isinstance(m, int):
-            raise TypeError("expression field 'm' must be an integer")
+        m = document_m(obj, "steering expression")
         pairs = []
         for entry in obj.get("terms", []):
             pairs.append(

@@ -204,6 +204,16 @@ class TestConstructionAndJson:
         with pytest.raises(ValueError):
             Multivector(17, {})
 
+    def test_document_m_checked(self):
+        for m in (True, 1, 17, -3, "4", None):
+            with pytest.raises(ValueError, match=r"field 'm' must be an integer in 2\.\.16"):
+                Multivector.from_obj({"m": m, "terms": []})
+
+    def test_boolean_blade_index_rejected(self):
+        for blades in ([True], [1, True]):
+            with pytest.raises(ValueError, match="generator index True"):
+                Multivector.from_obj({"m": 4, "terms": [{"blades": blades, "coef": "1"}]})
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError, match="exact rational"):
             Multivector(3, {0: 0.5})

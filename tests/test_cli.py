@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,25 @@ class TestVerifyOperators:
             assert code == 2 and not out
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": True, "vars": [], "terms": []},
+            {"m": 40, "vars": [], "terms": []},
+            {"m": 100000, "terms": []},
+            {"m": -3, "terms": []},
+            {"m": 1, "terms": []},
+            {"m": "4", "terms": []},
+        ],
+    )
+    def test_document_m_out_of_range_exit_two(self, capsys, monkeypatch, doc):
+        code, out, err = run(
+            capsys, ["verify", "--op", "cr"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        assert code == 2 and not out
+        kind = "polynomial" if "vars" in doc else "steering expression"
+        assert err == f"error: {kind} field 'm' must be an integer in 2..16, got {doc['m']!r}\n"
+
     def test_monomial_not_an_object_exit_two(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
         for monomial in ([1], "x", 2, None):
@@ -295,12 +315,54 @@ class TestRoundTrips:
 
 
 class TestSuite:
+    SMALL_ROWS = [
+        ("01_coefficient_table", "c_1..c_5 match the closed fractions"),
+        ("02_matrix_power_closed_form", "closed form equals brute-force powers for n=2..10"),
+        ("03_exp_monogenic_examples", "12 first-order examples, all residuals zero"),
+        ("04_two_sided_example", "two-sided seed (x2 + x3 e2e3)/2 passes both sides"),
+        ("05_exp_polymonogenic_sweep", "19 seed/order cases, all residuals zero"),
+        ("06_exp_necessity_spot_check", "19 perturbed cases, all rejected"),
+        ("07_trig_polymonogenic_sweep", "38 seed/order cases, all residuals zero"),
+        ("08_power_polymonogenic_sweep", "2 seed lists, all residuals zero"),
+        (
+            "09_eigenfunction_relation",
+            "D F_r = r F_r for all sampled rates; F(0) = 1 case passes",
+        ),
+        ("10_d_equation_solutions", "three coefficient sets solved with zero residual"),
+        ("11_appell_sequence", "kernel and derivative recursion hold for k<=6, m=2..4"),
+        ("12_sandwich_and_elasticity", "sandwich, universal and mixed-order checks all zero"),
+        ("13_algebra_randomized", "40 random algebra and factorization cases"),
+    ]
+
     def test_small_battery_passes(self, capsys):
         code, out, _ = run(
             capsys, ["suite", "--max-n", "2", "--max-degree", "2", "--cases", "40"]
         )
         assert code == 0, out
-        assert "13/13 cases passed" in out
+        *lines, total = out.splitlines()
+        assert total == "13/13 cases passed"
+        # every row but its timing column, so a dropped case changes a count
+        rows = [re.fullmatch(r"(\S+) +(\S+) +[0-9]+\.[0-9]+ ms  (.*)", line) for line in lines]
+        assert [row.groups() for row in rows] == [
+            (case_id, "pass", detail) for case_id, detail in self.SMALL_ROWS
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["--perturb", "--max-n", "0"], "--max-n must be at least 1, got 0"),
+            (["--m", "3"], "--m must be in 4..16, got 3"),
+            (["--m", "2"], "--m must be in 4..16, got 2"),
+            (["--m", "17"], "--m must be in 4..16, got 17"),
+            (["--max-degree", "-1"], "--max-degree must be at least 0, got -1"),
+            (["--cases", "-3"], "--cases must be at least 1, got -3"),
+            (["--cases", "0"], "--cases must be at least 1, got 0"),
+        ],
+    )
+    def test_settings_out_of_range_exit_two(self, capsys, argv, limit):
+        code, out, err = run(capsys, ["suite", *argv])
+        assert code == 2 and not out
+        assert err == f"error: {limit}\n"
 
     def test_perturbation_is_caught_and_named(self, capsys):
         code, out, _ = run(

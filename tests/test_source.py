@@ -2,7 +2,8 @@
 
 The package is stdlib-only, and no module keeps an import it never uses;
 ``__init__.py`` is exempt from the second rule since it imports in order
-to re-export.
+to re-export.  Only ``cli.py`` imports ``argparse`` and no module imports
+``cli``, so the battery and the library stay free of the command line.
 """
 
 import ast
@@ -58,3 +59,13 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted((line, name) for name, line in bound.items() if name not in used)
     assert not unused, f"{path.name} never uses imported names (line, name): {unused}"
+
+
+def test_only_cli_imports_argparse_and_no_module_imports_cli():
+    for path in MODULES:
+        for node in _imports(_tree(path)):
+            prefix = f"{node.module or ''}." if isinstance(node, ast.ImportFrom) else ""
+            parts = {part for alias in node.names for part in (prefix + alias.name).split(".")}
+            assert "cli" not in parts, f"{path.name} imports the cli module (line {node.lineno})"
+            if path.name != "cli.py":
+                assert "argparse" not in parts, f"{path.name} imports argparse"
