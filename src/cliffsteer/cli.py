@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import parse_fraction
+from .algebra import document_m, parse_fraction
 from .appell import appell_poly
 from .polynomials import CliffordPolynomial, polyharmonic_basis
 from .steering import (
@@ -175,7 +175,7 @@ def _root_from_obj(obj) -> RootSpec:
 def cmd_dsolve(args) -> int:
     doc = _load_document(args)
     spec = DSolveSpec(
-        m=doc["m"],
+        m=document_m(doc, "dsolve spec"),
         coeffs=args.coeffs,
         roots=tuple(_root_from_obj(entry) for entry in doc["roots"]),
     )
@@ -290,10 +290,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON ({exc})", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, TypeError, KeyError, IndexError, OSError, ZeroDivisionError) as exc:
+    except RecursionError:
+        print("error: document nested too deeply", file=sys.stderr)
+    except KeyError as exc:
+        print(f"error: missing field {exc}", file=sys.stderr)
+    except (ValueError, TypeError, IndexError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

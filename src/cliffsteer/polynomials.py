@@ -280,22 +280,7 @@ class CliffordPolynomial:
 
     def laplacian(self, variables: Iterable[int] | None = None) -> "CliffordPolynomial":
         """Sum of second partials over ``variables`` (default: the var_scope)."""
-        if variables is None:
-            variables = self.var_scope
-        indices = [i for i in variables if 0 <= i <= self.m]
-        den = _common_denominator((self,))
-        # lowered monomial -> blade -> numerator over den
-        acc: dict[Monomial, dict[int, int]] = {}
-        for exps, mv in self._terms.items():
-            for i in indices:
-                e = exps[i]
-                if e < 2:
-                    continue
-                target = acc.setdefault(exps[:i] + (e - 2,) + exps[i + 1 :], {})
-                w = e * (e - 1)
-                for mask, q in mv._terms.items():
-                    target[mask] = target.get(mask, 0) + w * q.numerator * (den // q.denominator)
-        return _poly_from_ints(self.m, self.var_scope, acc, den)
+        return NumeratorForm(self).laplacian(variables).build()
 
     # -- serialization ----------------------------------------------------------
 
@@ -350,10 +335,10 @@ class CliffordPolynomial:
         return f"CliffordPolynomial(m={self.m}, {str(self)})"
 
 
-def _common_denominator(polys: Iterable[CliffordPolynomial]) -> int:
+def _common_denominator(terms: Iterable[Mapping[Monomial, Multivector]]) -> int:
     den = 1
-    for poly in polys:
-        for mv in poly._terms.values():
+    for monos in terms:
+        for mv in monos.values():
             for q in mv._terms.values():
                 d = q.denominator
                 if den % d:
@@ -373,96 +358,147 @@ def _poly_from_ints(
     return CliffordPolynomial._unsafe(m, scope, data)
 
 
+class NumeratorForm:
+    """``f``'s terms as symbol (None for a polynomial) -> monomial -> blade ->
+    integer numerator over ``den``, or ``f``'s own Fractions in a fresh form
+    (``den`` None).  Operators chain forms; ``build`` makes each Fraction."""
+
+    __slots__ = ("f", "terms", "den")
+
+    def __init__(self, f, terms: dict | None = None, den: int | None = None):
+        if terms is None:
+            own = ((None, f),) if isinstance(f, CliffordPolynomial) else f.items()
+            terms = {sym: poly._terms for sym, poly in own}
+        self.f, self.terms, self.den = f, terms, den
+
+    def build(self):
+        """The object of ``f``'s type and scope holding this form (a fresh form is ``f``)."""
+        f, den = self.f, self.den
+        if den is None:
+            return f
+        if isinstance(f, CliffordPolynomial):
+            return _poly_from_ints(f.m, f.var_scope, self.terms.get(None, {}), den)
+        y = frozenset(range(2, f.m + 1))
+        polys = {sym: _poly_from_ints(f.m, y, monos, den) for sym, monos in self.terms.items()}
+        return type(f)._unsafe(f.m, {sym: poly for sym, poly in polys.items() if poly})
+
+    @classmethod
+    def combine(cls, f, parts: list) -> "NumeratorForm":
+        """sum w * form over (form, w) parts as integers over one lcm; a fresh
+        form's Fractions are read over their common denominator."""
+        reads = [1 if p.den else _common_denominator(p.terms.values()) for p, _ in parts]
+        den = lcm(*((p.den or read) * w.denominator for (p, w), read in zip(parts, reads)))
+        out: dict = {}
+        for (p, w), read in zip(parts, reads):
+            n = w.numerator * (den // ((p.den or read) * w.denominator))
+            for sym, monos in p.terms.items():
+                own = out.setdefault(sym, {})
+                for exps, blades in monos.items():
+                    acc = own.setdefault(exps, {})
+                    for mask, q in blades.items():
+                        acc[mask] = acc.get(mask, 0) + n * q.numerator * (read // q.denominator)
+        return cls(f, out, den)
+
+    def laplacian(self, variables: Iterable[int] | None = None) -> "NumeratorForm":
+        """The Laplacian of a polynomial's form over ``variables`` (default: its var_scope)."""
+        f = self.f
+        read = 1 if self.den else _common_denominator(self.terms.values())
+        indices = [i for i in (f.var_scope if variables is None else variables) if 0 <= i <= f.m]
+        acc: dict[Monomial, dict[int, int]] = {}
+        for exps, blades in self.terms[None].items():
+            for i in indices:
+                e = exps[i]
+                if e < 2:
+                    continue
+                target = acc.setdefault(exps[:i] + (e - 2,) + exps[i + 1 :], {})
+                w = e * (e - 1)
+                for mask, q in blades.items():
+                    target[mask] = target.get(mask, 0) + w * q.numerator * (read // q.denominator)
+        return NumeratorForm(f, {None: acc}, self.den or read)
+
+    def dirac(self, side: str, sign: int = 1, y_only: bool = False,
+              scale: Fraction = Fraction(1), times: int = 1) -> "NumeratorForm":
+        """scale * (d/dx_0 + sign * sum_(j>=1) e_j d/dx_j), e_j acting on ``side``,
+        applied ``times`` times; ``y_only`` keeps only sign * scale * sum_(j>=2).
+
+        Each application is one pass over the flat (symbol, monomial, blade,
+        numerator) terms.  e_j on e_A is a signed bit flip, its sign the parity
+        of the generators of A up to and including j on the left, or from j up
+        on the right.  On a steering expression d/dx_0 and d/dx_1 act on the
+        symbols through ``SteeringSymbol._dz`` (d(z-bar)/dx_1 = -e_1), and e_j
+        with j >= 2 on the left flips the bar.  Zero numerators are skipped
+        where they are read; the output is over the input denominator times
+        the lcm of the rate denominators and that of ``scale``.
+        """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        scale = coerce_fraction(scale)
+        m = self.f.m
+        left = side == "left"
+        full = (1 << m) - 1
+        form = self
+        for _ in range(times):
+            rates = () if y_only else (s.rate.denominator for s in form.terms if s is not None)
+            rate_den = lcm(*rates)
+            read = 1 if form.den else _common_denominator(form.terms.values())
+            unit = scale.numerator * rate_den
+            # e_j d/dx_j as (multiplier, flip bit, parity selector, lands on the
+            # flipped symbol); d/dx_0 flips nothing
+            gens = {} if y_only else {0: (unit, 0, 0, False)}
+            for j in range(2 if y_only else 1, m + 1):
+                bit = 1 << (j - 1)
+                gens[j] = (sign * unit, bit, (bit << 1) - 1 if left else full ^ (bit - 1), j > 1)
+            # out symbol -> lowered monomial -> blade -> numerator over the denominator
+            acc: dict = {}
+            for sym, monos in form.terms.items():
+                if not monos:
+                    continue
+                own = acc.setdefault(sym, {})
+                flipped = acc.setdefault(sym.conjugate(), {}) if sym is not None and left else own
+                # (out symbol's monomials, multiplier, flip bit, parity selector) of
+                # d/dx_0 and e_1 d/dx_1 on the symbol; the monomial stays
+                sym_actions = []
+                if sym is not None and not y_only:
+                    x1_sign = sign if sym.bar else -sign
+                    for q, dsym in sym._dz():
+                        out = acc.setdefault(dsym, {})
+                        n = q.numerator * (rate_den // q.denominator) * scale.numerator
+                        sym_actions.append((out, n, 0, 0))
+                        sym_actions.append((out, x1_sign * n, 0, 0 if left else full ^ 1))
+                for exps, blades in monos.items():
+                    actions = [(out.setdefault(exps, {}), n, b, s) for out, n, b, s in sym_actions]
+                    for j, (n, bit, sel, flips) in gens.items():
+                        k = exps[j]
+                        if k:
+                            out = (flipped if flips else own).setdefault(
+                                exps[:j] + (k - 1,) + exps[j + 1 :], {}
+                            )
+                            actions.append((out, k * n, bit, sel))
+                    if not actions:
+                        continue
+                    for mask, q in blades.items():
+                        c = q.numerator * (read // q.denominator)
+                        if not c:
+                            continue
+                        for target, n, bit, sel in actions:
+                            v = c * n
+                            if (mask & sel).bit_count() & 1:
+                                v = -v
+                            out_mask = mask ^ bit
+                            target[out_mask] = target.get(out_mask, 0) + v
+            form = NumeratorForm(self.f, acc, (form.den or read) * rate_den * scale.denominator)
+        return form
+
+
 def dirac(f, side: str, sign: int = 1, y_only: bool = False, scale: Fraction = Fraction(1)):
-    """scale * (d/dx_0 + sign * sum_(j>=1) e_j d/dx_j) with e_j acting on ``side``.
-
-    ``y_only`` drops d/dx_0 and e_1 d/dx_1, leaving scale * sign times the
-    y-Dirac operator sum_(j>=2) e_j d/dx_j.  ``f`` is a CliffordPolynomial
-    or a SteeringExpression (anything whose ``items()`` give symbols and
-    y-scoped polynomials, and whose class has ``_unsafe(m, data)``).
-
-    The operator is applied in one pass over the flat (symbol, monomial,
-    blade, coefficient) terms of ``f``.  e_j on e_A is a signed bit flip:
-    the sign is the parity of the generators of A up to and including j on
-    the left, or from j up on the right.  On a steering expression d/dx_0
-    and d/dx_1 act on the symbols through ``SteeringSymbol._dz`` (with
-    d(z-bar)/dx_1 = -e_1), and e_j with j >= 2 on the left flips the bar.
-    Every coefficient is scaled to an integer over one common denominator,
-    the lcm of the coefficient denominators times the lcm of the symbol
-    rate denominators (times that of ``scale``), contributions are summed
-    as integers, and each output coefficient becomes a Fraction once.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    scale = coerce_fraction(scale)
-    m = f.m
-    left = side == "left"
-    full = (1 << m) - 1
-    terms = ((None, f),) if isinstance(f, CliffordPolynomial) else tuple(f.items())
-    rate_den = 1
-    if not y_only:
-        for sym, _ in terms:
-            if sym is not None:
-                rate_den = lcm(rate_den, sym.rate.denominator)
-    coef_den = _common_denominator(poly for _, poly in terms)
-    unit = scale.numerator * rate_den
-    # e_j d/dx_j as (multiplier, flip bit, parity selector, lands on the
-    # flipped symbol); d/dx_0 flips nothing
-    gens = {} if y_only else {0: (unit, 0, 0, False)}
-    for j in range(2 if y_only else 1, m + 1):
-        bit = 1 << (j - 1)
-        gens[j] = (sign * unit, bit, (bit << 1) - 1 if left else full ^ (bit - 1), j >= 2)
-    # out symbol -> lowered monomial -> blade -> numerator over the denominator
-    acc: dict = {}
-    for sym, poly in terms:
-        own = acc.setdefault(sym, {})
-        flipped = acc.setdefault(sym.conjugate(), {}) if sym is not None and left else own
-        # (out symbol's monomials, multiplier, flip bit, parity selector) of
-        # d/dx_0 and e_1 d/dx_1 on the symbol; the monomial stays
-        sym_actions = []
-        if sym is not None and not y_only:
-            x1_sign = sign if sym.bar else -sign
-            for q, dsym in sym._dz():
-                out = acc.setdefault(dsym, {})
-                n = q.numerator * (rate_den // q.denominator) * scale.numerator
-                sym_actions.append((out, n, 0, 0))
-                sym_actions.append((out, x1_sign * n, 0, 0 if left else full ^ 1))
-        for exps, mv in poly._terms.items():
-            actions = [(out.setdefault(exps, {}), n, b, s) for out, n, b, s in sym_actions]
-            for j, (n, bit, sel, flips) in gens.items():
-                k = exps[j]
-                if k:
-                    out = (flipped if flips else own).setdefault(
-                        exps[:j] + (k - 1,) + exps[j + 1 :], {}
-                    )
-                    actions.append((out, k * n, bit, sel))
-            if not actions:
-                continue
-            for mask, q in mv._terms.items():
-                c = q.numerator * (coef_den // q.denominator)
-                for target, n, bit, sel in actions:
-                    v = c * n
-                    if (mask & sel).bit_count() & 1:
-                        v = -v
-                    out_mask = mask ^ bit
-                    target[out_mask] = target.get(out_mask, 0) + v
-    den = coef_den * rate_den * scale.denominator
-    if isinstance(f, CliffordPolynomial):
-        return _poly_from_ints(m, f.var_scope, acc.get(None, {}), den)
-    data = {}
-    for sym, monos in acc.items():
-        poly = _poly_from_ints(m, terms[0][1].var_scope, monos, den)
-        if poly:
-            data[sym] = poly
-    return type(f)._unsafe(m, data)
+    """``NumeratorForm.dirac`` as a chain of one link on a CliffordPolynomial
+    or SteeringExpression ``f``; it builds each output Fraction once."""
+    return NumeratorForm(f).dirac(side, sign, y_only, scale).build()
 
 
 def dirac_power(poly: CliffordPolynomial, k: int, side: str = "left") -> CliffordPolynomial:
-    """Apply the y-Dirac operator k times on the given side."""
-    out = poly
-    for _ in range(k):
-        out = out.dirac_y(side)
-    return out
+    """Apply the y-Dirac operator k times on the given side, as one chain."""
+    return NumeratorForm(poly).dirac(side, y_only=True, times=k).build()
 
 
 def paravector_power(m: int, k: int, conjugated: bool = False) -> CliffordPolynomial:

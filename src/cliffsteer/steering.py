@@ -37,7 +37,7 @@ from .algebra import (
     format_fraction,
     parse_fraction,
 )
-from .polynomials import CliffordPolynomial, dirac, dirac_power
+from .polynomials import CliffordPolynomial, NumeratorForm, dirac
 
 KIND_POWEXP = "powexp"
 KIND_COS = "cos"
@@ -495,10 +495,10 @@ def _as_steering_seed(poly: CliffordPolynomial, what: str = "seed") -> CliffordP
 
 
 def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str = "seed") -> None:
-    p = seed
+    p = NumeratorForm(seed)
     for _ in range(order):
         p = p.laplacian()
-    if p:
+    if p.build():  # makes Fractions only for the numerators that are not zero
         raise ValueError(f"{what} is not annihilated by laplacian^{order}")
 
 
@@ -530,12 +530,12 @@ def _power_seeds(seeds, check) -> list[CliffordPolynomial]:
 def _tail(
     seed: CliffordPolynomial, order: int, sign: int = 1, rate: ScalarLike = 1
 ) -> CliffordPolynomial:
-    # sum_k sign^k c_k rate^(1-2k) dirac^(2k-1)(seed) over k = 1..order
-    total, d = seed * 0, seed
+    # sum_k sign^k c_k rate^(1-2k) dirac^(2k-1)(seed) over k = 1..order, one chain
+    form, parts = NumeratorForm(seed), []
     for k in range(1, order + 1):
-        d = dirac_power(d, 1 if k == 1 else 2)
-        total = total + d * (_c(k) * sign**k / rate ** (2 * k - 1))
-    return total
+        form = form.dirac("left", y_only=True, times=1 if k == 1 else 2)
+        parts.append((form, _c(k) * sign**k / rate ** (2 * k - 1)))
+    return NumeratorForm.combine(seed, parts).build()
 
 
 def _exp_terms(h: CliffordPolynomial, order: int, rate: ScalarLike = 1) -> list:
@@ -557,14 +557,15 @@ def _trig_terms(a: CliffordPolynomial, b: CliffordPolynomial, order: int) -> lis
 
 def _power_terms(seeds: Sequence[CliffordPolynomial], order: int) -> list:
     # A_i feeds z^i and, through c_j/((2j-1)! C(k, i)) dirac^(2j-1) A_i, zb^k with
-    # k = i + 2j - 1; SteeringExpression sums the pieces landing on one symbol
+    # k = i + 2j - 1 (one chain per seed); SteeringExpression sums each symbol's pieces
     terms: list = [(SteeringSymbol.power_exp(i), a) for i, a in enumerate(seeds)]
     for i, a in enumerate(seeds):
-        d = a
+        form = NumeratorForm(a)
         for j in range(1, order + 1):
-            d = dirac_power(d, 1 if j == 1 else 2)
+            form = form.dirac("left", y_only=True, times=1 if j == 1 else 2)
             k = i + 2 * j - 1
-            terms.append((SteeringSymbol.power_exp(k, bar=True), d * power_coefficient(j, k)))
+            piece = NumeratorForm.combine(a, [(form, power_coefficient(j, k))]).build()
+            terms.append((SteeringSymbol.power_exp(k, bar=True), piece))
     return terms
 
 
@@ -669,7 +670,7 @@ class RootSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "value", coerce_fraction(self.value))
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
+        if type(self.multiplicity) is not int or self.multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
         object.__setattr__(self, "monogenic_seeds", tuple(self.monogenic_seeds))
 

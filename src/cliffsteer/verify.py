@@ -2,16 +2,14 @@
 
 Each operation literally applies the differential operators and returns
 the residual together with an exact-zero flag.  Every operator here is the
-one Dirac-type operator ``polynomials.dirac``, d/dx_0 + sign * sum_j e_j
-d/dx_j on one side, reached through the cr_left / cr_right /
-hypercomplex_d methods that steering expressions and plain Clifford
-polynomials both expose.  Each application is a single pass over the
-flat (symbol, monomial, blade, coefficient) terms: e_j acts as a signed
-bit flip on the blade, and the coefficients are summed as integers over
-one common denominator (the lcm of the coefficient denominators times
-that of the symbol rates), so a residual is zero exactly when every
-integer sum is.
-"""
+one Dirac-type operator, d/dx_0 + sign * sum_j e_j d/dx_j on one side
+(``polynomials.NumeratorForm.dirac``), on steering expressions and plain
+Clifford polynomials alike.  A residual is a chain of applications, each
+a single pass in which e_j acts as a signed bit flip on the blade: the
+chain keeps the coefficients as integer numerators over one denominator
+from link to link, sums a weighted chain (the powers of D in a D-equation)
+as integers too, and makes each Fraction once, at its end.  So a residual
+is zero exactly when every integer sum is."""
 
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .algebra import ScalarLike, coerce_fraction, format_fraction
-from .polynomials import CliffordPolynomial
+from .polynomials import CliffordPolynomial, NumeratorForm
 from .steering import SteeringExpression
 
 Verifiable = Union[SteeringExpression, CliffordPolynomial]
@@ -49,25 +47,18 @@ def _report(description: str, residual: Verifiable) -> ResidualReport:
     return ResidualReport(description, residual, not residual, len(residual))
 
 
-def _apply_cr(f: Verifiable, side: str, times: int) -> Verifiable:
-    out = f
-    for _ in range(times):
-        out = out.cr_left() if side == "left" else out.cr_right()
-    return out
-
-
 def n_monogenic_residual(f: Verifiable, n: int, side: str = "left") -> ResidualReport:
     """Residual of the n-fold Cauchy-Riemann operator; n = 0 returns f."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _report(f"cr_{side}^{n}", _apply_cr(f, side, n))
+    return _report(f"cr_{side}^{n}", NumeratorForm(f).dirac(side, times=n).build())
 
 
 def inframonogenic_residual(f: Verifiable) -> ResidualReport:
     """Residual of the sandwich operator dX f dX."""
-    return _report("cr_right(cr_left(f))", f.cr_left().cr_right())
+    return _report("cr_right(cr_left(f))", NumeratorForm(f).dirac("left").dirac("right").build())
 
 
 def lame_navier_residual(
@@ -76,10 +67,10 @@ def lame_navier_residual(
     """((mu+lam)/2) dX f dX + ((3mu+lam)/2) dX^2 f."""
     mu = coerce_fraction(mu)
     lam = coerce_fraction(lam)
-    once = f.cr_left()
-    sandwich = once.cr_right()
-    second = once.cr_left()
-    residual = sandwich * Fraction(mu + lam, 2) + second * Fraction(3 * mu + lam, 2)
+    once = NumeratorForm(f).dirac("left")
+    sandwich, second = once.dirac("right"), once.dirac("left")
+    parts = [(sandwich, Fraction(mu + lam, 2)), (second, Fraction(3 * mu + lam, 2))]
+    residual = NumeratorForm.combine(f, parts).build()
     return _report(
         f"lame_navier(mu={format_fraction(mu)}, lambda={format_fraction(lam)})", residual
     )
@@ -91,10 +82,11 @@ def alpha_beta_residual(
     """alpha * (f dX) + beta * (dX f)."""
     alpha = coerce_fraction(alpha)
     beta = coerce_fraction(beta)
-    residual = f.cr_right() * alpha + f.cr_left() * beta
+    form = NumeratorForm(f)
+    residual = NumeratorForm.combine(f, [(form.dirac("right"), alpha), (form.dirac("left"), beta)])
     return _report(
         f"alpha_beta(alpha={format_fraction(alpha)}, beta={format_fraction(beta)})",
-        residual,
+        residual.build(),
     )
 
 
@@ -103,8 +95,7 @@ def infrapoly_residual(f: Verifiable, p: int, q: int) -> ResidualReport:
     one-sided operators commute."""
     if p < 0 or q < 0:
         raise ValueError("orders must be nonnegative")
-    out = _apply_cr(f, "left", p)
-    out = _apply_cr(out, "right", q)
+    out = NumeratorForm(f).dirac("left", times=p).dirac("right", times=q).build()
     return _report(f"cr_left^{p} then cr_right^{q}", out)
 
 
@@ -123,11 +114,9 @@ def d_equation_residual(f: Verifiable, coeffs: Sequence[ScalarLike]) -> Residual
             "input is not left monogenic; the hypercomplex derivative is undefined"
         )
     n = len(coeffs) - 1
-    powers = [f]
+    powers = [NumeratorForm(f)]
     for _ in range(n):
-        powers.append(powers[-1].hypercomplex_d())
-    residual = powers[n] * coeffs[0]
-    for j in range(1, n + 1):
-        residual = residual + powers[n - j] * coeffs[j]
+        powers.append(powers[-1].dirac("left", -1, scale=Fraction(1, 2)))
+    residual = NumeratorForm.combine(f, [(powers[n - j], a) for j, a in enumerate(coeffs)]).build()
     label = ",".join(format_fraction(c) for c in coeffs)
     return _report(f"d_equation({label})", residual)

@@ -1,0 +1,83 @@
+"""``tools/bench_pairs.summarize``: medians, quartiles and pair wins.
+
+The tool is a script, not a package module, so it is loaded from its path.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pairs(base, change, name="metric"):
+    return [
+        {"base": {"metrics": {name: b}}, "change": {"metrics": {name: c}}}
+        for b, c in zip(base, change)
+    ]
+
+
+def test_wins_follow_the_metric_direction(bench_pairs):
+    runs = pairs([10, 10, 10, 10], [12, 8, 11, 9])
+    higher = bench_pairs.summarize(runs, {"metric": "higher"})["metric"]
+    lower = bench_pairs.summarize(runs, {"metric": "lower"})["metric"]
+    assert higher["change_wins"] == 2 and lower["change_wins"] == 2
+    runs = pairs([10, 10, 10], [12, 13, 9])
+    assert bench_pairs.summarize(runs, {"metric": "higher"})["metric"]["change_wins"] == 2
+    assert bench_pairs.summarize(runs, {"metric": "lower"})["metric"]["change_wins"] == 1
+
+
+def test_ties_count_for_neither_side(bench_pairs):
+    runs = pairs([3.5, 2, 7], [3.5, 2, 7])
+    for direction in ("higher", "lower"):
+        summary = bench_pairs.summarize(runs, {"metric": direction})["metric"]
+        assert summary["change_wins"] == 0 and summary["pairs"] == 3
+    runs = pairs([1, 5, 5], [2, 5, 4])
+    assert bench_pairs.summarize(runs, {"metric": "higher"})["metric"]["change_wins"] == 1
+    assert bench_pairs.summarize(runs, {"metric": "lower"})["metric"]["change_wins"] == 1
+
+
+def test_medians_quartiles_and_every_metric(bench_pairs):
+    runs = [
+        {"base": {"metrics": {"a": b, "b": -b}}, "change": {"metrics": {"a": c, "b": -c}}}
+        for b, c in zip([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])
+    ]
+    summary = bench_pairs.summarize(runs, {"a": "higher", "b": "lower"})
+    assert set(summary) == {"a", "b"}
+    a = summary["a"]
+    assert a["better"] == "higher"
+    assert a["base_median"] == 3 and a["change_median"] == 4
+    assert a["base_quartiles"] == [2, 4] and a["base_iqr"] == 2
+    assert a["change_quartiles"] == [3, 5]
+    assert a["change_wins"] == 5 and summary["b"]["change_wins"] == 5
+
+
+def test_run_keeps_the_source_line_count(bench_pairs, monkeypatch):
+    report = {"report": {"fail_frac": 0.0, "src_lines": 2718, "workload": "basis"}}
+    result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {"x": {"value": 1.5}}}
+
+    class Done:
+        returncode = 0
+        stderr = ""
+        stdout = f"spans\n{json.dumps(report)}\n{json.dumps(result)}\n"
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: Done)
+    run = bench_pairs.run_once(Path("."), "basis", 1, 1.0)
+    assert run == {
+        "metrics": {"x": 1.5},
+        "correct": True,
+        "attempted": 4,
+        "failed": 0,
+        "fail_frac": 0.0,
+        "src_lines": 2718,
+    }

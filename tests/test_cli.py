@@ -252,6 +252,23 @@ class TestVerifyOperators:
             assert err.startswith("error:") and len(err.splitlines()) == 1
             assert "monomial" in err and "Traceback" not in err
 
+    def test_deeply_nested_document_exit_two(self, capsys, monkeypatch):
+        deep = "[" * 100_000 + "]" * 100_000
+        code, out, err = run(
+            capsys, ["verify", "--op", "cr"], stdin_text=deep, monkeypatch=monkeypatch
+        )
+        assert code == 2 and not out
+        assert err == "error: document nested too deeply\n"
+
+    def test_missing_field_named(self, capsys, monkeypatch):
+        # a multivector document read as a steering expression has no "symbol"
+        doc = json.dumps({"m": M, "terms": [{"blades": [1], "coef": "1"}]})
+        code, out, err = run(
+            capsys, ["verify", "--op", "cr"], stdin_text=doc, monkeypatch=monkeypatch
+        )
+        assert code == 2 and not out
+        assert err == "error: missing field 'symbol'\n"
+
 
 class TestBasisAndAppell:
     def test_basis_size(self, capsys):
@@ -298,6 +315,21 @@ class TestDsolve:
         )
         assert code == 2
         assert "not a root" in err
+
+    @pytest.mark.parametrize("m", [True, 40, -3, "x"])
+    def test_spec_m_checked(self, capsys, tmp_path, m):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"m": m, "roots": []}))
+        code, out, err = run(capsys, ["dsolve", "--coeffs", "1,-1", "--spec-file", str(path)])
+        assert code == 2 and not out
+        assert err == f"error: dsolve spec field 'm' must be an integer in 2..16, got {m!r}\n"
+
+    def test_boolean_multiplicity_rejected(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"m": M, "roots": [{"root": "1", "multiplicity": True}]}))
+        code, out, err = run(capsys, ["dsolve", "--coeffs", "1,-1", "--spec-file", str(path)])
+        assert code == 2 and not out
+        assert err == "error: multiplicity must be a positive integer\n"
 
 
 class TestRoundTrips:

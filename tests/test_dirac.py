@@ -1,22 +1,40 @@
-"""``polynomials.dirac`` against its term-by-term definition.
+"""``polynomials.dirac`` and the chains built on it against their definitions.
 
 The reference builds d/dx_0 f + sum_j e_j d/dx_j f (or the right-handed
 version) from the public ``partial``, ``Multivector.blade`` products and
-``+``, so it shares no code with the one-pass kernel.  Outputs are compared
-as documents, which also pins the term order and the variable scope.
+``+``, so it shares no code with the one-pass kernel or with the integer
+chains that pass its numerator form from link to link.  Chains, conjugate
+tails, power-family pieces and residuals are checked against the reference
+applied link by link and summed with ``Fraction`` arithmetic.  Outputs are
+compared as documents, which also pins the term order and the variable scope.
 """
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from cliffsteer.algebra import Multivector
-from cliffsteer.polynomials import CliffordPolynomial, dirac
-from cliffsteer.steering import SteeringExpression, SteeringSymbol
+from cliffsteer.appell import appell_poly
+from cliffsteer.polynomials import CliffordPolynomial, NumeratorForm, dirac, dirac_power
+from cliffsteer.polynomials import polyharmonic_basis
+from cliffsteer.steering import SteeringExpression, SteeringSymbol, _power_terms, _tail
+from cliffsteer.steering import construct_eigen
+from cliffsteer.verify import (
+    alpha_beta_residual,
+    d_equation_residual,
+    inframonogenic_residual,
+    infrapoly_residual,
+    lame_navier_residual,
+    n_monogenic_residual,
+)
 
 DENOMINATORS = (1, 2, 3, 7)
 RATES = (Fraction(1), Fraction(-3, 2), Fraction(1, 3), Fraction(2))
+CHAIN_RATES = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(3, 2), Fraction(-3, 2))
+# c_1..c_4 of the conjugate tails, written out rather than taken from the package
+C = (Fraction(-1, 2), Fraction(1, 8), Fraction(-1, 16), Fraction(5, 128))
 
 
 def reference(f, side, sign=1, y_only=False):
@@ -47,8 +65,8 @@ def polynomial(rng, m, variables, max_terms=4):
     return CliffordPolynomial(m, terms, var_scope=variables)
 
 
-def symbol(rng):
-    rate = rng.choice(RATES)
+def symbol(rng, rates=RATES):
+    rate = rng.choice(rates)
     bar = rng.random() < 0.5
     kind = rng.randrange(3)
     if kind == 0:
@@ -58,8 +76,8 @@ def symbol(rng):
     return SteeringSymbol.sine(rate, bar)
 
 
-def expression(rng, m):
-    terms = [(symbol(rng), polynomial(rng, m, range(2, m + 1), 3)) for _ in range(4)]
+def expression(rng, m, rates=RATES):
+    terms = [(symbol(rng, rates), polynomial(rng, m, range(2, m + 1), 3)) for _ in range(4)]
     return SteeringExpression(m, terms)
 
 
@@ -154,3 +172,118 @@ def test_inputs_cover_the_cases():
     assert not cancelling_polynomial(4).cr_left() and not cancelling_polynomial(4).cr_right()
     assert not cancelling_expression(4).cr_left() and not cancelling_expression(4).cr_right()
     assert cancelling_expression(4).hypercomplex_d()
+
+
+# -- chains -------------------------------------------------------------------
+
+
+def chain_reference(f, k, side, sign=1, y_only=False, scale=Fraction(1)):
+    for _ in range(k):
+        f = reference(f, side, sign, y_only) * scale
+    return f
+
+
+def chain_inputs():
+    rng = random.Random(1)
+    polys = [polynomial(rng, m, range(m + 1), 3) for m in (3, 4) for _ in range(2)]
+    ypolys = [polynomial(rng, m, range(2, m + 1), 3) for m in (3, 4) for _ in range(2)]
+    exprs = [expression(rng, m, CHAIN_RATES) for m in (3, 4) for _ in range(2)]
+    rates = {sym.rate for f in exprs for sym in f.symbols()}
+    assert {Fraction(-2), Fraction(1, 2), Fraction(3, 2), Fraction(-3, 2)} <= rates
+    assert {sym.kind for f in exprs for sym in f.symbols()} == {"powexp", "cos", "sin"}
+    dens = {q.denominator for f in polys + ypolys for _, mv in f.items() for _, q in mv.items()}
+    assert {2, 3, 7} <= dens
+    return polys, ypolys, exprs
+
+
+def harmonic_seed(rng, m):
+    # a y-harmonic polynomial with coefficient denominators 2, 3 and 7
+    basis = polyharmonic_basis(3, 1, m)
+    return sum((b * coefficient(rng, m) for b in rng.sample(basis, 3)), basis[0] * 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chains_match_repeated_definition(k, side, sign):
+    polys, ypolys, exprs = chain_inputs()
+    half = Fraction(1, 2)
+    for f in polys + exprs:
+        expected = chain_reference(f, k, side, sign)
+        check(NumeratorForm(f).dirac(side, sign, times=k).build(), expected, f)
+        expected = chain_reference(f, k, side, sign, scale=half)
+        check(NumeratorForm(f).dirac(side, sign, scale=half, times=k).build(), expected, f)
+    for f in ypolys:
+        expected = chain_reference(f, k, side, sign, y_only=True)
+        check(NumeratorForm(f).dirac(side, sign, y_only=True, times=k).build(), expected, f)
+        if sign == 1:
+            check(dirac_power(f, k, side), expected, f)
+    for f in polys + exprs:
+        if sign == 1:
+            check(n_monogenic_residual(f, k, side).residual, chain_reference(f, k, side), f)
+            p, q = (k, 4 - k) if side == "left" else (4 - k, k)
+            expected = chain_reference(chain_reference(f, p, "left"), q, "right")
+            check(infrapoly_residual(f, p, q).residual, expected, f)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tail_matches_weighted_definition(order, sign):
+    rng = random.Random(order * 10 + sign)
+    for m, rate in zip((3, 4, 4, 5, 5), CHAIN_RATES):
+        seed = polynomial(rng, m, range(2, m + 1), 4)
+        expected = seed * 0
+        for k in range(1, order + 1):
+            power = chain_reference(seed, 2 * k - 1, "left", y_only=True)
+            expected = expected + power * (sign**k * C[k - 1] / rate ** (2 * k - 1))
+        check(_tail(seed, order, sign, rate), expected, seed)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_power_terms_match_weighted_definition(order):
+    rng = random.Random(order)
+    for m in (3, 4, 5):
+        seeds = [polynomial(rng, m, range(2, m + 1), 3) for _ in range(3)]
+        expected = SteeringExpression(
+            m, [(SteeringSymbol.power_exp(i), a) for i, a in enumerate(seeds)]
+        )
+        for i, a in enumerate(seeds):
+            for j in range(1, order + 1):
+                k = i + 2 * j - 1
+                weight = C[j - 1] / (factorial(2 * j - 1) * comb(k, i))
+                piece = chain_reference(a, 2 * j - 1, "left", y_only=True) * weight
+                zbar_k = SteeringSymbol.power_exp(k, bar=True)
+                expected = expected + SteeringExpression(m, [(zbar_k, piece)])
+        got = SteeringExpression(m, _power_terms(seeds, order))
+        assert got.to_obj() == expected.to_obj()
+
+
+def test_nonzero_d_equation_matches_definition():
+    rng = random.Random(7)
+    inputs = [construct_eigen(r, harmonic_seed(rng, 4)) for r in CHAIN_RATES[1:]]
+    inputs += [appell_poly(k, 3) * coefficient(rng, 3) for k in (2, 3)]
+    half = Fraction(1, 2)
+    for f in inputs:
+        for coeffs in ([1, -half, Fraction(3, 7)], [Fraction(2, 3), 0, 1, Fraction(-5, 2)]):
+            powers = [f]
+            for _ in range(len(coeffs) - 1):
+                powers.append(reference(powers[-1], "left", -1) * half)
+            expected = f * 0
+            for power, a in zip(reversed(powers), coeffs):
+                expected = expected + power * Fraction(a)
+            report = d_equation_residual(f, coeffs)
+            assert not report.is_zero
+            check(report.residual, expected, f)
+
+
+def test_combined_residuals_match_definition():
+    polys, _, exprs = chain_inputs()
+    mu, lam, alpha, beta = Fraction(3, 2), Fraction(-1, 3), Fraction(2, 7), Fraction(-5, 4)
+    for f in polys + exprs:
+        once = reference(f, "left")
+        sandwich, second = reference(once, "right"), reference(once, "left")
+        check(inframonogenic_residual(f).residual, sandwich, f)
+        expected = sandwich * ((mu + lam) / 2) + second * ((3 * mu + lam) / 2)
+        check(lame_navier_residual(f, mu, lam).residual, expected, f)
+        expected = reference(f, "right") * alpha + once * beta
+        check(alpha_beta_residual(f, alpha, beta).residual, expected, f)

@@ -9,8 +9,8 @@ committed files (``git archive``, unpacked in a temporary directory) and
 once on the working tree; which side runs first alternates from pair to
 pair, so drift of a shared host's speed falls on both sides alike.
 
-The output file holds both shas, the seeds, every run's end-to-end metrics
-and failure counts, and per workload and metric each side's median and
+The output file holds both shas, the seeds, every run's end-to-end metrics,
+failure counts and package source line count, and per workload and metric each side's median and
 quartiles and the number of pairs the working tree won (ties count for
 neither side).  Metric names and whether lower or higher is better come from
 ``BENCHMARK.json``.  Standard library only.
@@ -64,6 +64,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "fail_frac": report["fail_frac"],
+        "src_lines": report["src_lines"],
     }
 
 
@@ -108,7 +109,11 @@ def main(argv=None) -> int:
     doc = {
         "base_sha": git("rev-parse", args.base),
         "change_sha": git("rev-parse", "HEAD"),
-        "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        # tracked edits anywhere, or new files under src/ that the runs import
+        "change_dirty": bool(
+            git("status", "--porcelain", "--untracked-files=no")
+            or git("ls-files", "--others", "--exclude-standard", "--", "src")
+        ),
         "command": spec["command"]
         + ["--workload", "W", "--seed", "S", "--seconds", str(args.seconds), "--trace", "0"],
         "seeds": args.seeds,
