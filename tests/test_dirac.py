@@ -17,10 +17,20 @@ import pytest
 
 from cliffsteer.algebra import Multivector
 from cliffsteer.appell import appell_poly
-from cliffsteer.polynomials import CliffordPolynomial, NumeratorForm, dirac, dirac_power
-from cliffsteer.polynomials import polyharmonic_basis
-from cliffsteer.steering import SteeringExpression, SteeringSymbol, _power_terms, _tail
-from cliffsteer.steering import construct_eigen
+from cliffsteer.polynomials import (
+    CliffordPolynomial,
+    NumeratorForm,
+    dirac,
+    dirac_power,
+    polyharmonic_basis,
+)
+from cliffsteer.steering import (
+    SteeringExpression,
+    SteeringSymbol,
+    _power_terms,
+    _tail,
+    construct_eigen,
+)
 from cliffsteer.verify import (
     alpha_beta_residual,
     d_equation_residual,
