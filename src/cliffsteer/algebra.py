@@ -304,6 +304,7 @@ class Multivector:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "Multivector":
+        """Decode a document, checking each field once as it is read."""
         m = document_m(obj, "multivector")
         data: dict[int, Fraction] = {}
         for entry in obj.get("terms", []):
@@ -314,7 +315,7 @@ class Multivector:
             if mask in data:
                 raise ValueError(f"blade {entry['blades']} is listed more than once")
             data[mask] = q
-        return cls(m, data)
+        return cls._unsafe(m, data)
 
     def __str__(self) -> str:
         if not self._terms:

@@ -3,6 +3,8 @@
 Subcommands: construct, verify, coeffs, basis, appell, dsolve, suite.
 This module parses arguments, reads and writes the documents, dispatches
 and prints; the battery that ``suite`` runs lives in ``cliffsteer.suite``.
+``main`` builds one argument parser per process, on its first call rather
+than at import, and reuses it.
 Exit codes: 0 success (and zero residual where one is computed),
 1 nonzero residual, 2 malformed input or a violated precondition.
 """
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .algebra import document_m, parse_fraction
@@ -284,8 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -299,8 +299,12 @@ class CliffordPolynomial:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "CliffordPolynomial":
+        """Decode a document, checking each field once as it is read."""
         m = document_m(obj, "polynomial")
-        pairs = []
+        scope = frozenset(range(m + 1) if obj.get("vars") is None else obj["vars"])
+        if not all(type(i) is int and 0 <= i <= m for i in scope):
+            raise ValueError(f"var_scope must be a subset of x0..x{m}")
+        data = {}
         for entry in obj.get("terms", []):
             exps = [0] * (m + 1)
             seen = set()
@@ -317,8 +321,20 @@ class CliffordPolynomial:
                     raise ValueError(f"monomial key {raw_i!r} must be written {str(i)!r}")
                 seen.add(i)
                 exps[i] = e
-            pairs.append((tuple(exps), Multivector.from_obj(entry["coef"])))
-        return cls(m, pairs, var_scope=obj.get("vars"))
+            mv = Multivector.from_obj(entry["coef"])
+            key = tuple(exps)
+            if any(type(x) is not int or x < 0 for x in key):
+                raise ValueError(f"monomial {key!r} must give {m + 1} nonnegative exponents")
+            for i, x in enumerate(key):
+                if x and i not in scope:
+                    raise ValueError(f"monomial uses x{i} outside the declared variable scope")
+            if mv.m != m:
+                raise ValueError(f"coefficient dimension mismatch: m={mv.m} vs m={m}")
+            if not mv or key in data:
+                problem = "is listed more than once" if mv else "has an empty coefficient"
+                raise ValueError(f"monomial {key!r} {problem}")
+            data[key] = mv
+        return cls._unsafe(m, scope, data)
 
     def __str__(self) -> str:
         if not self._terms:

@@ -372,16 +372,20 @@ class SteeringExpression:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "SteeringExpression":
+        """Decode a document, checking each field once as it is read."""
         m = document_m(obj, "steering expression")
-        pairs = []
+        data = {}
         for entry in obj.get("terms", []):
-            pairs.append(
-                (
-                    SteeringSymbol.from_obj(entry["symbol"]),
-                    CliffordPolynomial.from_obj(entry["coef"]),
-                )
-            )
-        return cls(m, pairs)
+            sym = SteeringSymbol.from_obj(entry["symbol"])
+            poly = CliffordPolynomial.from_obj(entry["coef"])
+            if poly.m != m:
+                raise ValueError(f"coefficient dimension mismatch: m={poly.m} vs m={m}")
+            poly = poly.restrict_scope(range(2, m + 1))
+            if not poly or sym in data:
+                problem = "is listed more than once" if poly else "has an empty coefficient"
+                raise ValueError(f"symbol {sym} {problem}")
+            data[sym] = poly
+        return cls._unsafe(m, data)
 
     def __str__(self) -> str:
         if not self._terms:

@@ -1,4 +1,4 @@
-"""``tools/bench_pairs.summarize``: medians, quartiles and pair wins.
+"""``tools/bench_pairs``: medians, quartiles, pair wins and failed runs.
 
 The tool is a script, not a package module, so it is loaded from its path.
 """
@@ -81,3 +81,40 @@ def test_run_keeps_the_source_line_count(bench_pairs, monkeypatch):
         "fail_frac": 0.0,
         "src_lines": 2718,
     }
+
+
+def test_a_failing_run_is_kept_named_and_exits_one(bench_pairs, monkeypatch, tmp_path, capsys):
+    spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+
+    def run_once(tree, workload, seed, seconds):
+        side = "base" if tree != bench_pairs.ROOT else "change"
+        bad = (workload, seed, side) == ("basis", 2, "change")
+        return {
+            "metrics": {name: 1.0 for name in names},
+            "correct": not bad,
+            "attempted": 10,
+            "failed": int(bad),
+            "fail_frac": 0.1 if bad else 0.0,
+            "src_lines": 1,
+        }
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, target: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--workloads", "sweep", "basis", "--seeds", "1", "2", "--seconds", "1", "--out"]
+
+    assert bench_pairs.main([*argv, str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert [len(doc["workloads"][w]["runs"]) for w in ("sweep", "basis")] == [2, 2]
+    assert doc["workloads"]["basis"]["runs"][1]["change"]["correct"] is False
+    err = capsys.readouterr().err
+    assert err == "failed run: basis seed 2 change: correct false, fail_frac 0.1\n"
+
+    def all_pass(*args):
+        return {**run_once(*args), "correct": True, "fail_frac": 0.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", all_pass)
+    assert bench_pairs.main([*argv, str(out)]) == 0
+    assert capsys.readouterr().err == ""

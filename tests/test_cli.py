@@ -1,10 +1,13 @@
 import io
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cliffsteer.cli as cli
 from cliffsteer.cli import main
 from cliffsteer.polynomials import CliffordPolynomial
 from cliffsteer.steering import SteeringExpression
@@ -405,3 +408,126 @@ class TestSuite:
         assert "05_exp_polymonogenic_sweep" in out
         failing = [line for line in out.splitlines() if "FAIL" in line]
         assert failing and "05_exp_polymonogenic_sweep" in failing[0]
+
+
+class TestRepeatedAndEmptyTerms:
+    """A document names each monomial and symbol once, each with a nonempty
+    coefficient, as ``to_obj`` writes it; the decoders refuse anything else
+    rather than summing it."""
+
+    X2 = {"2": 1}
+    EMPTY = {"m": M, "terms": []}
+
+    def poly(self, *terms):
+        entries = [{"monomial": mono, "coef": coef} for mono, coef in terms]
+        return {"m": M, "vars": [2, 3, 4], "terms": entries}
+
+    def expr(self, *terms):
+        return {"m": M, "terms": [{"symbol": sym, "coef": coef} for sym, coef in terms]}
+
+    def refused(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        return captured.err
+
+    @pytest.mark.parametrize("second", ["-1", "2"])
+    def test_monomial_listed_twice(self, capsys, tmp_path, second):
+        e2 = e(M, 2).to_obj()
+        doc = self.poly((self.X2, e2), (self.X2, (e(M, 2) * Fraction(second)).to_obj()))
+        err = self.refused(capsys, tmp_path, ["construct", "--family", "exp", "--seed-file"], doc)
+        assert err == "error: monomial (0, 0, 1, 0, 0) is listed more than once\n"
+
+    def test_monomial_with_empty_coefficient(self, capsys, tmp_path):
+        doc = self.poly(({"3": 1}, e(M, 3).to_obj()), (self.X2, self.EMPTY))
+        err = self.refused(capsys, tmp_path, ["construct", "--family", "exp", "--seed-file"], doc)
+        assert err == "error: monomial (0, 0, 1, 0, 0) has an empty coefficient\n"
+
+    @pytest.mark.parametrize("scale", [-1, 2])
+    def test_symbol_listed_twice_after_normalisation(self, capsys, tmp_path, scale):
+        # the constant symbol with "bar": true is the constant symbol
+        one = {"bar": False, "kind": "powexp", "power": 0, "rate": "0/1"}
+        coef = x(M, 2, yonly=True)
+        doc = self.expr((one, coef.to_obj()), ({**one, "bar": True}, (coef * scale).to_obj()))
+        err = self.refused(capsys, tmp_path, ["verify", "--op", "cr", "--in"], doc)
+        assert err == "error: symbol 1 is listed more than once\n"
+
+    def test_symbol_with_empty_coefficient(self, capsys, tmp_path):
+        exp = {"bar": False, "kind": "powexp", "power": 0, "rate": "1/1"}
+        doc = self.expr((exp, self.poly()))
+        err = self.refused(capsys, tmp_path, ["verify", "--op", "cr", "--in"], doc)
+        assert err == "error: symbol exp(1/1*z) has an empty coefficient\n"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every later call through
+    that parser answers as a freshly built one would."""
+
+    def calls(self, tmp_path):
+        seed = json.dumps(x(M, 2, yonly=True).to_obj())
+        expr_path = str(tmp_path / "expr.json")
+        z = x(M, 0) + x(M, 1) * e(M, 1)
+        z_path = tmp_path / "z.json"
+        z_path.write_text(json.dumps(z.to_obj()))
+        spec = tmp_path / "spec.json"
+        h = ymono(M, {2: 1}, e(M, 2) * 2)
+        root = {"root": "1", "harmonic_seed": h.to_obj()}
+        spec.write_text(json.dumps({"m": M, "roots": [root]}))
+        return [
+            ["coeffs", "--n", "3"],
+            ["basis", "--degree", "2", "--m", "4"],
+            ["appell", "--k", "2", "--m", "3"],
+            ["construct", "--family", "exp", "--m", "5", "--seed", seed],
+            ["construct", "--family", "exp", "--seed", seed],
+            ["construct", "--family", "exp", "--n", "2", "--seed", seed, "--out", expr_path],
+            ["verify", "--op", "cr-left", "--n", "2", "--in", expr_path],
+            ["verify", "--op", "deq", "--coeffs", "1,-1", "--in", str(z_path)],
+            ["verify", "--op", "deq", "--in", str(z_path)],
+            ["verify", "--op", "deq", "--coeffs", "1,0,0", "--in", str(z_path)],
+            ["verify", "--op", "lame", "--mu", "1", "--in", expr_path],
+            ["verify", "--in", expr_path],
+            ["verify", "--op", "cr", "--n", "2", "--in", expr_path],
+            ["nonsense"],
+            ["coeffs", "--n", "2"],
+            ["dsolve", "--coeffs", "1,-1", "--spec-file", str(spec)],
+            ["dsolve", "--coeffs", "1/0", "--spec-file", str(spec)],
+            ["suite", "--m", "3"],
+            ["suite", "--max-n", "1", "--max-degree", "1", "--cases", "3"],
+            ["verify", "--help"],
+        ]
+
+    def outcomes(self, capsys, argv_list):
+        out = []
+        for argv in argv_list:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            # suite rows carry their wall time
+            text = re.sub(r" +[0-9]+\.[0-9]+ ms", " ms", captured.out)
+            out.append((argv, code, text, captured.err))
+        return out
+
+    def test_one_parser_answers_as_fresh_ones(self, capsys, tmp_path, monkeypatch):
+        argv_list = self.calls(tmp_path)
+        cli._parser.cache_clear()
+        reused = self.outcomes(capsys, argv_list)
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outcomes(capsys, argv_list)
+        assert reused == fresh
+        codes = [code for _, code, _, _ in reused]
+        assert codes[3:5] == [2, 0]  # --m 5 does not outlive its call
+        assert codes[8] == 2 and reused[8][3] == "error: --op deq needs --coeffs\n"
+        assert codes[11] == ("SystemExit", 2) and codes[12] == 0
+        assert codes[13] == ("SystemExit", 2) and codes[14] == 0
+
+    def test_importing_the_cli_builds_no_parser(self):
+        probe = "import cliffsteer.cli as c; print(c._parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "0\n"

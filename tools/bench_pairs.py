@@ -13,7 +13,9 @@ The output file holds both shas, the seeds, every run's end-to-end metrics,
 failure counts and package source line count, and per workload and metric each side's median and
 quartiles and the number of pairs the working tree won (ties count for
 neither side).  Metric names and whether lower or higher is better come from
-``BENCHMARK.json``.  Standard library only.
+``BENCHMARK.json``.  A run that reports ``correct: false`` or a nonzero
+``fail_frac`` is kept in the file, named on stderr, and makes the exit
+status 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -95,6 +97,21 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def failed_runs(doc: dict) -> list[str]:
+    """One line per run that failed a case: workload, seed, side and counts."""
+    lines = []
+    for workload, result in doc["workloads"].items():
+        for pair in result["runs"]:
+            for side in ("base", "change"):
+                run = pair[side]
+                if not run["correct"] or run["fail_frac"] > 0:
+                    lines.append(
+                        f"{workload} seed {pair['seed']} {side}: correct "
+                        f"{str(run['correct']).lower()}, fail_frac {run['fail_frac']}"
+                    )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
@@ -144,7 +161,10 @@ def main(argv=None) -> int:
             doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better)}
             # written after every workload, so an interrupted run keeps the finished ones
             Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    failed = failed_runs(doc)
+    for line in failed:
+        print(f"failed run: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
