@@ -45,6 +45,8 @@ def format_fraction(value: Fraction) -> str:
 def parse_fraction(raw: object) -> Fraction:
     """Parse a "num/den" string (or bare integer) back into a Fraction."""
     if isinstance(raw, str):
+        if "e" in raw or "E" in raw:  # "1e30000000" alone is a 30-million-digit integer
+            raise ValueError(f"fraction {raw!r} uses exponent notation; write it as num/den")
         return Fraction(raw)
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)

@@ -74,7 +74,7 @@ def _parse_function(obj) -> SteeringExpression | CliffordPolynomial:
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 

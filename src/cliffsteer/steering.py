@@ -423,17 +423,8 @@ class CoefficientTable:
     n: int
     c: Tuple[Fraction, ...]
 
-    def coefficient(self, k: int) -> Fraction:
-        if not 1 <= k <= self.n:
-            raise ValueError(f"coefficient index {k} out of range 1..{self.n}")
-        return self.c[k - 1]
-
     def to_obj(self) -> dict:
         return {"n": self.n, "c": [format_fraction(q) for q in self.c]}
-
-    @classmethod
-    def from_obj(cls, obj: Mapping) -> "CoefficientTable":
-        return cls(obj["n"], tuple(parse_fraction(q) for q in obj["c"]))
 
 
 def ck_table(n: int) -> CoefficientTable:
@@ -489,7 +480,7 @@ def tn_closed_form(n: int) -> Tuple[Tuple[IntPoly, IntPoly], Tuple[IntPoly, IntP
 # ---------------------------------------------------------------------------
 
 
-def _as_steering_seed(poly: CliffordPolynomial, what: str = "seed") -> CliffordPolynomial:
+def _as_steering_seed(poly: CliffordPolynomial, what: str) -> CliffordPolynomial:
     if not isinstance(poly, CliffordPolynomial):
         raise TypeError(f"{what} must be a CliffordPolynomial")
     try:
@@ -498,7 +489,7 @@ def _as_steering_seed(poly: CliffordPolynomial, what: str = "seed") -> CliffordP
         raise ValueError(f"{what} must depend on x2..x{poly.m} only ({exc})") from None
 
 
-def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str = "seed") -> None:
+def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str) -> None:
     p = NumeratorForm(seed)
     for _ in range(order):
         p = p.laplacian()
@@ -506,29 +497,9 @@ def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str = "see
         raise ValueError(f"{what} is not annihilated by laplacian^{order}")
 
 
-def _require_monogenic(seed: CliffordPolynomial, side: str, what: str = "seed") -> None:
+def _require_monogenic(seed: CliffordPolynomial, side: str, what: str) -> None:
     if seed.dirac_y(side):
         raise ValueError(f"{what} is not {side} monogenic in the y variables")
-
-
-def _trig_seeds(seed_cos, seed_sin) -> Tuple[CliffordPolynomial, CliffordPolynomial]:
-    a = _as_steering_seed(seed_cos, "cos seed")
-    b = _as_steering_seed(seed_sin, "sin seed")
-    if a.m != b.m:
-        raise ValueError(f"dimension mismatch: m={a.m} vs m={b.m}")
-    return a, b
-
-
-def _power_seeds(seeds, check) -> list[CliffordPolynomial]:
-    clean = [_as_steering_seed(s, f"seed {i}") for i, s in enumerate(seeds)]
-    if not clean:
-        raise ValueError("at least one seed is required")
-    m = clean[0].m
-    for i, s in enumerate(clean):
-        if s.m != m:
-            raise ValueError(f"dimension mismatch: m={s.m} vs m={m}")
-        check(s, f"seed {i}")
-    return clean
 
 
 def _tail(
@@ -573,14 +544,57 @@ def _power_terms(seeds: Sequence[CliffordPolynomial], order: int) -> list:
     return terms
 
 
+def _seed_pair(seeds) -> list:
+    seed_cos, seed_sin = seeds
+    return [("cos seed", seed_cos), ("sin seed", seed_sin)]
+
+
+# family -> (its seeds under the names refusals give them, its terms from checked
+# seeds); only the exp family takes a rate, which construct_eigen sets
+_FAMILIES = {
+    "exp": (lambda seed: [("seed", seed)], lambda s, order, rate: _exp_terms(*s, order, rate)),
+    "trig": (_seed_pair, lambda s, order, rate: _trig_terms(*s, order)),
+    "power": (
+        lambda seeds: [(f"seed {i}", s) for i, s in enumerate(seeds)],
+        lambda s, order, rate: _power_terms(s, order),
+    ),
+}
+
+
+def _construct(
+    family: str, seeds, order: int, side: str = "left", rate: ScalarLike = 1
+) -> SteeringExpression:
+    # the one construction path: side "left" needs laplacian^order of every seed
+    # to vanish, side "both" needs right monogenic seeds and builds on M - e1 M e1
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    rate = coerce_fraction(rate)
+    if not rate:
+        raise ValueError("eigenvalue rate must be nonzero")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown steering family {family!r}")
+    name_seeds, build_terms = _FAMILIES[family]
+    named = name_seeds(seeds)
+    clean = [_as_steering_seed(seed, what) for what, seed in named]
+    if not clean:
+        raise ValueError("at least one seed is required")
+    m = clean[0].m
+    for (what, _), seed in zip(named, clean):
+        if seed.m != m:
+            raise ValueError(f"dimension mismatch: m={m} vs m={seed.m}")
+        if side == "left":
+            _require_polyharmonic(seed, order, what)
+        else:
+            _require_monogenic(seed, "right", what)
+    if side == "both":
+        clean = [seed - e1_sandwich(seed) for seed in clean]
+    return SteeringExpression(m, build_terms(clean, order, rate))
+
+
 def construct_exp_left(seed: CliffordPolynomial, order: int) -> SteeringExpression:
     """exp(z)H + exp(zb) sum_k c_k dirac^(2k-1) H, left n-monogenic for
     every H with laplacian^n H = 0."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    h = _as_steering_seed(seed)
-    _require_polyharmonic(h, order)
-    return SteeringExpression(h.m, _exp_terms(h, order))
+    return _construct("exp", seed, order)
 
 
 def construct_trig_left(
@@ -589,12 +603,7 @@ def construct_trig_left(
     """cos(z)A1 + sin(z)B1 + cos(zb)A2 + sin(zb)B2 with the alternating-sign
     conjugate tails A2 = sum (-1)^k c_k dirac^(2k-1) B1 and
     B2 = sum (-1)^(k+1) c_k dirac^(2k-1) A1."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    a1, b1 = _trig_seeds(seed_cos, seed_sin)
-    _require_polyharmonic(a1, order, "cos seed")
-    _require_polyharmonic(b1, order, "sin seed")
-    return SteeringExpression(a1.m, _trig_terms(a1, b1, order))
+    return _construct("trig", (seed_cos, seed_sin), order)
 
 
 def construct_power_left(
@@ -606,10 +615,7 @@ def construct_power_left(
     The conjugate series terminates on its own: seeds beyond the supplied
     list are zero, so every B_k with k > K + 2n - 1 vanishes.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    clean = _power_seeds(seeds, lambda s, what: _require_polyharmonic(s, order, what))
-    return SteeringExpression(clean[0].m, _power_terms(clean, order))
+    return _construct("power", seeds, order)
 
 
 def construct_two_sided(family: str, seeds) -> SteeringExpression:
@@ -621,35 +627,13 @@ def construct_two_sided(family: str, seeds) -> SteeringExpression:
     differences M - e1 M e1, which are harmonic and whose left Dirac
     derivatives supply the conjugate-side coefficients.
     """
-
-    def diff(seed):
-        return seed - e1_sandwich(seed)
-
-    if family == "exp":
-        seed = _as_steering_seed(seeds)
-        _require_monogenic(seed, "right")
-        return SteeringExpression(seed.m, _exp_terms(diff(seed), 1))
-    if family == "trig":
-        seed_m, seed_n = seeds
-        sm, sn = _trig_seeds(seed_m, seed_n)
-        _require_monogenic(sm, "right", "cos seed")
-        _require_monogenic(sn, "right", "sin seed")
-        return SteeringExpression(sm.m, _trig_terms(diff(sm), diff(sn), 1))
-    if family == "power":
-        clean = _power_seeds(seeds, lambda s, what: _require_monogenic(s, "right", what))
-        return SteeringExpression(clean[0].m, _power_terms([diff(s) for s in clean], 1))
-    raise ValueError(f"unknown steering family {family!r}")
+    return _construct(family, seeds, 1, "both")
 
 
 def construct_eigen(rate: ScalarLike, seed: CliffordPolynomial) -> SteeringExpression:
     """exp(r z)H - (1/2r) exp(r zb) dirac H: a left monogenic eigenfunction
     of the hypercomplex derivative with eigenvalue r."""
-    r = coerce_fraction(rate)
-    if not r:
-        raise ValueError("eigenvalue rate must be nonzero")
-    h = _as_steering_seed(seed)
-    _require_polyharmonic(h, 1)
-    return SteeringExpression(h.m, _exp_terms(h, 1, r))
+    return _construct("exp", seed, 1, rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +726,7 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
         seen.add(root.value)
         _verify_root(spec.coeffs, root.value, root.multiplicity)
 
-    solution = SteeringExpression.zero(spec.m)
+    terms: list = []
     for root in spec.roots:
         r = root.value
         if len(root.monogenic_seeds) > root.multiplicity:
@@ -758,16 +742,14 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
             h = _as_steering_seed(root.harmonic_seed, f"root {r} harmonic seed")
             if h:
                 _require_polyharmonic(h, 1, f"root {r} harmonic seed")
-                solution = solution + SteeringExpression(spec.m, _exp_terms(h, 1, r))
+                terms += _exp_terms(h, 1, r)
         for k, seed in enumerate(root.monogenic_seeds):
             mk = _as_steering_seed(seed, f"root {r} seed {k}")
             if not mk:
                 continue
             _require_monogenic(mk, "left", f"root {r} seed {k}")
-            solution = solution + SteeringExpression(
-                spec.m, [(SteeringSymbol.power_exp(k, r), mk)]
-            )
-    return solution
+            terms.append((SteeringSymbol.power_exp(k, r), mk))
+    return SteeringExpression(spec.m, terms)
 
 
 def _divisors(n: int) -> list[int]:

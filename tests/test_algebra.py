@@ -246,3 +246,6 @@ class TestConstructionAndJson:
         assert parse_fraction(3) == 3
         with pytest.raises(TypeError):
             parse_fraction(0.5)
+        for text in ("1e5000", "2E3", "1.5e-2"):
+            with pytest.raises(ValueError, match=f"'{text}' uses exponent notation"):
+                parse_fraction(text)

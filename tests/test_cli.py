@@ -10,7 +10,8 @@ import pytest
 import cliffsteer.cli as cli
 from cliffsteer.cli import main
 from cliffsteer.polynomials import CliffordPolynomial
-from cliffsteer.steering import SteeringExpression
+from cliffsteer.steering import SteeringExpression, construct_exp_left, construct_two_sided
+from cliffsteer.verify import inframonogenic_residual, n_monogenic_residual
 from helpers import e, x, ymono
 
 M = 4
@@ -175,6 +176,73 @@ class TestVerifyOperators:
             assert info.value.code == 2
             err = capsys.readouterr().err
             assert "not an exact rational: '1/0'" in err and "Traceback" not in err
+
+    def test_cr_right_reads_the_right_operator(self, capsys, tmp_path):
+        # a left-only exp solution is not right monogenic; a two-sided one is
+        seed = (x(M, 2, yonly=True) + ymono(M, {3: 1}, e(M, 2, 3))) * Fraction(1, 2)
+        for expr, code in ((construct_exp_left(x(M, 2, yonly=True), 1), 1),
+                           (construct_two_sided("exp", seed), 0)):
+            path = tmp_path / "expr.json"
+            path.write_text(json.dumps(expr.to_obj()))
+            got, out, err = run(capsys, ["verify", "--op", "cr-right", "--in", str(path)])
+            assert (got, err) == (code, "")
+            assert json.loads(out) == n_monogenic_residual(expr, 1, "right").to_obj()
+
+    def test_infra_on_a_valid_expression(self, capsys, tmp_path):
+        seed = (x(M, 2, yonly=True) + ymono(M, {3: 1}, e(M, 2, 3))) * Fraction(1, 2)
+        expr = construct_two_sided("exp", seed)
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(expr.to_obj()))
+        code, out, err = run(capsys, ["verify", "--op", "infra", "--in", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == inframonogenic_residual(expr).to_obj()
+        assert json.loads(out)["is_zero"] is True
+
+    @pytest.mark.parametrize("given", [[], ["--alpha", "2"], ["--beta", "-3"]])
+    def test_alphabeta_needs_both_parameters(self, capsys, tmp_path, given):
+        path = tmp_path / "expr.json"
+        path.write_text(json.dumps(construct_exp_left(x(M, 2, yonly=True), 1).to_obj()))
+        code, out, err = run(capsys, ["verify", "--op", "alphabeta", "--in", str(path)] + given)
+        assert (code, out) == (2, "")
+        assert err == "error: --op alphabeta needs --alpha and --beta\n"
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["verify", "--op", "lame", "--mu", "1e5000", "--lambda", "1"], "1e5000"),
+            (["verify", "--op", "deq", "--coeffs", "1,1e5000"], "1e5000"),
+            (["dsolve", "--coeffs", "1E5000,1", "--spec-file", "spec.json"], "1E5000"),
+        ],
+    )
+    def test_exponent_argument_refused_naming_it(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        # argparse prints its usage, then the one error line
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"not an exact rational: {value!r}")
+        assert err.endswith(errors[0] + "\n") and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["seed coef", "symbol rate", "dsolve root"])
+    def test_exponent_in_document_refused_naming_it(self, capsys, tmp_path, where):
+        one = CliffordPolynomial.constant(M, 1, range(2, M + 1)).to_obj()
+        path = tmp_path / "doc.json"
+        if where == "seed coef":
+            one["terms"][0]["coef"]["terms"][0]["coef"] = "1e5000"
+            argv = ["construct", "--family", "exp", "--seed-file", str(path)]
+            doc = one
+        elif where == "symbol rate":
+            symbol = {"bar": False, "kind": "powexp", "power": 0, "rate": "1e5000"}
+            doc = {"m": M, "terms": [{"symbol": symbol, "coef": one}]}
+            argv = ["verify", "--op", "cr", "--in", str(path)]
+        else:
+            doc = {"m": M, "roots": [{"root": "1e5000", "harmonic_seed": one}]}
+            argv = ["dsolve", "--coeffs", "1,-1", "--spec-file", str(path)]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: fraction '1e5000' uses exponent notation; write it as num/den\n"
 
     def test_zero_denominator_in_document_exit_two(self, capsys, monkeypatch):
         doc = json.dumps(

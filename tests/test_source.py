@@ -4,6 +4,7 @@ The package is stdlib-only, and no module keeps an import it never uses;
 ``__init__.py`` is exempt from the second rule since it imports in order
 to re-export.  Only ``cli.py`` imports ``argparse`` and no module imports
 ``cli``, so the battery and the library stay free of the command line.
+No source line is longer than 99 columns.
 """
 
 import ast
@@ -69,3 +70,10 @@ def test_only_cli_imports_argparse_and_no_module_imports_cli():
             assert "cli" not in parts, f"{path.name} imports the cli module (line {node.lineno})"
             if path.name != "cli.py":
                 assert "argparse" not in parts, f"{path.name} imports argparse"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lines_fit_in_99_columns(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [(n, len(line)) for n, line in enumerate(lines, 1) if len(line) > 99]
+    assert not long, f"{path.name} has lines over 99 columns (line, length): {long}"

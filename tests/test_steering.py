@@ -686,6 +686,120 @@ class TestDsolve:
             dsolve(spec)
 
 
+def _y2(m=M):
+    return x(m, 2, yonly=True)
+
+
+def _one(m=M):
+    return CliffordPolynomial.constant(m, 1, range(2, m + 1))
+
+
+def _not_harmonic(m=M):
+    return ymono(m, {2: 2})
+
+
+def _dsolve_zero_root(*seeds):
+    coeffs = (1,) + (0,) * len(seeds)
+    return dsolve(DSolveSpec(M, coeffs, (RootSpec(Fraction(0), len(seeds), None, seeds),)))
+
+
+# every refusal of the constructors and of dsolve's seed checks, with its exact
+# type and text; the first fault found is the one reported
+REFUSALS = [
+    ("exp-order-0", lambda: construct_exp_left(_y2(), 0), ValueError,
+     "order must be at least 1"),
+    ("trig-order-0", lambda: construct_trig_left(_y2(), _y2(), 0), ValueError,
+     "order must be at least 1"),
+    ("power-order-0", lambda: construct_power_left([_y2()], 0), ValueError,
+     "order must be at least 1"),
+    ("exp-not-polynomial", lambda: construct_exp_left(e(M, 2), 1), TypeError,
+     "seed must be a CliffordPolynomial"),
+    ("sin-not-polynomial", lambda: construct_trig_left(_y2(), 1, 1), TypeError,
+     "sin seed must be a CliffordPolynomial"),
+    ("exp-seed-in-x0", lambda: construct_exp_left(x(M, 0), 1), ValueError,
+     "seed must depend on x2..x4 only "
+     "(monomial uses x0 outside the declared variable scope)"),
+    ("power-seed-in-x0", lambda: construct_power_left([_y2(), x(M, 0)], 1), ValueError,
+     "seed 1 must depend on x2..x4 only "
+     "(monomial uses x0 outside the declared variable scope)"),
+    ("exp-not-harmonic", lambda: construct_exp_left(_not_harmonic(), 1), ValueError,
+     "seed is not annihilated by laplacian^1"),
+    ("cos-not-harmonic", lambda: construct_trig_left(_not_harmonic(), _y2(), 1), ValueError,
+     "cos seed is not annihilated by laplacian^1"),
+    ("sin-not-harmonic", lambda: construct_trig_left(_y2(), _not_harmonic(), 1), ValueError,
+     "sin seed is not annihilated by laplacian^1"),
+    ("power-not-harmonic", lambda: construct_power_left([_y2(), _not_harmonic()], 1),
+     ValueError, "seed 1 is not annihilated by laplacian^1"),
+    ("exp-not-biharmonic", lambda: construct_exp_left(ymono(M, {2: 4}), 2), ValueError,
+     "seed is not annihilated by laplacian^2"),
+    ("trig-m-mismatch", lambda: construct_trig_left(_y2(4), _y2(5), 1), ValueError,
+     "dimension mismatch: m=4 vs m=5"),
+    ("cos-not-harmonic-sin-m-mismatch",
+     lambda: construct_trig_left(_not_harmonic(4), _y2(5), 1), ValueError,
+     "cos seed is not annihilated by laplacian^1"),
+    ("power-m-mismatch", lambda: construct_power_left([_y2(4), _y2(5)], 1), ValueError,
+     "dimension mismatch: m=4 vs m=5"),
+    ("power-not-harmonic-before-m-mismatch",
+     lambda: construct_power_left([_not_harmonic(4), _y2(5)], 1), ValueError,
+     "seed 0 is not annihilated by laplacian^1"),
+    ("power-x0-before-not-harmonic",
+     lambda: construct_power_left([_not_harmonic(), x(M, 0)], 1), ValueError,
+     "seed 1 must depend on x2..x4 only "
+     "(monomial uses x0 outside the declared variable scope)"),
+    ("power-empty", lambda: construct_power_left([], 1), ValueError,
+     "at least one seed is required"),
+    ("two-sided-power-empty", lambda: construct_two_sided("power", []), ValueError,
+     "at least one seed is required"),
+    ("two-sided-unknown-family", lambda: construct_two_sided("hyperbolic", _y2()), ValueError,
+     "unknown steering family 'hyperbolic'"),
+    ("two-sided-exp-not-right-monogenic",
+     lambda: construct_two_sided("exp", _y2() * e(M, 2)), ValueError,
+     "seed is not right monogenic in the y variables"),
+    ("two-sided-cos-not-right-monogenic",
+     lambda: construct_two_sided("trig", (_y2() * e(M, 2), _one())), ValueError,
+     "cos seed is not right monogenic in the y variables"),
+    ("two-sided-power-not-right-monogenic",
+     lambda: construct_two_sided("power", [_one(), _y2() * e(M, 2)]), ValueError,
+     "seed 1 is not right monogenic in the y variables"),
+    ("two-sided-exp-seed-in-x0", lambda: construct_two_sided("exp", x(M, 0)), ValueError,
+     "seed must depend on x2..x4 only "
+     "(monomial uses x0 outside the declared variable scope)"),
+    ("two-sided-trig-m-mismatch", lambda: construct_two_sided("trig", (_one(4), _one(5))),
+     ValueError, "dimension mismatch: m=4 vs m=5"),
+    ("two-sided-power-m-mismatch", lambda: construct_two_sided("power", [_one(4), _one(5)]),
+     ValueError, "dimension mismatch: m=4 vs m=5"),
+    ("two-sided-trig-three-seeds",
+     lambda: construct_two_sided("trig", (_one(), _one(), _one())), ValueError,
+     "too many values to unpack (expected 2)"),
+    ("eigen-rate-0", lambda: construct_eigen(0, _y2()), ValueError,
+     "eigenvalue rate must be nonzero"),
+    ("eigen-inexact-rate", lambda: construct_eigen(0.5, _y2()), TypeError,
+     "expected an exact rational (int or Fraction), got float"),
+    ("eigen-not-harmonic", lambda: construct_eigen(2, _not_harmonic()), ValueError,
+     "seed is not annihilated by laplacian^1"),
+    ("dsolve-harmonic-seed-m-mismatch",
+     lambda: dsolve(DSolveSpec(M, (1, -1), (RootSpec(Fraction(1), 1, _y2(5)),))),
+     ValueError, "coefficient dimension mismatch: m=5 vs m=4"),
+    ("dsolve-harmonic-seed-not-harmonic",
+     lambda: dsolve(DSolveSpec(M, (1, -1), (RootSpec(Fraction(1), 1, _not_harmonic()),))),
+     ValueError, "root 1 harmonic seed is not annihilated by laplacian^1"),
+    ("dsolve-seed-m-mismatch-after-later-fault",
+     lambda: _dsolve_zero_root(_monogenic_seed(5), _y2()), ValueError,
+     "root 0 seed 1 is not left monogenic in the y variables"),
+    ("dsolve-seed-not-monogenic", lambda: _dsolve_zero_root(_y2()), ValueError,
+     "root 0 seed 0 is not left monogenic in the y variables"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", [r[1:] for r in REFUSALS],
+                         ids=[r[0] for r in REFUSALS])
+def test_construction_refusals(call, kind, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
 class TestRationalRoots:
     def test_distinct_roots(self):
         assert rational_roots((1, 1, -2)) == [(Fraction(-2), 1), (Fraction(1), 1)]
