@@ -89,11 +89,16 @@ def mask_from_indices(indices: Iterable[int], m: int) -> int:
     return mask
 
 
+def json_object(value, what: str) -> Mapping:
+    """``value``, checked to be a JSON object; ``what`` names it in errors."""
+    if not isinstance(value, dict) and not isinstance(value, Mapping):  # dict: no ABC lookup
+        raise TypeError(f"{what} must be a JSON object")
+    return value
+
+
 def document_m(obj, kind: str) -> int:
     """The checked generator count of a JSON document; ``kind`` names it in errors."""
-    if not isinstance(obj, Mapping):
-        raise TypeError(f"{kind} document must be a JSON object")
-    m = obj["m"]
+    m = json_object(obj, f"{kind} document")["m"]
     if type(m) is not int or not MIN_GENERATORS <= m <= MAX_GENERATORS:
         raise ValueError(
             f"{kind} field 'm' must be an integer in {MIN_GENERATORS}..{MAX_GENERATORS}, "
@@ -113,7 +118,31 @@ def indices_from_mask(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class Multivector:
+class TermMap:
+    """Immutable map from keys to nonzero coefficients over R_{0,m}: the base of
+    multivectors, polynomials and steering expressions.  Each subclass orders
+    ``_terms`` canonically and defines ``__eq__``, which leaves it unhashable."""
+
+    __slots__ = ("m", "_terms")
+
+    def items(self) -> Iterator[tuple]:
+        return iter(self._terms.items())
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def _require_same_m(self, other) -> None:
+        if self.m != other.m:
+            raise ValueError(f"dimension mismatch: m={self.m} vs m={other.m}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(m={self.m}, {self})"
+
+
+class Multivector(TermMap):
     """Immutable sparse element of R_{0,m}.
 
     ``terms`` maps blade masks to nonzero rational coefficients; the zero
@@ -121,7 +150,7 @@ class Multivector:
     when their term mappings are equal.
     """
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ()
 
     def __init__(self, m: int, terms: Mapping[int, ScalarLike] | Iterable = ()):
         if not isinstance(m, int) or not MIN_GENERATORS <= m <= MAX_GENERATORS:
@@ -164,17 +193,8 @@ class Multivector:
 
     # -- container-ish access ------------------------------------------------
 
-    def items(self) -> Iterator[Tuple[int, Fraction]]:
-        return iter(self._terms.items())
-
     def coefficient(self, mask: int) -> Fraction:
         return self._terms.get(mask, _ZERO)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __eq__(self, other: object):
         if isinstance(other, Multivector):
@@ -184,13 +204,7 @@ class Multivector:
             return self._terms == ({0: q} if q else {})
         return NotImplemented
 
-    __hash__ = None  # mutable mapping inside; value identity is by terms
-
     # -- ring structure ------------------------------------------------------
-
-    def _require_same_m(self, other: "Multivector") -> None:
-        if self.m != other.m:
-            raise ValueError(f"dimension mismatch: m={self.m} vs m={other.m}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -310,6 +324,7 @@ class Multivector:
         m = document_m(obj, "multivector")
         data: dict[int, Fraction] = {}
         for entry in obj.get("terms", []):
+            json_object(entry, "multivector term")
             mask = mask_from_indices(entry["blades"], m)
             q = parse_fraction(entry["coef"])
             if not q:
@@ -327,9 +342,6 @@ class Multivector:
             blade = "*".join(f"e{j}" for j in indices_from_mask(mask))
             parts.append(f"({format_fraction(q)}){'*' + blade if blade else ''}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Multivector(m={self.m}, {str(self)})"
 
 
 def inner_outer(v: Multivector, f: Multivector) -> Tuple[Multivector, Multivector]:

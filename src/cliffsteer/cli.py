@@ -177,10 +177,14 @@ def _root_from_obj(obj) -> RootSpec:
 
 def cmd_dsolve(args) -> int:
     doc = _load_document(args)
+    m = document_m(doc, "dsolve spec")
+    roots = doc["roots"]
+    if not isinstance(roots, list) or not all(isinstance(entry, dict) for entry in roots):
+        raise TypeError("dsolve spec field 'roots' must be a list of JSON objects")
     spec = DSolveSpec(
-        m=document_m(doc, "dsolve spec"),
+        m=m,
         coeffs=args.coeffs,
-        roots=tuple(_root_from_obj(entry) for entry in doc["roots"]),
+        roots=tuple(_root_from_obj(entry) for entry in roots),
     )
     solution = dsolve(spec)
     report = d_equation_residual(solution, args.coeffs)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .algebra import Multivector, coerce_fraction, document_m
+from .algebra import Multivector, TermMap, coerce_fraction, document_m, json_object
 
 Monomial = Tuple[int, ...]
 
@@ -27,14 +27,35 @@ def _monomial_key(exps: Monomial) -> Tuple[int, Monomial]:
     return (sum(exps), exps)
 
 
-class CliffordPolynomial:
+class DiracOperand(TermMap):
+    """A term map the Dirac-type operators act on: a Clifford polynomial or a
+    steering expression.  Each operator is one ``NumeratorForm.dirac`` link."""
+
+    __slots__ = ()
+
+    def cr_left(self):
+        """d/dx_0 + sum_j e_j d/dx_j, the Cauchy-Riemann operator acting on the left."""
+        return dirac(self, "left")
+
+    def cr_right(self):
+        """d/dx_0 + sum_j (d/dx_j)(.)e_j, the Cauchy-Riemann operator acting on the right."""
+        return dirac(self, "right")
+
+    def hypercomplex_d(self):
+        """(1/2)(d/dx_0 - sum_j e_j d/dx_j), the hypercomplex derivative; it is one
+        only on left monogenic input, but the operator applies unconditionally."""
+        form = NumeratorForm(self).dirac("left", -1)
+        return NumeratorForm.combine(self, [(form, Fraction(1, 2))]).build()
+
+
+class CliffordPolynomial(DiracOperand):
     """Immutable polynomial with Multivector coefficients.
 
     No zero coefficient is stored and every monomial uses only variables
     from ``var_scope``.  Equality compares the term mappings.
     """
 
-    __slots__ = ("m", "var_scope", "_terms")
+    __slots__ = ("var_scope",)
 
     def __init__(
         self,
@@ -112,23 +133,12 @@ class CliffordPolynomial:
 
     # -- access ----------------------------------------------------------------
 
-    def items(self) -> Iterator[Tuple[Monomial, Multivector]]:
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other: object):
         if isinstance(other, CliffordPolynomial):
             return self._terms == other._terms
         if isinstance(other, (Multivector, int, Fraction)):
             return self == CliffordPolynomial.constant(self.m, other)
         return NotImplemented
-
-    __hash__ = None
 
     def constant_term(self) -> Multivector:
         return self._terms.get((0,) * (self.m + 1), Multivector.zero(self.m))
@@ -151,10 +161,6 @@ class CliffordPolynomial:
         return CliffordPolynomial(self.m, self._terms, var_scope=scope)
 
     # -- ring structure ----------------------------------------------------------
-
-    def _require_same_m(self, other) -> None:
-        if self.m != other.m:
-            raise ValueError(f"dimension mismatch: m={self.m} vs m={other.m}")
 
     def __add__(self, other):
         if isinstance(other, (Multivector, int, Fraction)):
@@ -266,18 +272,6 @@ class CliffordPolynomial:
         """Dirac operator over the y variables x_2..x_m, acting on one side."""
         return dirac(self, side, y_only=True)
 
-    def cr_left(self) -> "CliffordPolynomial":
-        """Generalized Cauchy-Riemann operator acting on the left."""
-        return dirac(self, "left")
-
-    def cr_right(self) -> "CliffordPolynomial":
-        """Generalized Cauchy-Riemann operator acting on the right."""
-        return dirac(self, "right")
-
-    def hypercomplex_d(self) -> "CliffordPolynomial":
-        """(1/2)(d/dx_0 - sum_j e_j d/dx_j), the hypercomplex derivative."""
-        return dirac(self, "left", -1, scale=Fraction(1, 2))
-
     def laplacian(self, variables: Iterable[int] | None = None) -> "CliffordPolynomial":
         """Sum of second partials over ``variables`` (default: the var_scope)."""
         return NumeratorForm(self).laplacian(variables).build()
@@ -306,11 +300,10 @@ class CliffordPolynomial:
             raise ValueError(f"var_scope must be a subset of x0..x{m}")
         data = {}
         for entry in obj.get("terms", []):
+            json_object(entry, "polynomial term")
+            monomial = json_object(entry["monomial"], "polynomial term field 'monomial'")
             exps = [0] * (m + 1)
             seen = set()
-            monomial = entry["monomial"]
-            if not isinstance(monomial, Mapping):
-                raise TypeError("polynomial term field 'monomial' must be a JSON object")
             for raw_i, e in monomial.items():
                 i = int(raw_i)
                 if not 0 <= i <= m:
@@ -346,9 +339,6 @@ class CliffordPolynomial:
             )
             parts.append(f"[{mv}]{'*' + mono if mono else ''}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"CliffordPolynomial(m={self.m}, {str(self)})"
 
 
 def _common_denominator(terms: Iterable[Mapping[Monomial, Multivector]]) -> int:
@@ -433,9 +423,9 @@ class NumeratorForm:
         return NumeratorForm(f, {None: acc}, self.den or read)
 
     def dirac(self, side: str, sign: int = 1, y_only: bool = False,
-              scale: Fraction = Fraction(1), times: int = 1) -> "NumeratorForm":
-        """scale * (d/dx_0 + sign * sum_(j>=1) e_j d/dx_j), e_j acting on ``side``,
-        applied ``times`` times; ``y_only`` keeps only sign * scale * sum_(j>=2).
+              times: int = 1) -> "NumeratorForm":
+        """d/dx_0 + sign * sum_(j>=1) e_j d/dx_j, e_j acting on ``side``, applied
+        ``times`` times; ``y_only`` keeps only sign * sum_(j>=2).
 
         Each application is one pass over the flat (symbol, monomial, blade,
         numerator) terms.  e_j on e_A is a signed bit flip, its sign the parity
@@ -444,11 +434,10 @@ class NumeratorForm:
         symbols through ``SteeringSymbol._dz`` (d(z-bar)/dx_1 = -e_1), and e_j
         with j >= 2 on the left flips the bar.  Zero numerators are skipped
         where they are read; the output is over the input denominator times
-        the lcm of the rate denominators and that of ``scale``.
+        the lcm of the rate denominators.
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        scale = coerce_fraction(scale)
         m = self.f.m
         left = side == "left"
         full = (1 << m) - 1
@@ -457,13 +446,12 @@ class NumeratorForm:
             rates = () if y_only else (s.rate.denominator for s in form.terms if s is not None)
             rate_den = lcm(*rates)
             read = 1 if form.den else _common_denominator(form.terms.values())
-            unit = scale.numerator * rate_den
             # e_j d/dx_j as (multiplier, flip bit, parity selector, lands on the
             # flipped symbol); d/dx_0 flips nothing
-            gens = {} if y_only else {0: (unit, 0, 0, False)}
+            gens = {} if y_only else {0: (rate_den, 0, 0, False)}
             for j in range(2 if y_only else 1, m + 1):
                 bit = 1 << (j - 1)
-                gens[j] = (sign * unit, bit, (bit << 1) - 1 if left else full ^ (bit - 1), j > 1)
+                gens[j] = (sign * rate_den, bit, bit * 2 - 1 if left else full ^ (bit - 1), j > 1)
             # out symbol -> lowered monomial -> blade -> numerator over the denominator
             acc: dict = {}
             for sym, monos in form.terms.items():
@@ -478,7 +466,7 @@ class NumeratorForm:
                     x1_sign = sign if sym.bar else -sign
                     for q, dsym in sym._dz():
                         out = acc.setdefault(dsym, {})
-                        n = q.numerator * (rate_den // q.denominator) * scale.numerator
+                        n = q.numerator * (rate_den // q.denominator)
                         sym_actions.append((out, n, 0, 0))
                         sym_actions.append((out, x1_sign * n, 0, 0 if left else full ^ 1))
                 for exps, blades in monos.items():
@@ -502,14 +490,14 @@ class NumeratorForm:
                                 v = -v
                             out_mask = mask ^ bit
                             target[out_mask] = target.get(out_mask, 0) + v
-            form = NumeratorForm(self.f, acc, (form.den or read) * rate_den * scale.denominator)
+            form = NumeratorForm(self.f, acc, (form.den or read) * rate_den)
         return form
 
 
-def dirac(f, side: str, sign: int = 1, y_only: bool = False, scale: Fraction = Fraction(1)):
+def dirac(f, side: str, sign: int = 1, y_only: bool = False):
     """``NumeratorForm.dirac`` as a chain of one link on a CliffordPolynomial
     or SteeringExpression ``f``; it builds each output Fraction once."""
-    return NumeratorForm(f).dirac(side, sign, y_only, scale).build()
+    return NumeratorForm(f).dirac(side, sign, y_only).build()
 
 
 def dirac_power(poly: CliffordPolynomial, k: int, side: str = "left") -> CliffordPolynomial:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .algebra import (
     Multivector,
@@ -35,9 +35,10 @@ from .algebra import (
     coerce_fraction,
     document_m,
     format_fraction,
+    json_object,
     parse_fraction,
 )
-from .polynomials import CliffordPolynomial, NumeratorForm, dirac
+from .polynomials import CliffordPolynomial, DiracOperand, NumeratorForm
 
 KIND_POWEXP = "powexp"
 KIND_COS = "cos"
@@ -143,6 +144,7 @@ class SteeringSymbol:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "SteeringSymbol":
+        json_object(obj, "steering symbol document")
         return cls(
             obj["kind"],
             bar=obj.get("bar", False),
@@ -184,10 +186,10 @@ def symbol_d(
     return out
 
 
-class SteeringExpression:
+class SteeringExpression(DiracOperand):
     """Immutable finite sum of symbol * y-polynomial terms."""
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -233,33 +235,18 @@ class SteeringExpression:
 
     # -- access -----------------------------------------------------------------
 
-    def items(self) -> Iterator[Tuple[SteeringSymbol, CliffordPolynomial]]:
-        return iter(self._terms.items())
-
     def coefficient(self, sym: SteeringSymbol) -> CliffordPolynomial:
         return self._terms.get(sym, CliffordPolynomial.zero(self.m, range(2, self.m + 1)))
 
     def symbols(self) -> Tuple[SteeringSymbol, ...]:
         return tuple(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other: object):
         if isinstance(other, SteeringExpression):
             return self._terms == other._terms
         return NotImplemented
 
-    __hash__ = None
-
     # -- linear structure ---------------------------------------------------------
-
-    def _require_same_m(self, other) -> None:
-        if self.m != other.m:
-            raise ValueError(f"dimension mismatch: m={self.m} vs m={other.m}")
 
     def __add__(self, other):
         if not isinstance(other, SteeringExpression):
@@ -334,22 +321,6 @@ class SteeringExpression:
             self.m, [(sym, poly.partial(index)) for sym, poly in self._terms.items()]
         )
 
-    def cr_left(self) -> "SteeringExpression":
-        """d/dx_0 + sum_j e_j d/dx_j applied on the left."""
-        return dirac(self, "left")
-
-    def cr_right(self) -> "SteeringExpression":
-        """d/dx_0 + sum_j (d/dx_j)(.)e_j applied on the right."""
-        return dirac(self, "right")
-
-    def hypercomplex_d(self) -> "SteeringExpression":
-        """(1/2)(d/dx_0 - sum_j e_j d/dx_j).
-
-        The hypercomplex-derivative reading requires the input to be left
-        monogenic; the operator itself is applied unconditionally.
-        """
-        return dirac(self, "left", -1, scale=Fraction(1, 2))
-
     def at_origin(self) -> Multivector:
         """Value of the expression at X = 0."""
         total = Multivector.zero(self.m)
@@ -376,6 +347,7 @@ class SteeringExpression:
         m = document_m(obj, "steering expression")
         data = {}
         for entry in obj.get("terms", []):
+            json_object(entry, "steering expression term")
             sym = SteeringSymbol.from_obj(entry["symbol"])
             poly = CliffordPolynomial.from_obj(entry["coef"])
             if poly.m != m:
@@ -391,9 +363,6 @@ class SteeringExpression:
         if not self._terms:
             return "0"
         return " + ".join(f"{sym}*({poly})" for sym, poly in self._terms.items())
-
-    def __repr__(self) -> str:
-        return f"SteeringExpression(m={self.m}, {str(self)})"
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,11 @@ def d_equation_residual(f: Verifiable, coeffs: Sequence[ScalarLike]) -> Residual
             "input is not left monogenic; the hypercomplex derivative is undefined"
         )
     n = len(coeffs) - 1
+    # D^k = (1/2^k) (d/dx_0 - sum_j e_j d/dx_j)^k: unscaled links, weighted in the sum
     powers = [NumeratorForm(f)]
     for _ in range(n):
-        powers.append(powers[-1].dirac("left", -1, scale=Fraction(1, 2)))
-    residual = NumeratorForm.combine(f, [(powers[n - j], a) for j, a in enumerate(coeffs)]).build()
+        powers.append(powers[-1].dirac("left", -1))
+    parts = [(powers[n - j], a / 2 ** (n - j)) for j, a in enumerate(coeffs)]
+    residual = NumeratorForm.combine(f, parts).build()
     label = ",".join(format_fraction(c) for c in coeffs)
     return _report(f"d_equation({label})", residual)

@@ -12,6 +12,8 @@ from cliffsteer.algebra import (
     inner_outer,
     parse_fraction,
 )
+from cliffsteer.polynomials import CliffordPolynomial
+from cliffsteer.steering import SteeringExpression, SteeringSymbol
 from helpers import e, random_multivector, scalar
 
 
@@ -249,3 +251,57 @@ class TestConstructionAndJson:
         for text in ("1e5000", "2E3", "1.5e-2"):
             with pytest.raises(ValueError, match=f"'{text}' uses exponent notation"):
                 parse_fraction(text)
+
+
+# -- the shared term-map behaviour of all three value types ---------------------
+
+
+def sample_multivector(m):
+    return Multivector(m, {0b0110: Fraction(-1, 2), 0: 3, 0b0001: Fraction(2, 7)})
+
+
+def sample_polynomial(m):
+    x2, x3 = (0, 0, 1) + (0,) * (m - 2), (0, 0, 0, 2) + (0,) * (m - 3)
+    return CliffordPolynomial(m, {x3: sample_multivector(m), x2: 5}, var_scope=range(2, m + 1))
+
+
+def sample_expression(m):
+    terms = [
+        (SteeringSymbol.sine(Fraction(1, 3), bar=True), sample_polynomial(m)),
+        (SteeringSymbol.power_exp(1, -2), Multivector.blade(m, (2, 3))),
+    ]
+    return SteeringExpression(m, terms)
+
+
+MIXED = "(3/1) + (2/7)*e1 + (-1/2)*e2*e3"
+POLY = f"[(5/1)]*x2 + [{MIXED}]*x3^2"
+TERM_MAPS = [
+    (sample_multivector, f"Multivector(m=4, {MIXED})", [0, 1, 6]),
+    (
+        sample_polynomial,
+        f"CliffordPolynomial(m=4, {POLY})",
+        [(0, 0, 1, 0, 0), (0, 0, 0, 2, 0)],
+    ),
+    (
+        sample_expression,
+        f"SteeringExpression(m=4, z*exp(-2/1*z)*([(1/1)*e2*e3]) + sin(1/3*zb)*({POLY}))",
+        [SteeringSymbol.power_exp(1, -2), SteeringSymbol.sine(Fraction(1, 3), bar=True)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, text, keys", TERM_MAPS, ids=["multivector", "polynomial", "expression"]
+)
+def test_term_map_container(build, text, keys):
+    value = build(4)
+    assert repr(value) == text
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
+    assert [key for key, _ in value.items()] == keys
+    assert (len(value), bool(value)) == (len(keys), True)
+    zero = type(value)(4)
+    assert (len(zero), bool(zero), list(zero.items())) == (0, False, [])
+    with pytest.raises(ValueError) as info:
+        value + build(5)
+    assert str(info.value) == "dimension mismatch: m=4 vs m=5"

@@ -115,6 +115,9 @@ X2 = poly(({"2": 1}, E2))
 
 CONSTRUCT = ["construct", "--family", "exp"]
 VERIFY = ["verify", "--op", "cr"]
+DSOLVE = ["dsolve", "--coeffs", "1,-1"]
+FILE_FLAG = {"construct": "--seed-file", "verify": "--in", "dsolve": "--spec-file"}
+ROOTS_NOT_OBJECTS = "dsolve spec field 'roots' must be a list of JSON objects"
 
 # (id, subcommand, document, the one stderr line)
 MALFORMED = [
@@ -247,6 +250,39 @@ MALFORMED = [
         expr((sym(), poly(({"2": 1}, mv(([2], "1"), m=5)), m=5, vars=(2, 3, 4, 5)))),
         "coefficient dimension mismatch: m=5 vs m=4",
     ),
+    (
+        "multivector-term-not-an-object",
+        CONSTRUCT,
+        poly(({"2": 1}, {"m": M, "terms": [1]})),
+        "multivector term must be a JSON object",
+    ),
+    (
+        "polynomial-term-not-an-object",
+        CONSTRUCT,
+        {"m": M, "vars": [2, 3, 4], "terms": [7]},
+        "polynomial term must be a JSON object",
+    ),
+    (
+        "expression-term-not-an-object",
+        VERIFY,
+        {"m": M, "terms": [3]},
+        "steering expression term must be a JSON object",
+    ),
+    (
+        "symbol-list",
+        VERIFY,
+        expr(([], X2)),
+        "steering symbol document must be a JSON object",
+    ),
+    (
+        "symbol-string",
+        VERIFY,
+        expr(("cos", X2)),
+        "steering symbol document must be a JSON object",
+    ),
+    ("dsolve-roots-string", DSOLVE, {"m": M, "roots": "ab"}, ROOTS_NOT_OBJECTS),
+    ("dsolve-root-number", DSOLVE, {"m": M, "roots": [1]}, ROOTS_NOT_OBJECTS),
+    ("dsolve-roots-object", DSOLVE, {"m": M, "roots": {"a": 1}}, ROOTS_NOT_OBJECTS),
 ]
 
 
@@ -256,8 +292,7 @@ MALFORMED = [
 def test_malformed_document_exits_two_with_its_message(capsys, tmp_path, command, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    flag = "--seed-file" if command is CONSTRUCT else "--in"
-    code = main([*command, flag, str(path)])
+    code = main([*command, FILE_FLAG[command[0]], str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 

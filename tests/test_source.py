@@ -4,7 +4,9 @@ The package is stdlib-only, and no module keeps an import it never uses;
 ``__init__.py`` is exempt from the second rule since it imports in order
 to re-export.  Only ``cli.py`` imports ``argparse`` and no module imports
 ``cli``, so the battery and the library stay free of the command line.
-No source line is longer than 99 columns.
+No source line is longer than 99 columns.  The term-map container methods
+and the Dirac-type methods are each defined in one class body, and no class
+assigns ``__hash__`` (defining ``__eq__`` already makes a class unhashable).
 """
 
 import ast
@@ -77,3 +79,34 @@ def test_lines_fit_in_99_columns(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     long = [(n, len(line)) for n, line in enumerate(lines, 1) if len(line) > 99]
     assert not long, f"{path.name} has lines over 99 columns (line, length): {long}"
+
+
+SHARED_MEMBERS = (
+    "items",
+    "__len__",
+    "__bool__",
+    "_require_same_m",
+    "__repr__",
+    "cr_left",
+    "cr_right",
+    "hypercomplex_d",
+)
+
+
+def test_shared_members_defined_once_and_no_hash_assigned():
+    owners = {name: [] for name in SHARED_MEMBERS}
+    hash_lines = []
+    for path in MODULES:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if node.name in owners:
+                        owners[node.name].append(f"{path.name}:{cls.name}")
+                targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                if any(isinstance(t, ast.Name) and t.id == "__hash__" for t in targets):
+                    hash_lines.append(f"{path.name}:{node.lineno}")
+    repeated = {name: where for name, where in owners.items() if len(where) != 1}
+    assert not repeated, f"members not defined in exactly one class: {repeated}"
+    assert not hash_lines, f"classes assign __hash__ at {hash_lines}"
