@@ -9,8 +9,11 @@ per generator that squares away, and the resulting mask is the symmetric
 difference of the inputs.
 
 Coefficients are fractions.Fraction throughout; there is no floating point
-mode.  Multivector values are immutable: every operation builds a new
-object, so values can be shared freely between threads.
+mode.  ``TermMap`` is the base of every term map (multivector, polynomial,
+steering expression): it holds the linear structure they share and
+``merge_terms``, the one rule that sums like terms and drops exact zeros.
+Term maps are immutable: every operation builds a new object, so values can
+be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -96,6 +99,13 @@ def json_object(value, what: str) -> Mapping:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """``value``, checked to be a JSON list; ``what`` names it in errors."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a JSON list")
+    return value
+
+
 def document_m(obj, kind: str) -> int:
     """The checked generator count of a JSON document; ``kind`` names it in errors."""
     m = json_object(obj, f"{kind} document")["m"]
@@ -120,10 +130,45 @@ def indices_from_mask(mask: int) -> Tuple[int, ...]:
 
 class TermMap:
     """Immutable map from keys to nonzero coefficients over R_{0,m}: the base of
-    multivectors, polynomials and steering expressions.  Each subclass orders
-    ``_terms`` canonically and defines ``__eq__``, which leaves it unhashable."""
+    multivectors, polynomials and steering expressions, three rational vector
+    spaces whose ``+``, ``-``, ``==``, scaling by a rational and ``/`` are
+    defined here once.  A subclass checks its keys in ``__init__``, turns each
+    operand it accepts into its own type in ``_lift`` (None for any other),
+    carries its metadata into results in ``_like`` and defines its products."""
 
     __slots__ = ("m", "_terms")
+    _order = None  # sort key of the canonical key order; None sorts keys by value
+
+    def __init__(self, m: int, pairs: Iterable):
+        # pairs must hold checked keys and coefficients of the subclass's type
+        data = self.merge_terms({}, pairs)
+        self.m = m
+        self._terms = {k: data[k] for k in sorted(data, key=self._order)}
+
+    @classmethod
+    def _unsafe(cls, m: int, data: dict):
+        # data must already be validated and free of zero coefficients
+        out = object.__new__(cls)
+        out.m = m
+        out._terms = {k: data[k] for k in sorted(data, key=cls._order)}
+        return out
+
+    @staticmethod
+    def merge_terms(data: dict, pairs: Iterable) -> dict:
+        """Add each (key, coefficient) of ``pairs`` into ``data``, dropping every
+        key whose sum is zero; the one place where like terms are summed."""
+        for key, c in pairs:
+            old = data.get(key)
+            acc = c if old is None else old + c
+            if acc:
+                data[key] = acc
+            elif old is not None:
+                del data[key]
+        return data
+
+    def _like(self, other, data: dict):
+        """A value of this type and ``m`` holding ``data``, made from ``self`` and ``other``."""
+        return self._unsafe(self.m, data)
 
     def items(self) -> Iterator[tuple]:
         return iter(self._terms.items())
@@ -141,13 +186,66 @@ class TermMap:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, {self})"
 
+    # -- linear structure ----------------------------------------------------
+
+    def __eq__(self, other: object):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        self._require_same_m(other)
+        return self._like(other, self.merge_terms(dict(self._terms), other._terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like(self, {k: -v for k, v in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def _scale(self, value: ScalarLike):
+        q = coerce_fraction(value)
+        if not q:
+            return self._like(self, {})
+        return self._like(self, {k: v * q for k, v in self._terms.items()})
+
+    def __truediv__(self, other):
+        q = coerce_fraction(other)
+        if not q:
+            raise ZeroDivisionError(f"division of a {type(self).__name__} by zero")
+        return self._scale(Fraction(1) / q)
+
+
+def _blade_products(a: dict, b: dict) -> Iterator[Tuple[int, Fraction]]:
+    # every (mask, coefficient) term of the product of a and b, like terms unsummed
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            sign, mask = blade_product(ma, mb)
+            q = ca * cb
+            yield mask, (-q if sign < 0 else q)
+
 
 class Multivector(TermMap):
     """Immutable sparse element of R_{0,m}.
 
     ``terms`` maps blade masks to nonzero rational coefficients; the zero
-    multivector has an empty mapping.  Two multivectors are equal exactly
-    when their term mappings are equal.
+    multivector has an empty mapping.  A rational operand is the scalar
+    multivector.
     """
 
     __slots__ = ()
@@ -158,26 +256,12 @@ class Multivector(TermMap):
                 f"generator count must be in {MIN_GENERATORS}..{MAX_GENERATORS}, got {m!r}"
             )
         limit = 1 << m
-        data: dict[int, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mask, coef in items:
+        pairs = []
+        for mask, coef in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(mask, int) or not 0 <= mask < limit:
                 raise ValueError(f"blade mask {mask!r} is not valid for m={m}")
-            acc = data.get(mask, _ZERO) + coerce_fraction(coef)
-            if acc:
-                data[mask] = acc
-            else:
-                data.pop(mask, None)
-        self.m = m
-        self._terms = {mask: data[mask] for mask in sorted(data)}
-
-    @classmethod
-    def _unsafe(cls, m: int, data: dict[int, Fraction]) -> "Multivector":
-        # data must already be validated and free of zero coefficients
-        mv = object.__new__(cls)
-        mv.m = m
-        mv._terms = {mask: data[mask] for mask in sorted(data)}
-        return mv
+            pairs.append((mask, coerce_fraction(coef)))
+        super().__init__(m, pairs)
 
     @classmethod
     def zero(cls, m: int) -> "Multivector":
@@ -196,79 +280,28 @@ class Multivector(TermMap):
     def coefficient(self, mask: int) -> Fraction:
         return self._terms.get(mask, _ZERO)
 
-    def __eq__(self, other: object):
+    def _lift(self, other):
         if isinstance(other, Multivector):
-            return self._terms == other._terms
+            return other
         if isinstance(other, (int, Fraction)):
-            q = coerce_fraction(other)
-            return self._terms == ({0: q} if q else {})
-        return NotImplemented
+            return Multivector.scalar(self.m, other)
+        return None
 
     # -- ring structure ------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Multivector.scalar(self.m, other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._require_same_m(other)
-        data = dict(self._terms)
-        for mask, q in other._terms.items():
-            acc = data.get(mask, _ZERO) + q
-            if acc:
-                data[mask] = acc
-            else:
-                data.pop(mask, None)
-        return Multivector._unsafe(self.m, data)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Multivector._unsafe(self.m, {k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, Multivector):
-            return self + (-other)
-        if isinstance(other, (int, Fraction)):
-            return self + (-coerce_fraction(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = coerce_fraction(other)
-            if not q:
-                return Multivector.zero(self.m)
-            return Multivector._unsafe(self.m, {k: v * q for k, v in self._terms.items()})
+            return self._scale(other)
         if isinstance(other, Multivector):
             self._require_same_m(other)
-            data: dict[int, Fraction] = {}
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
-                    sign, mask = blade_product(ma, mb)
-                    q = ca * cb
-                    if sign < 0:
-                        q = -q
-                    acc = data.get(mask, _ZERO) + q
-                    if acc:
-                        data[mask] = acc
-                    else:
-                        data.pop(mask, None)
+            data = self.merge_terms({}, _blade_products(self._terms, other._terms))
             return Multivector._unsafe(self.m, data)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
+            return self._scale(other)
         return NotImplemented
-
-    def __truediv__(self, other):
-        q = coerce_fraction(other)
-        if not q:
-            raise ZeroDivisionError("division of a multivector by zero")
-        return self * (Fraction(1) / q)
 
     # -- algebra operations ----------------------------------------------------
 
@@ -323,7 +356,7 @@ class Multivector(TermMap):
         """Decode a document, checking each field once as it is read."""
         m = document_m(obj, "multivector")
         data: dict[int, Fraction] = {}
-        for entry in obj.get("terms", []):
+        for entry in json_list(obj.get("terms", []), "multivector field 'terms'"):
             json_object(entry, "multivector term")
             mask = mask_from_indices(entry["blades"], m)
             q = parse_fraction(entry["coef"])

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .algebra import document_m, parse_fraction
+from .algebra import document_m, json_list, json_object, parse_fraction
 from .appell import appell_poly
 from .polynomials import CliffordPolynomial, polyharmonic_basis
 from .steering import (
@@ -119,7 +119,9 @@ def cmd_construct(args) -> int:
         a, b = (CliffordPolynomial.from_obj(doc[k]) for k in keys)
         expr = construct_two_sided("trig", (a, b)) if both else construct_trig_left(a, b, args.n)
     else:
-        seeds = [CliffordPolynomial.from_obj(entry) for entry in doc["seeds"]]
+        seeds = json_object(doc, "power seed document")["seeds"]
+        seeds = json_list(seeds, "power seed document field 'seeds'")
+        seeds = [CliffordPolynomial.from_obj(entry) for entry in seeds]
         expr = construct_two_sided("power", seeds) if both else construct_power_left(seeds, args.n)
     if args.m is not None and expr.m != args.m:
         raise ValueError(f"seed dimension m={expr.m} does not match --m {args.m}")
@@ -165,8 +167,9 @@ def cmd_verify(args) -> int:
 
 
 def _root_from_obj(obj) -> RootSpec:
-    harmonic = obj.get("harmonic_seed")
+    harmonic = json_object(obj, "dsolve spec root").get("harmonic_seed")
     monogenic = obj.get("monogenic_seeds", [])
+    json_list(monogenic, "dsolve spec root field 'monogenic_seeds'")
     return RootSpec(
         value=parse_fraction(obj["root"]),
         multiplicity=obj.get("multiplicity", 1),
@@ -178,14 +181,8 @@ def _root_from_obj(obj) -> RootSpec:
 def cmd_dsolve(args) -> int:
     doc = _load_document(args)
     m = document_m(doc, "dsolve spec")
-    roots = doc["roots"]
-    if not isinstance(roots, list) or not all(isinstance(entry, dict) for entry in roots):
-        raise TypeError("dsolve spec field 'roots' must be a list of JSON objects")
-    spec = DSolveSpec(
-        m=m,
-        coeffs=args.coeffs,
-        roots=tuple(_root_from_obj(entry) for entry in roots),
-    )
+    roots = json_list(doc["roots"], "dsolve spec field 'roots'")
+    spec = DSolveSpec(m=m, coeffs=args.coeffs, roots=tuple(_root_from_obj(r) for r in roots))
     solution = dsolve(spec)
     report = d_equation_residual(solution, args.coeffs)
     _emit({"solution": solution.to_obj(), "residual": report.to_obj()}, args.out)

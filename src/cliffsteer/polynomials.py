@@ -7,7 +7,8 @@ Dirac-type operators differ and both are provided.
 A monomial is stored densely as a tuple of m+1 exponents.  ``var_scope``
 declares which variables may appear at all (for example the y-only scope
 {2..m} used for steering coefficients); it is metadata used for
-validation, not a separate polynomial type.
+validation, not a separate polynomial type; a sum or a product carries
+the union of its operands' scopes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .algebra import Multivector, TermMap, coerce_fraction, document_m, json_object
+from .algebra import Multivector, TermMap, document_m, json_list, json_object
 
 Monomial = Tuple[int, ...]
 
@@ -52,10 +53,12 @@ class CliffordPolynomial(DiracOperand):
     """Immutable polynomial with Multivector coefficients.
 
     No zero coefficient is stored and every monomial uses only variables
-    from ``var_scope``.  Equality compares the term mappings.
+    from ``var_scope``.  A multivector or rational operand is the constant
+    polynomial of full scope.
     """
 
     __slots__ = ("var_scope",)
+    _order = staticmethod(_monomial_key)
 
     def __init__(
         self,
@@ -66,9 +69,8 @@ class CliffordPolynomial(DiracOperand):
         scope = frozenset(range(m + 1)) if var_scope is None else frozenset(var_scope)
         if not all(type(i) is int and 0 <= i <= m for i in scope):
             raise ValueError(f"var_scope must be a subset of x0..x{m}")
-        data: dict[Monomial, Multivector] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coef in items:
+        pairs = []
+        for exps, coef in terms.items() if isinstance(terms, Mapping) else terms:
             key = tuple(exps)
             if len(key) != m + 1 or any(type(x) is not int or x < 0 for x in key):
                 raise ValueError(f"monomial {exps!r} must give {m + 1} nonnegative exponents")
@@ -78,24 +80,27 @@ class CliffordPolynomial(DiracOperand):
             mv = coef if isinstance(coef, Multivector) else Multivector.scalar(m, coef)
             if mv.m != m:
                 raise ValueError(f"coefficient dimension mismatch: m={mv.m} vs m={m}")
-            acc = data[key] + mv if key in data else mv
-            if acc:
-                data[key] = acc
-            else:
-                data.pop(key, None)
-        self.m = m
+            pairs.append((key, mv))
         self.var_scope = scope
-        self._terms = {k: data[k] for k in sorted(data, key=_monomial_key)}
+        super().__init__(m, pairs)
 
     @classmethod
     def _unsafe(
         cls, m: int, scope: frozenset, data: dict[Monomial, Multivector]
     ) -> "CliffordPolynomial":
-        poly = object.__new__(cls)
-        poly.m = m
+        poly = super()._unsafe(m, data)
         poly.var_scope = scope
-        poly._terms = {k: data[k] for k in sorted(data, key=_monomial_key)}
         return poly
+
+    def _like(self, other, data):
+        return CliffordPolynomial._unsafe(self.m, self.var_scope | other.var_scope, data)
+
+    def _lift(self, other):
+        if isinstance(other, CliffordPolynomial):
+            return other
+        if isinstance(other, (Multivector, int, Fraction)):
+            return CliffordPolynomial.constant(self.m, other)
+        return None
 
     @classmethod
     def zero(cls, m: int, var_scope: Iterable[int] | None = None) -> "CliffordPolynomial":
@@ -133,13 +138,6 @@ class CliffordPolynomial(DiracOperand):
 
     # -- access ----------------------------------------------------------------
 
-    def __eq__(self, other: object):
-        if isinstance(other, CliffordPolynomial):
-            return self._terms == other._terms
-        if isinstance(other, (Multivector, int, Fraction)):
-            return self == CliffordPolynomial.constant(self.m, other)
-        return NotImplemented
-
     def constant_term(self) -> Multivector:
         return self._terms.get((0,) * (self.m + 1), Multivector.zero(self.m))
 
@@ -162,46 +160,9 @@ class CliffordPolynomial(DiracOperand):
 
     # -- ring structure ----------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (Multivector, int, Fraction)):
-            other = CliffordPolynomial.constant(self.m, other)
-        if not isinstance(other, CliffordPolynomial):
-            return NotImplemented
-        self._require_same_m(other)
-        data = dict(self._terms)
-        for exps, mv in other._terms.items():
-            acc = data[exps] + mv if exps in data else mv
-            if acc:
-                data[exps] = acc
-            else:
-                data.pop(exps, None)
-        return CliffordPolynomial._unsafe(self.m, self.var_scope | other.var_scope, data)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CliffordPolynomial._unsafe(
-            self.m, self.var_scope, {k: -v for k, v in self._terms.items()}
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, (Multivector, int, Fraction)):
-            other = CliffordPolynomial.constant(self.m, other)
-        if not isinstance(other, CliffordPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = coerce_fraction(other)
-            if not q:
-                return CliffordPolynomial.zero(self.m, self.var_scope)
-            return CliffordPolynomial._unsafe(
-                self.m, self.var_scope, {k: v * q for k, v in self._terms.items()}
-            )
+            return self._scale(other)
         if isinstance(other, Multivector):
             # right-multiply every coefficient
             self._require_same_m(other)
@@ -213,24 +174,17 @@ class CliffordPolynomial(DiracOperand):
             return CliffordPolynomial._unsafe(self.m, self.var_scope, data)
         if isinstance(other, CliffordPolynomial):
             self._require_same_m(other)
-            data: dict[Monomial, Multivector] = {}
-            for ea, ca in self._terms.items():
-                for eb, cb in other._terms.items():
-                    prod = ca * cb
-                    if not prod:
-                        continue
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    acc = data[key] + prod if key in data else prod
-                    if acc:
-                        data[key] = acc
-                    else:
-                        data.pop(key, None)
-            return CliffordPolynomial._unsafe(self.m, self.var_scope | other.var_scope, data)
+            products = (
+                (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                for ea, ca in self._terms.items()
+                for eb, cb in other._terms.items()
+            )
+            return self._like(other, self.merge_terms({}, products))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
+            return self._scale(other)
         if isinstance(other, Multivector):
             # left-multiply every coefficient
             self._require_same_m(other)
@@ -242,31 +196,18 @@ class CliffordPolynomial(DiracOperand):
             return CliffordPolynomial._unsafe(self.m, self.var_scope, data)
         return NotImplemented
 
-    def __truediv__(self, other):
-        q = coerce_fraction(other)
-        if not q:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (Fraction(1) / q)
-
     # -- differential operators ----------------------------------------------------
 
     def partial(self, index: int) -> "CliffordPolynomial":
         """Coefficient-wise formal partial derivative with respect to x_index."""
         if not 0 <= index <= self.m:
             raise ValueError(f"variable index {index} out of range 0..{self.m}")
-        data: dict[Monomial, Multivector] = {}
-        for exps, mv in self._terms.items():
-            k = exps[index]
-            if not k:
-                continue
-            key = exps[:index] + (k - 1,) + exps[index + 1 :]
-            scaled = mv * k
-            acc = data[key] + scaled if key in data else scaled
-            if acc:
-                data[key] = acc
-            else:
-                data.pop(key, None)
-        return CliffordPolynomial._unsafe(self.m, self.var_scope, data)
+        lowered = (
+            (exps[:index] + (exps[index] - 1,) + exps[index + 1 :], mv * exps[index])
+            for exps, mv in self._terms.items()
+            if exps[index]
+        )
+        return self._like(self, self.merge_terms({}, lowered))
 
     def dirac_y(self, side: str = "left") -> "CliffordPolynomial":
         """Dirac operator over the y variables x_2..x_m, acting on one side."""
@@ -295,11 +236,14 @@ class CliffordPolynomial(DiracOperand):
     def from_obj(cls, obj: Mapping) -> "CliffordPolynomial":
         """Decode a document, checking each field once as it is read."""
         m = document_m(obj, "polynomial")
-        scope = frozenset(range(m + 1) if obj.get("vars") is None else obj["vars"])
+        scope = obj.get("vars")
+        if scope is not None:
+            json_list(scope, "polynomial field 'vars'")
+        scope = frozenset(range(m + 1) if scope is None else scope)
         if not all(type(i) is int and 0 <= i <= m for i in scope):
             raise ValueError(f"var_scope must be a subset of x0..x{m}")
         data = {}
-        for entry in obj.get("terms", []):
+        for entry in json_list(obj.get("terms", []), "polynomial field 'terms'"):
             json_object(entry, "polynomial term")
             monomial = json_object(entry["monomial"], "polynomial term field 'monomial'")
             exps = [0] * (m + 1)

@@ -35,6 +35,7 @@ from .algebra import (
     coerce_fraction,
     document_m,
     format_fraction,
+    json_list,
     json_object,
     parse_fraction,
 )
@@ -190,16 +191,16 @@ class SteeringExpression(DiracOperand):
     """Immutable finite sum of symbol * y-polynomial terms."""
 
     __slots__ = ()
+    _order = staticmethod(SteeringSymbol.sort_key)
 
     def __init__(
         self,
         m: int,
         terms: Mapping[SteeringSymbol, CoefficientLike] | Iterable = (),
     ):
-        data: dict[SteeringSymbol, CliffordPolynomial] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        pairs = []
         y_scope = range(2, m + 1)
-        for sym, coef in items:
+        for sym, coef in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(sym, SteeringSymbol):
                 raise TypeError(f"term keys must be SteeringSymbol, got {type(sym).__name__}")
             if isinstance(coef, CliffordPolynomial):
@@ -208,26 +209,12 @@ class SteeringExpression(DiracOperand):
                 poly = CliffordPolynomial.constant(m, coef)
             if poly.m != m:
                 raise ValueError(f"coefficient dimension mismatch: m={poly.m} vs m={m}")
-            poly = poly.restrict_scope(y_scope)
-            if not poly:
-                continue
-            acc = data[sym] + poly if sym in data else poly
-            if acc:
-                data[sym] = acc
-            else:
-                data.pop(sym, None)
-        self.m = m
-        self._terms = {s: data[s] for s in sorted(data, key=SteeringSymbol.sort_key)}
+            if poly:  # skipped here, since the merge would hash its symbol for nothing
+                pairs.append((sym, poly.restrict_scope(y_scope)))
+        super().__init__(m, pairs)
 
-    @classmethod
-    def _unsafe(
-        cls, m: int, data: dict[SteeringSymbol, CliffordPolynomial]
-    ) -> "SteeringExpression":
-        # data must map symbols to nonzero polynomials in the y variables
-        expr = object.__new__(cls)
-        expr.m = m
-        expr._terms = {s: data[s] for s in sorted(data, key=SteeringSymbol.sort_key)}
-        return expr
+    def _lift(self, other):
+        return other if isinstance(other, SteeringExpression) else None
 
     @classmethod
     def zero(cls, m: int) -> "SteeringExpression":
@@ -241,41 +228,18 @@ class SteeringExpression(DiracOperand):
     def symbols(self) -> Tuple[SteeringSymbol, ...]:
         return tuple(self._terms)
 
-    def __eq__(self, other: object):
-        if isinstance(other, SteeringExpression):
-            return self._terms == other._terms
-        return NotImplemented
-
-    # -- linear structure ---------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, SteeringExpression):
-            return NotImplemented
-        self._require_same_m(other)
-        merged: list = list(self._terms.items()) + list(other._terms.items())
-        return SteeringExpression(self.m, merged)
-
-    def __neg__(self):
-        return self * Fraction(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, SteeringExpression):
-            return NotImplemented
-        return self + (-other)
+    # -- products -----------------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = coerce_fraction(other)
-            return SteeringExpression(
-                self.m, [(s, poly * q) for s, poly in self._terms.items()]
-            )
+            return self._scale(other)
         if isinstance(other, Multivector):
             return self.rmul(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
+            return self._scale(other)
         if isinstance(other, Multivector):
             return self.lmul(other)
         return NotImplemented
@@ -346,7 +310,7 @@ class SteeringExpression(DiracOperand):
         """Decode a document, checking each field once as it is read."""
         m = document_m(obj, "steering expression")
         data = {}
-        for entry in obj.get("terms", []):
+        for entry in json_list(obj.get("terms", []), "steering expression field 'terms'"):
             json_object(entry, "steering expression term")
             sym = SteeringSymbol.from_obj(entry["symbol"])
             poly = CliffordPolynomial.from_obj(entry["coef"])

@@ -14,7 +14,7 @@ from cliffsteer.algebra import (
 )
 from cliffsteer.polynomials import CliffordPolynomial
 from cliffsteer.steering import SteeringExpression, SteeringSymbol
-from helpers import e, random_multivector, scalar
+from helpers import e, random_multivector, scalar, x
 
 
 class TestGeometricProduct:
@@ -66,6 +66,25 @@ class TestGeometricProduct:
         assert a * 2 == e(3, 1) + scalar(3, 6)
         assert 2 * a == a * 2
         assert a / 2 == e(3, 1) * Fraction(1, 4) + scalar(3, Fraction(3, 2))
+        assert a * 0 == 0 and not a * 0
+        with pytest.raises(ZeroDivisionError):
+            a / 0
+
+    def test_scalars_as_operands(self):
+        a = e(3, 1) + scalar(3, 2)
+        assert a + 1 == 1 + a == e(3, 1) + scalar(3, 3)
+        assert a - 2 == e(3, 1) and 2 - a == -e(3, 1)
+        assert a - a == 0 and not (a - a)
+        assert scalar(3, 5) == 5 and Multivector.zero(3) == 0
+        assert a != 2 and a != "a" and a != 2.0
+
+    def test_sum_with_a_polynomial_is_a_polynomial(self):
+        p = x(3, 2)
+        for total in (e(3, 1) + p, p + e(3, 1)):
+            assert isinstance(total, CliffordPolynomial)
+            assert total == p + CliffordPolynomial.constant(3, e(3, 1))
+        assert isinstance(e(3, 1) - p, CliffordPolynomial)
+        assert e(3, 1) - p == CliffordPolynomial.constant(3, e(3, 1)) - p
 
 
 class TestConjugation:

@@ -118,3 +118,50 @@ def test_a_failing_run_is_kept_named_and_exits_one(bench_pairs, monkeypatch, tmp
     monkeypatch.setattr(bench_pairs, "run_once", all_pass)
     assert bench_pairs.main([*argv, str(out)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_worse_medians_are_measured_against_the_bound(bench_pairs):
+    runs = pairs([100, 100, 100], [70, 80, 74])
+    higher = bench_pairs.summarize(runs, {"metric": "higher"}, {"metric": 0.25})["metric"]
+    assert higher["worse_frac"] == pytest.approx(0.26) and higher["beyond_bound"] is True
+    assert higher["bound"] == 0.25
+    lower = bench_pairs.summarize(runs, {"metric": "lower"}, {"metric": 0.25})["metric"]
+    assert lower["worse_frac"] == pytest.approx(-0.26) and lower["beyond_bound"] is False
+    runs = pairs([10, 10, 10], [12, 12, 11])
+    lower = bench_pairs.summarize(runs, {"metric": "lower"}, {"metric": 0.25})["metric"]
+    assert lower["worse_frac"] == pytest.approx(0.2) and lower["beyond_bound"] is False
+    unbounded = bench_pairs.summarize(runs, {"metric": "lower"})["metric"]
+    assert unbounded["bound"] is None and unbounded["beyond_bound"] is False
+    from_zero = bench_pairs.summarize(pairs([0, 0], [1, 1]), {"metric": "lower"}, {"metric": 0.1})
+    assert from_zero["metric"]["worse_frac"] is None and from_zero["metric"]["beyond_bound"]
+
+
+def test_a_breach_is_named_but_keeps_exit_zero(bench_pairs, monkeypatch, tmp_path, capsys):
+    spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+
+    def run_once(tree, workload, seed, seconds):
+        metrics = {name: 1.0 for name in names}
+        if tree == bench_pairs.ROOT and workload == "dense":
+            metrics["cases_per_s"] = 0.5  # half the base's throughput
+        return {
+            "metrics": metrics,
+            "correct": True,
+            "attempted": 10,
+            "failed": 0,
+            "fail_frac": 0.0,
+            "src_lines": 1,
+        }
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, target: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--workloads", "sweep", "dense", "--seeds", "1", "2", "--seconds", "1"]
+    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["workloads"]["dense"]["summary"]["cases_per_s"]
+    assert summary["worse_frac"] == 0.5 and summary["beyond_bound"] is True
+    err = capsys.readouterr().err
+    assert err == (
+        "beyond bound: dense cases_per_s: median 1 -> 0.5, worse by 50.0%, bound 25%\n"
+    )

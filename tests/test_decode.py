@@ -117,7 +117,7 @@ CONSTRUCT = ["construct", "--family", "exp"]
 VERIFY = ["verify", "--op", "cr"]
 DSOLVE = ["dsolve", "--coeffs", "1,-1"]
 FILE_FLAG = {"construct": "--seed-file", "verify": "--in", "dsolve": "--spec-file"}
-ROOTS_NOT_OBJECTS = "dsolve spec field 'roots' must be a list of JSON objects"
+ROOTS_NOT_A_LIST = "dsolve spec field 'roots' must be a JSON list"
 
 # (id, subcommand, document, the one stderr line)
 MALFORMED = [
@@ -280,9 +280,63 @@ MALFORMED = [
         expr(("cos", X2)),
         "steering symbol document must be a JSON object",
     ),
-    ("dsolve-roots-string", DSOLVE, {"m": M, "roots": "ab"}, ROOTS_NOT_OBJECTS),
-    ("dsolve-root-number", DSOLVE, {"m": M, "roots": [1]}, ROOTS_NOT_OBJECTS),
-    ("dsolve-roots-object", DSOLVE, {"m": M, "roots": {"a": 1}}, ROOTS_NOT_OBJECTS),
+    ("dsolve-roots-string", DSOLVE, {"m": M, "roots": "ab"}, ROOTS_NOT_A_LIST),
+    ("dsolve-root-number", DSOLVE, {"m": M, "roots": [1]}, "dsolve spec root must be a JSON object"),
+    ("dsolve-roots-object", DSOLVE, {"m": M, "roots": {"a": 1}}, ROOTS_NOT_A_LIST),
+    (
+        "expression-terms-number",
+        VERIFY,
+        {"m": M, "terms": 5},
+        "steering expression field 'terms' must be a JSON list",
+    ),
+    (
+        "expression-terms-empty-object",
+        VERIFY,
+        {"m": M, "terms": {}},
+        "steering expression field 'terms' must be a JSON list",
+    ),
+    (
+        "expression-terms-object",
+        VERIFY,
+        {"m": M, "terms": {"x": 1}},
+        "steering expression field 'terms' must be a JSON list",
+    ),
+    (
+        "polynomial-terms-number",
+        CONSTRUCT,
+        {"m": M, "vars": [2, 3, 4], "terms": 5},
+        "polynomial field 'terms' must be a JSON list",
+    ),
+    (
+        "polynomial-vars-number",
+        CONSTRUCT,
+        {"m": M, "vars": 5, "terms": []},
+        "polynomial field 'vars' must be a JSON list",
+    ),
+    (
+        "multivector-terms-object",
+        CONSTRUCT,
+        poly(({"2": 1}, {"m": M, "terms": {}})),
+        "multivector field 'terms' must be a JSON list",
+    ),
+    (
+        "dsolve-monogenic-seeds-number",
+        DSOLVE,
+        {"m": M, "roots": [{"root": "1", "monogenic_seeds": 5}]},
+        "dsolve spec root field 'monogenic_seeds' must be a JSON list",
+    ),
+    (
+        "power-seeds-number",
+        ["construct", "--family", "power"],
+        {"seeds": 5},
+        "power seed document field 'seeds' must be a JSON list",
+    ),
+    (
+        "power-document-list",
+        ["construct", "--family", "power"],
+        [X2],
+        "power seed document must be a JSON object",
+    ),
 ]
 
 

@@ -44,6 +44,36 @@ class TestRingOperations:
         q = x(m, 0)
         assert (p * q).var_scope == frozenset(range(0, m + 1))
 
+    def test_cancelling_sum_keeps_both_scopes(self):
+        m = 4
+        p = x(m, 2, yonly=True) + x(m, 0)
+        q = CliffordPolynomial(m, p._terms, var_scope=range(0, 3))
+        for zero in (p + (-q), p - q, -q + p):
+            assert not zero
+            assert zero.var_scope == frozenset(range(0, m + 1))
+        y = ymono(m, {3: 1})
+        assert (y - y).var_scope == frozenset(range(2, m + 1))
+
+    def test_zero_multiple_keeps_the_scope(self):
+        p = ymono(4, {2: 1, 3: 2}, e(4, 1, 3))
+        for zero in (0 * p, p * 0, p * Fraction(0)):
+            assert not zero and zero.var_scope == frozenset(range(2, 5))
+
+    def test_comparison_with_a_multivector_or_scalar(self):
+        m = 3
+        c = CliffordPolynomial.constant(m, e(m, 1, 2), var_scope=range(2, m + 1))
+        assert c == e(m, 1, 2) and e(m, 1, 2) == c
+        assert c != e(m, 1) and x(m, 1) != e(m, 1)
+        assert CliffordPolynomial.constant(m, 3) == 3 and CliffordPolynomial.zero(m) == 0
+        assert c != "c" and c != 1.0
+
+    def test_scalar_division(self):
+        p = ymono(4, {2: 1}, e(4, 2)) * 3
+        assert p / 3 == ymono(4, {2: 1}, e(4, 2))
+        assert (p / Fraction(3, 2)).var_scope == p.var_scope
+        with pytest.raises(ZeroDivisionError):
+            p / 0
+
     def test_scope_violation_rejected(self):
         with pytest.raises(ValueError, match="outside the declared variable scope"):
             CliffordPolynomial.monomial(3, {0: 1}, 1, var_scope=range(2, 4))

@@ -4,9 +4,11 @@ The package is stdlib-only, and no module keeps an import it never uses;
 ``__init__.py`` is exempt from the second rule since it imports in order
 to re-export.  Only ``cli.py`` imports ``argparse`` and no module imports
 ``cli``, so the battery and the library stay free of the command line.
-No source line is longer than 99 columns.  The term-map container methods
-and the Dirac-type methods are each defined in one class body, and no class
-assigns ``__hash__`` (defining ``__eq__`` already makes a class unhashable).
+No source line is longer than 99 columns.  The term-map container methods,
+the linear structure of the term maps and the Dirac-type methods are each
+defined in one class body, ``merge_terms`` (the one rule that sums like terms)
+is defined once, and no class assigns ``__hash__`` (defining ``__eq__``
+already makes a class unhashable).
 """
 
 import ast
@@ -87,10 +89,28 @@ SHARED_MEMBERS = (
     "__bool__",
     "_require_same_m",
     "__repr__",
+    "__eq__",
+    "__add__",
+    "__radd__",
+    "__neg__",
+    "__sub__",
+    "__rsub__",
+    "__truediv__",
+    "_scale",
     "cr_left",
     "cr_right",
     "hypercomplex_d",
 )
+
+
+def _bound_names(node):
+    """The names a statement defines: a def's name or the plain names an
+    assignment binds, such as ``__radd__ = __add__``."""
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    names = [t.id for t in targets if isinstance(t, ast.Name)]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        names.append(node.name)
+    return names
 
 
 def test_shared_members_defined_once_and_no_hash_assigned():
@@ -101,12 +121,22 @@ def test_shared_members_defined_once_and_no_hash_assigned():
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node.name in owners:
-                        owners[node.name].append(f"{path.name}:{cls.name}")
-                targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
-                if any(isinstance(t, ast.Name) and t.id == "__hash__" for t in targets):
+                names = _bound_names(node)
+                for name in names:
+                    if name in owners:
+                        owners[name].append(f"{path.name}:{cls.name}")
+                if "__hash__" in names:
                     hash_lines.append(f"{path.name}:{node.lineno}")
     repeated = {name: where for name, where in owners.items() if len(where) != 1}
     assert not repeated, f"members not defined in exactly one class: {repeated}"
     assert not hash_lines, f"classes assign __hash__ at {hash_lines}"
+
+
+def test_merge_terms_defined_once():
+    where = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if "merge_terms" in _bound_names(node)
+    ]
+    assert len(where) == 1 and where[0].startswith("algebra.py:"), where

@@ -829,3 +829,43 @@ class TestExpressionJson:
         a = SteeringExpression(M, [(EXP_ZBAR, 1), (EXP_Z, x(M, 2, yonly=True))])
         b = SteeringExpression(M, [(EXP_Z, x(M, 2, yonly=True)), (EXP_ZBAR, 1)])
         assert a.to_obj() == b.to_obj()
+
+
+class TestLinearStructure:
+    def test_cancelling_coefficients_drop_their_symbol(self):
+        y2 = x(M, 2, yonly=True)
+        a = SteeringExpression(M, [(EXP_Z, y2), (EXP_ZBAR, 1)])
+        b = SteeringExpression(M, [(EXP_Z, -y2), (CONST, 2)])
+        assert (a + b).symbols() == (CONST, EXP_ZBAR)
+        assert (a - a).symbols() == () and not a - a
+        assert (a + (-a)) == SteeringExpression.zero(M)
+
+    def test_other_operands_are_refused(self):
+        a = SteeringExpression(M, [(EXP_Z, x(M, 2, yonly=True))])
+        for other in (x(M, 2, yonly=True), scalar(M, 1), 1):
+            with pytest.raises(TypeError):
+                a + other
+            with pytest.raises(TypeError):
+                other + a
+            with pytest.raises(TypeError):
+                a - other
+        assert (a == 1) is False and (a != 1) is True
+        assert SteeringExpression.zero(M) != 0
+
+    def test_sums_and_multiples_match_the_constructor(self):
+        # the parent path: every term handed to the validating constructor
+        rng = random.Random(91)
+        for _ in range(40):
+            a, b = random_steering(rng, M), random_steering(rng, M)
+            if rng.random() < 0.5:
+                b = b + a * Fraction(-1)  # cancels a's coefficients in a + b
+            q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            cases = [
+                (a + b, list(a.items()) + list(b.items())),
+                (a - b, list(a.items()) + [(s, -p) for s, p in b.items()]),
+                (a * q, [(s, p * q) for s, p in a.items()]),
+                (q * a, [(s, p * q) for s, p in a.items()]),
+                (-a, [(s, -p) for s, p in a.items()]),
+            ]
+            for got, terms in cases:
+                assert got.to_obj() == SteeringExpression(M, terms).to_obj()

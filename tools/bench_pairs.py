@@ -10,12 +10,16 @@ once on the working tree; which side runs first alternates from pair to
 pair, so drift of a shared host's speed falls on both sides alike.
 
 The output file holds both shas, the seeds, every run's end-to-end metrics,
-failure counts and package source line count, and per workload and metric each side's median and
-quartiles and the number of pairs the working tree won (ties count for
-neither side).  Metric names and whether lower or higher is better come from
-``BENCHMARK.json``.  A run that reports ``correct: false`` or a nonzero
-``fail_frac`` is kept in the file, named on stderr, and makes the exit
-status 1.  Standard library only.
+failure counts and package source line count, and per workload and metric
+each side's median and quartiles, the number of pairs the working tree won
+(ties count for neither side), and ``worse_frac``, how far the working
+tree's median is worse than the base's relative to the base's, with
+``beyond_bound`` set when that exceeds the metric's bound.  Metric names,
+bounds and whether lower or higher is better come from ``BENCHMARK.json``.
+Each metric beyond its bound is named on stderr (``beyond bound: ...``)
+without changing the exit status.  A run that reports ``correct: false`` or
+a nonzero ``fail_frac`` is kept in the file, named on stderr, and makes the
+exit status 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -77,22 +81,32 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict | None = None) -> dict:
+    """Per metric: medians, quartiles, pair wins and, against ``bounds`` (metric
+    -> largest allowed relative worsening), how far the change's median is worse."""
     out = {}
     for name, direction in better.items():
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1 if direction == "higher" else -1
         q_base = quartiles(base)
+        base_median, change_median = statistics.median(base), statistics.median(change)
+        # relative change of the median in the worse direction: 0.1 is 10% worse
+        worse = sign * (base_median - change_median)
+        worse_frac = worse / abs(base_median) if base_median else (0.0 if worse <= 0 else None)
+        bound = (bounds or {}).get(name)
         out[name] = {
             "better": direction,
-            "base_median": statistics.median(base),
-            "change_median": statistics.median(change),
+            "base_median": base_median,
+            "change_median": change_median,
             "base_quartiles": q_base,
             "change_quartiles": quartiles(change),
             "base_iqr": q_base[1] - q_base[0],
             "change_wins": sum(1 for b, c in zip(base, change) if sign * (c - b) > 0),
             "pairs": len(pairs),
+            "worse_frac": worse_frac,
+            "bound": bound,
+            "beyond_bound": bound is not None and (worse_frac is None or worse_frac > bound),
         }
     return out
 
@@ -112,6 +126,21 @@ def failed_runs(doc: dict) -> list[str]:
     return lines
 
 
+def bound_breaches(doc: dict) -> list[str]:
+    """One line per workload and metric whose change median is worse than the
+    parent's by more than the metric's bound."""
+    lines = []
+    for workload, result in doc["workloads"].items():
+        for name, m in result["summary"].items():
+            if m["beyond_bound"]:
+                worse = "from zero" if m["worse_frac"] is None else f"{m['worse_frac']:.1%}"
+                lines.append(
+                    f"{workload} {name}: median {m['base_median']:.4g} -> "
+                    f"{m['change_median']:.4g}, worse by {worse}, bound {m['bound']:.0%}"
+                )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
@@ -123,6 +152,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     doc = {
         "base_sha": git("rev-parse", args.base),
         "change_sha": git("rev-parse", "HEAD"),
@@ -158,9 +188,11 @@ def main(argv=None) -> int:
                     ),
                     flush=True,
                 )
-            doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better)}
+            doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better, bounds)}
             # written after every workload, so an interrupted run keeps the finished ones
             Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    for line in bound_breaches(doc):
+        print(f"beyond bound: {line}", file=sys.stderr)
     failed = failed_runs(doc)
     for line in failed:
         print(f"failed run: {line}", file=sys.stderr)
