@@ -47,7 +47,7 @@ class TestRingOperations:
     def test_cancelling_sum_keeps_both_scopes(self):
         m = 4
         p = x(m, 2, yonly=True) + x(m, 0)
-        q = CliffordPolynomial(m, p._terms, var_scope=range(0, 3))
+        q = CliffordPolynomial(m, dict(p.items()), var_scope=range(0, 3))
         for zero in (p + (-q), p - q, -q + p):
             assert not zero
             assert zero.var_scope == frozenset(range(0, m + 1))
