@@ -31,7 +31,6 @@ from .steering import (
     dsolve,
     power_coefficient,
     rational_roots,
-    symbol_d,
     tn_closed_form,
 )
 from .verify import (
@@ -59,7 +58,6 @@ __all__ = [
     "CoefficientTable",
     "DSolveSpec",
     "RootSpec",
-    "symbol_d",
     "ck_table",
     "tn_closed_form",
     "power_coefficient",

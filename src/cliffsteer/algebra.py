@@ -192,7 +192,7 @@ class TermMap:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self.m == other.m and self._terms == other._terms
 
     def __add__(self, other):
         other = self._lift(other)

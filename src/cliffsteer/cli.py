@@ -115,6 +115,7 @@ def cmd_construct(args) -> int:
         seed = CliffordPolynomial.from_obj(doc)
         expr = construct_two_sided("exp", seed) if both else construct_exp_left(seed, args.n)
     elif args.family == "trig":
+        json_object(doc, "trig seed document")
         keys = ("M", "N") if both else ("a1", "b1")
         a, b = (CliffordPolynomial.from_obj(doc[k]) for k in keys)
         expr = construct_two_sided("trig", (a, b)) if both else construct_trig_left(a, b, args.n)

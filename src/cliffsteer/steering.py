@@ -17,7 +17,14 @@ derivative keeps expressions inside the same closed symbol family.
 This module also houses the constructors: exponential / trigonometric /
 power-steering polymonogenic solutions, two-sided monogenic solutions,
 hypercomplex-derivative eigenfunctions, and solutions of constant
-coefficient equations in the hypercomplex derivative.
+coefficient equations in the hypercomplex derivative.  All of them follow
+one rule: a seed term phi(z) A with laplacian^n A = 0 gets the conjugate side
+
+    sum_{k=1..n} c_k (I^(2k-1) phi)(z-bar) dirac_y^(2k-1) A,
+
+where I is the antiderivative in z inside phi's family, in closed form:
+z^j -> z^(j+1)/(j+1); cos(rz) -> sin(rz)/r and sin(rz) -> -cos(rz)/r; and
+z^j exp(rz) -> exp(rz) sum_i (-1)^i j!/(j-i)! z^(j-i) / r^(i+1).
 """
 
 from __future__ import annotations
@@ -132,6 +139,23 @@ class SteeringSymbol:
             return ((-self.rate, SteeringSymbol.sine(self.rate, self.bar)),)
         return ((self.rate, SteeringSymbol.cosine(self.rate, self.bar)),)
 
+    def _antiderivative(self, times: int) -> Tuple[Tuple[Fraction, "SteeringSymbol"], ...]:
+        # I^times in the argument, a right inverse of _dz^times on the family
+        r, j, bar = self.rate, self.power, self.bar
+        if self.kind != KIND_POWEXP:
+            # cos, sin, -cos, -sin: each step of I moves one place, over r
+            step = (self.kind == KIND_SIN) + times
+            make = SteeringSymbol.sine if step % 2 else SteeringSymbol.cosine
+            return (((-1 if step % 4 > 1 else 1) / r**times, make(r, bar)),)
+        if not r:
+            q = Fraction(factorial(j), factorial(j + times))
+            return ((q, SteeringSymbol.power_exp(j + times, 0, bar)),)
+        out = []
+        for i in range(j + 1):
+            q = (-1) ** i * comb(times + i - 1, i) * factorial(j) // factorial(j - i)
+            out.append((q / r ** (times + i), SteeringSymbol.power_exp(j - i, r, bar)))
+        return tuple(out)
+
     def sort_key(self):
         return (_KIND_ORDER[self.kind], self.rate, self.power, self.bar)
 
@@ -165,26 +189,6 @@ class SteeringSymbol:
         if self.rate:
             parts.append(f"exp({format_fraction(self.rate)}*{arg})")
         return "*".join(parts) if parts else "1"
-
-
-def symbol_d(
-    sym: SteeringSymbol, axis: int, m: int
-) -> list[Tuple[Multivector, SteeringSymbol]]:
-    """Exact x_0 or x_1 derivative of a symbol within its closed family.
-
-    Returns (factor, symbol) pairs; the factors are scalars for axis 0 and
-    e_1-multiples for axis 1 (with the sign flipped on barred symbols,
-    since d(z-bar)/dx_1 = -e_1).
-    """
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    out = []
-    for q, dsym in sym._dz():
-        if axis == 0:
-            out.append((Multivector.scalar(m, q), dsym))
-        else:
-            out.append((Multivector.blade(m, (1,), -q if sym.bar else q), dsym))
-    return out
 
 
 class SteeringExpression(DiracOperand):
@@ -274,9 +278,14 @@ class SteeringExpression(DiracOperand):
     def partial(self, index: int) -> "SteeringExpression":
         """d/dx_index: hits the symbols for index 0, 1 and the coefficients else."""
         if index in (0, 1):
+            # x_1 brings e_1, and d(z-bar)/dx_1 = -e_1 flips its sign on barred symbols
             out = []
             for sym, poly in self._terms.items():
-                for factor, dsym in symbol_d(sym, index, self.m):
+                for q, dsym in sym._dz():
+                    if index == 0:
+                        factor = Multivector.scalar(self.m, q)
+                    else:
+                        factor = Multivector.blade(self.m, (1,), -q if sym.bar else q)
                     out.append((dsym, factor * poly))
             return SteeringExpression(self.m, out)
         if not 2 <= index <= self.m:
@@ -435,63 +444,49 @@ def _require_monogenic(seed: CliffordPolynomial, side: str, what: str) -> None:
         raise ValueError(f"{what} is not {side} monogenic in the y variables")
 
 
-def _tail(
-    seed: CliffordPolynomial, order: int, sign: int = 1, rate: ScalarLike = 1
-) -> CliffordPolynomial:
-    # sum_k sign^k c_k rate^(1-2k) dirac^(2k-1)(seed) over k = 1..order, one chain
-    form, parts = NumeratorForm(seed), []
+@lru_cache(maxsize=1024)
+def _conjugate_side(sym: SteeringSymbol, order: int) -> tuple:
+    # (barred target, ((k, c_k * weight), ...)) of every target that I^(2k-1) sym
+    # reaches for k = 1..order; integrate first, then conjugate, since the
+    # constant 1 has no barred form
+    out: dict = {}
     for k in range(1, order + 1):
-        form = form.dirac("left", y_only=True, times=1 if k == 1 else 2)
-        parts.append((form, _c(k) * sign**k / rate ** (2 * k - 1)))
-    return NumeratorForm.combine(seed, parts).build()
+        for weight, target in sym._antiderivative(2 * k - 1):
+            out.setdefault(target.conjugate(), []).append((k, _c(k) * weight))
+    return tuple((target, tuple(parts)) for target, parts in out.items())
 
 
-def _exp_terms(h: CliffordPolynomial, order: int, rate: ScalarLike = 1) -> list:
-    return [
-        (SteeringSymbol.power_exp(0, rate), h),
-        (SteeringSymbol.power_exp(0, rate, bar=True), _tail(h, order, 1, rate)),
+def _steering_terms(pairs: Sequence[tuple], order: int) -> list:
+    # the (symbol, seed) pairs plus their conjugate side: one Dirac chain per seed,
+    # dirac_y^(2k-1) at link k, and one sum over one denominator per target
+    parts: dict = {}
+    for sym, seed in pairs:
+        form, chain = NumeratorForm(seed), []
+        for k in range(1, order + 1):
+            form = form.dirac("left", y_only=True, times=1 if k == 1 else 2)
+            chain.append(form)
+        for target, weights in _conjugate_side(sym, order):
+            parts.setdefault(target, []).extend((chain[k - 1], w) for k, w in weights)
+    seed = pairs[0][1]
+    return list(pairs) + [
+        (target, NumeratorForm.combine(seed, forms).build()) for target, forms in parts.items()
     ]
 
 
-def _trig_terms(a: CliffordPolynomial, b: CliffordPolynomial, order: int) -> list:
-    one = Fraction(1)
-    return [
-        (SteeringSymbol.cosine(one), a),
-        (SteeringSymbol.sine(one), b),
-        (SteeringSymbol.cosine(one, bar=True), _tail(b, order, -1)),
-        (SteeringSymbol.sine(one, bar=True), -_tail(a, order, -1)),
-    ]
-
-
-def _power_terms(seeds: Sequence[CliffordPolynomial], order: int) -> list:
-    # A_i feeds z^i and, through c_j/((2j-1)! C(k, i)) dirac^(2j-1) A_i, zb^k with
-    # k = i + 2j - 1 (one chain per seed); SteeringExpression sums each symbol's pieces
-    terms: list = [(SteeringSymbol.power_exp(i), a) for i, a in enumerate(seeds)]
-    for i, a in enumerate(seeds):
-        form = NumeratorForm(a)
-        for j in range(1, order + 1):
-            form = form.dirac("left", y_only=True, times=1 if j == 1 else 2)
-            k = i + 2 * j - 1
-            piece = NumeratorForm.combine(a, [(form, power_coefficient(j, k))]).build()
-            terms.append((SteeringSymbol.power_exp(k, bar=True), piece))
-    return terms
-
-
-def _seed_pair(seeds) -> list:
-    seed_cos, seed_sin = seeds
-    return [("cos seed", seed_cos), ("sin seed", seed_sin)]
-
-
-# family -> (its seeds under the names refusals give them, its terms from checked
-# seeds); only the exp family takes a rate, which construct_eigen sets
-_FAMILIES = {
-    "exp": (lambda seed: [("seed", seed)], lambda s, order, rate: _exp_terms(*s, order, rate)),
-    "trig": (_seed_pair, lambda s, order, rate: _trig_terms(*s, order)),
-    "power": (
-        lambda seeds: [(f"seed {i}", s) for i, s in enumerate(seeds)],
-        lambda s, order, rate: _power_terms(s, order),
-    ),
-}
+def _family(family: str, seeds, rate: Fraction) -> list:
+    # (name refusals give the seed, symbol, seed) of each seed of a family; exp
+    # and trig run at ``rate`` (1 unless construct_eigen sets it), power at rate 0
+    if family == "exp":
+        return [("seed", SteeringSymbol.power_exp(0, rate), seeds)]
+    if family == "trig":
+        seed_cos, seed_sin = seeds
+        return [
+            ("cos seed", SteeringSymbol.cosine(rate), seed_cos),
+            ("sin seed", SteeringSymbol.sine(rate), seed_sin),
+        ]
+    if family == "power":
+        return [(f"seed {i}", SteeringSymbol.power_exp(i), seed) for i, seed in enumerate(seeds)]
+    raise ValueError(f"unknown steering family {family!r}")
 
 
 def _construct(
@@ -504,15 +499,12 @@ def _construct(
     rate = coerce_fraction(rate)
     if not rate:
         raise ValueError("eigenvalue rate must be nonzero")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown steering family {family!r}")
-    name_seeds, build_terms = _FAMILIES[family]
-    named = name_seeds(seeds)
-    clean = [_as_steering_seed(seed, what) for what, seed in named]
+    named = _family(family, seeds, rate)
+    clean = [_as_steering_seed(seed, what) for what, _, seed in named]
     if not clean:
         raise ValueError("at least one seed is required")
     m = clean[0].m
-    for (what, _), seed in zip(named, clean):
+    for (what, _, _), seed in zip(named, clean):
         if seed.m != m:
             raise ValueError(f"dimension mismatch: m={m} vs m={seed.m}")
         if side == "left":
@@ -521,7 +513,8 @@ def _construct(
             _require_monogenic(seed, "right", what)
     if side == "both":
         clean = [seed - e1_sandwich(seed) for seed in clean]
-    return SteeringExpression(m, build_terms(clean, order, rate))
+    pairs = [(sym, seed) for (_, sym, _), seed in zip(named, clean)]
+    return SteeringExpression(m, _steering_terms(pairs, order))
 
 
 def construct_exp_left(seed: CliffordPolynomial, order: int) -> SteeringExpression:
@@ -675,7 +668,7 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
             h = _as_steering_seed(root.harmonic_seed, f"root {r} harmonic seed")
             if h:
                 _require_polyharmonic(h, 1, f"root {r} harmonic seed")
-                terms += _exp_terms(h, 1, r)
+                terms += _steering_terms([(SteeringSymbol.power_exp(0, r), h)], 1)
         for k, seed in enumerate(root.monogenic_seeds):
             mk = _as_steering_seed(seed, f"root {r} seed {k}")
             if not mk:

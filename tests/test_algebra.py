@@ -211,6 +211,12 @@ class TestConstructionAndJson:
         a = Multivector(3, {0: Fraction(1), 1: Fraction(0)})
         assert len(a) == 1
 
+    def test_equality_needs_the_same_dimension(self):
+        assert Multivector.scalar(3, 1) != Multivector.scalar(4, 1)
+        assert CliffordPolynomial.zero(3) != CliffordPolynomial.zero(4)
+        assert SteeringExpression.zero(3) != SteeringExpression.zero(4)
+        assert Multivector.scalar(4, 1) == Multivector.scalar(4, 1)
+
     def test_duplicate_masks_accumulate(self):
         a = Multivector(3, [(1, 1), (1, 2)])
         assert a == e(3, 1) * 3

@@ -332,6 +332,12 @@ MALFORMED = [
         "power seed document field 'seeds' must be a JSON list",
     ),
     (
+        "trig-document-list",
+        ["construct", "--family", "trig"],
+        [1],
+        "trig seed document must be a JSON object",
+    ),
+    (
         "power-document-list",
         ["construct", "--family", "power"],
         [X2],

@@ -11,8 +11,6 @@ compared as documents, which also pins the term order and the variable scope.
 
 import random
 from fractions import Fraction
-from math import comb, factorial
-
 import pytest
 
 from cliffsteer.algebra import Multivector
@@ -27,9 +25,9 @@ from cliffsteer.polynomials import (
 from cliffsteer.steering import (
     SteeringExpression,
     SteeringSymbol,
-    _power_terms,
-    _tail,
+    _steering_terms,
     construct_eigen,
+    power_coefficient,
 )
 from cliffsteer.verify import (
     alpha_beta_residual,
@@ -241,14 +239,27 @@ def test_chains_match_repeated_definition(k, side, sign):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_tail_matches_weighted_definition(order, sign):
+    # sign 1: exp(r z) A gets exp(r zb) sum_k r^(1-2k) c_k dirac^(2k-1) A; sign -1:
+    # cos(r z) A gets sin(r zb) and sin(r z) A gets cos(r zb), with weights
+    # -(-1)^k c_k / r^(2k-1) and (-1)^k c_k / r^(2k-1)
     rng = random.Random(order * 10 + sign)
     for m, rate in zip((3, 4, 4, 5, 5), CHAIN_RATES):
         seed = polynomial(rng, m, range(2, m + 1), 4)
-        expected = seed * 0
-        for k in range(1, order + 1):
-            power = chain_reference(seed, 2 * k - 1, "left", y_only=True)
-            expected = expected + power * (sign**k * C[k - 1] / rate ** (2 * k - 1))
-        check(_tail(seed, order, sign, rate), expected, seed)
+        if sign == 1:
+            exp = SteeringSymbol.power_exp(0, rate)
+            rows = [(exp, exp.conjugate(), lambda k: 1)]
+        else:
+            cos, sin = SteeringSymbol.cosine(rate), SteeringSymbol.sine(rate)
+            rows = [(cos, sin.conjugate(), lambda k: -(-1) ** k),
+                    (sin, cos.conjugate(), lambda k: (-1) ** k)]
+        for sym, target, weight in rows:
+            tail = seed * 0
+            for k in range(1, order + 1):
+                power = chain_reference(seed, 2 * k - 1, "left", y_only=True)
+                tail = tail + power * (weight(k) * C[k - 1] / rate ** (2 * k - 1))
+            expected = SteeringExpression(m, [(sym, seed), (target, tail)])
+            got = SteeringExpression(m, _steering_terms([(sym, seed)], order))
+            check(got, expected, expected)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -256,18 +267,17 @@ def test_power_terms_match_weighted_definition(order):
     rng = random.Random(order)
     for m in (3, 4, 5):
         seeds = [polynomial(rng, m, range(2, m + 1), 3) for _ in range(3)]
-        expected = SteeringExpression(
-            m, [(SteeringSymbol.power_exp(i), a) for i, a in enumerate(seeds)]
-        )
+        pairs = [(SteeringSymbol.power_exp(i), a) for i, a in enumerate(seeds)]
+        expected = SteeringExpression(m, pairs)
         for i, a in enumerate(seeds):
             for j in range(1, order + 1):
                 k = i + 2 * j - 1
-                weight = C[j - 1] / (factorial(2 * j - 1) * comb(k, i))
-                piece = chain_reference(a, 2 * j - 1, "left", y_only=True) * weight
+                power = chain_reference(a, 2 * j - 1, "left", y_only=True)
+                piece = power * power_coefficient(j, k)
                 zbar_k = SteeringSymbol.power_exp(k, bar=True)
                 expected = expected + SteeringExpression(m, [(zbar_k, piece)])
-        got = SteeringExpression(m, _power_terms(seeds, order))
-        assert got.to_obj() == expected.to_obj()
+        got = SteeringExpression(m, _steering_terms(pairs, order))
+        check(got, expected, expected)
 
 
 def test_nonzero_d_equation_matches_definition():

@@ -8,7 +8,9 @@ No source line is longer than 99 columns.  The term-map container methods,
 the linear structure of the term maps and the Dirac-type methods are each
 defined in one class body, ``merge_terms`` (the one rule that sums like terms)
 is defined once, and no class assigns ``__hash__`` (defining ``__eq__``
-already makes a class unhashable).
+already makes a class unhashable).  In ``steering.py`` one function calls
+``NumeratorForm.combine``: every constructor builds its conjugate side
+through that one rule.
 """
 
 import ast
@@ -140,3 +142,21 @@ def test_merge_terms_defined_once():
         if "merge_terms" in _bound_names(node)
     ]
     assert len(where) == 1 and where[0].startswith("algebra.py:"), where
+
+
+def test_steering_combines_forms_in_one_function():
+    tree = _tree(PACKAGE / "steering.py")
+    callers = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "combine"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "NumeratorForm"
+            ):
+                callers.add(func.name)
+    assert len(callers) == 1, callers

@@ -20,7 +20,6 @@ from cliffsteer.steering import (
     dsolve,
     power_coefficient,
     rational_roots,
-    symbol_d,
     tn_closed_form,
 )
 from cliffsteer.verify import d_equation_residual, n_monogenic_residual
@@ -71,21 +70,41 @@ class TestSymbols:
         with pytest.raises(ValueError, match="bar flag"):
             SteeringSymbol.from_obj({"kind": "powexp", "bar": "false", "power": 1, "rate": "0/1"})
 
-    def test_symbol_d_power(self):
-        out = symbol_d(SteeringSymbol.power_exp(2, 0), 1, M)
-        assert out == [(e(M, 1) * 2, SteeringSymbol.power_exp(1, 0))]
+    def test_partial_x1_of_power(self):
+        z2 = SteeringExpression(M, [(SteeringSymbol.power_exp(2, 0), scalar(M, 1))])
+        assert z2.partial(1) == SteeringExpression(
+            M, [(SteeringSymbol.power_exp(1, 0), e(M, 1) * 2)]
+        )
 
-    def test_symbol_d_exp(self):
-        out = symbol_d(EXP_Z, 0, M)
-        assert out == [(scalar(M, 1), EXP_Z)]
+    def test_partial_x0_of_exp(self):
+        assert exp_pair(M, scalar(M, 1), 0).partial(0) == exp_pair(M, scalar(M, 1), 0)
 
-    def test_symbol_d_cos(self):
-        out = symbol_d(SteeringSymbol.cosine(1), 0, M)
-        assert out == [(scalar(M, -1), SteeringSymbol.sine(1))]
+    def test_partial_x0_of_cos(self):
+        cos = SteeringExpression(M, [(SteeringSymbol.cosine(1), scalar(M, 1))])
+        assert cos.partial(0) == SteeringExpression(M, [(SteeringSymbol.sine(1), scalar(M, -1))])
 
-    def test_symbol_d_bar_flips_e1_sign(self):
-        out = symbol_d(EXP_ZBAR, 1, M)
-        assert out == [(-e(M, 1), EXP_ZBAR)]
+    def test_partial_x1_of_bar_flips_e1_sign(self):
+        assert exp_pair(M, 0, scalar(M, 1)).partial(1) == exp_pair(M, 0, -e(M, 1))
+
+    def test_antiderivative_is_a_right_inverse_of_dz(self):
+        # d/dz applied t times to I^t phi gives phi back, for every kind and bar
+        symbols = [CONST]
+        for rate in (1, -2, Fraction(1, 2), Fraction(-3, 2)):
+            symbols += [SteeringSymbol.cosine(rate), SteeringSymbol.sine(rate)]
+            symbols += [SteeringSymbol.power_exp(j, rate) for j in range(4)]
+        symbols += [SteeringSymbol.power_exp(j) for j in range(1, 4)]
+        for sym in symbols + [sym.conjugate() for sym in symbols]:
+            for times in range(1, 6):
+                combo = dict((s, q) for q, s in sym._antiderivative(times))
+                assert len(combo) == len(sym._antiderivative(times))
+                assert all(s.bar == sym.bar for s in combo)
+                for _ in range(times):
+                    out = {}
+                    for s, q in combo.items():
+                        for dq, ds in s._dz():
+                            out[ds] = out.get(ds, 0) + q * dq
+                    combo = {s: q for s, q in out.items() if q}
+                assert combo == {sym: 1}, (sym, times)
 
     def test_json_roundtrip(self):
         for sym in (
