@@ -376,7 +376,9 @@ class NumeratorForm:
         of the generators of A up to and including j on the left, or from j up
         on the right.  On a steering expression d/dx_0 and d/dx_1 act on the
         symbols through ``SteeringSymbol._dz`` (d(z-bar)/dx_1 = -e_1), and e_j
-        with j >= 2 on the left flips the bar.  Zero numerators are skipped
+        with j >= 2 on the left flips the bar.  On the left, d/dx_0 + e_1 d/dx_1
+        = 2 d/dz-bar on a symbol: one action, which leaves phi(z) out for sign 1
+        and doubles the derivative of phi(z-bar).  Zero numerators are skipped
         where they are read; the output is over the input denominator times
         the lcm of the rate denominators.
         """
@@ -409,10 +411,12 @@ class NumeratorForm:
                 if sym is not None and not y_only:
                     x1_sign = sign if sym.bar else -sign
                     for q, dsym in sym._dz():
-                        out = acc.setdefault(dsym, {})
                         n = q.numerator * (rate_den // q.denominator)
-                        sym_actions.append((out, n, 0, 0))
-                        sym_actions.append((out, x1_sign * n, 0, 0 if left else full ^ 1))
+                        if not left:
+                            out = acc.setdefault(dsym, {})
+                            sym_actions += [(out, n, 0, 0), (out, x1_sign * n, 0, full ^ 1)]
+                        elif x1_sign > 0:  # one action, 2 d/dz-bar, or none at all
+                            sym_actions.append((acc.setdefault(dsym, {}), 2 * n, 0, 0))
                 for exps, blades in monos.items():
                     actions = [(out.setdefault(exps, {}), n, b, s) for out, n, b, s in sym_actions]
                     for j, (n, bit, sel, flips) in gens.items():

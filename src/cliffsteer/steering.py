@@ -25,11 +25,15 @@ one rule: a seed term phi(z) A with laplacian^n A = 0 gets the conjugate side
 where I is the antiderivative in z inside phi's family, in closed form:
 z^j -> z^(j+1)/(j+1); cos(rz) -> sin(rz)/r and sin(rz) -> -cos(rz)/r; and
 z^j exp(rz) -> exp(rz) sum_i (-1)^i j!/(j-i)! z^(j-i) / r^(i+1).
+
+In R_{0,m}, dirac_y^2 = -laplacian_y, so the tail a target symbol collects,
+sum_k w_k dirac_y^(2k-1) A, is dirac_y(sum_k (-1)^(k-1) w_k laplacian_y^(k-1) A):
+one Laplacian chain per seed, and one Dirac pass per target symbol.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -112,7 +116,10 @@ class SteeringSymbol:
     def conjugate(self) -> "SteeringSymbol":
         if self.is_constant():
             return self
-        return replace(self, bar=not self.bar)
+        # a copy with the bar flipped; __post_init__ already checked every field
+        twin = object.__new__(SteeringSymbol)
+        twin.__dict__.update(self.__dict__, bar=not self.bar)
+        return twin
 
     def value_at_origin(self) -> Fraction:
         if self.kind == KIND_SIN:
@@ -457,19 +464,21 @@ def _conjugate_side(sym: SteeringSymbol, order: int) -> tuple:
 
 
 def _steering_terms(pairs: Sequence[tuple], order: int) -> list:
-    # the (symbol, seed) pairs plus their conjugate side: one Dirac chain per seed,
-    # dirac_y^(2k-1) at link k, and one sum over one denominator per target
+    # the (symbol, seed) pairs plus their conjugate side: laplacian_y^(k-1) of each
+    # seed at link k, one sum over one denominator per target and one Dirac pass on it
     parts: dict = {}
     for sym, seed in pairs:
-        form, chain = NumeratorForm(seed), []
-        for k in range(1, order + 1):
-            form = form.dirac("left", y_only=True, times=1 if k == 1 else 2)
-            chain.append(form)
+        chain = [NumeratorForm(seed)]
+        for _ in range(order - 1):
+            chain.append(chain[-1].laplacian(range(2, seed.m + 1)))
         for target, weights in _conjugate_side(sym, order):
-            parts.setdefault(target, []).extend((chain[k - 1], w) for k, w in weights)
+            parts.setdefault(target, []).extend(
+                (chain[k - 1], -w if k % 2 == 0 else w) for k, w in weights
+            )
     seed = pairs[0][1]
     return list(pairs) + [
-        (target, NumeratorForm.combine(seed, forms).build()) for target, forms in parts.items()
+        (target, NumeratorForm.combine(seed, forms).dirac("left", y_only=True).build())
+        for target, forms in parts.items()
     ]
 
 
@@ -652,6 +661,12 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
         seen.add(root.value)
         _verify_root(spec.coeffs, root.value, root.multiplicity)
 
+    def read(seed, what):
+        seed = _as_steering_seed(seed, what)
+        if seed.m != spec.m:
+            raise ValueError(f"{what}: dimension mismatch: m={seed.m} vs m={spec.m}")
+        return seed
+
     terms: list = []
     for root in spec.roots:
         r = root.value
@@ -665,12 +680,12 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
                 raise ValueError(
                     "the zero root takes monogenic seeds only (the eigen pair needs 1/(2*rate))"
                 )
-            h = _as_steering_seed(root.harmonic_seed, f"root {r} harmonic seed")
+            h = read(root.harmonic_seed, f"root {r} harmonic seed")
             if h:
                 _require_polyharmonic(h, 1, f"root {r} harmonic seed")
                 terms += _steering_terms([(SteeringSymbol.power_exp(0, r), h)], 1)
         for k, seed in enumerate(root.monogenic_seeds):
-            mk = _as_steering_seed(seed, f"root {r} seed {k}")
+            mk = read(seed, f"root {r} seed {k}")
             if not mk:
                 continue
             _require_monogenic(mk, "left", f"root {r} seed {k}")

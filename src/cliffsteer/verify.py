@@ -9,7 +9,9 @@ a single pass in which e_j acts as a signed bit flip on the blade: the
 chain keeps the coefficients as integer numerators over one denominator
 from link to link, sums a weighted chain (the powers of D in a D-equation)
 as integers too, and makes each Fraction once, at its end.  So a residual
-is zero exactly when every integer sum is."""
+is zero exactly when every integer sum is.  On the left, d/dx_0 + e_1 d/dx_1
+acts on a symbol as 2 d/dz-bar: it leaves phi(z) out and doubles the
+derivative of phi(z-bar)."""
 
 from __future__ import annotations
 

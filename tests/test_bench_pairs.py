@@ -165,3 +165,44 @@ def test_a_breach_is_named_but_keeps_exit_zero(bench_pairs, monkeypatch, tmp_pat
     assert err == (
         "beyond bound: dense cases_per_s: median 1 -> 0.5, worse by 50.0%, bound 25%\n"
     )
+
+
+def test_a_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr(bench_pairs):
+    base = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    # 9/10 won, median 12 against 10 with a base IQR near 0.2
+    change = [12.0] * 9 + [9.0]
+    met = bench_pairs.summarize(pairs(base, change), {"metric": "higher"})["metric"]
+    assert met["change_wins"] == 9 and met["claim_met"] is True
+    lower = bench_pairs.summarize(pairs(change, base), {"metric": "lower"})["metric"]
+    assert lower["change_wins"] == 9 and lower["claim_met"] is True
+    # 8/10 won by the same gap
+    change = [12.0] * 8 + [9.0, 9.0]
+    short = bench_pairs.summarize(pairs(base, change), {"metric": "higher"})["metric"]
+    assert short["change_wins"] == 8 and short["claim_met"] is False
+    # 10/10 won, but the medians differ by less than the base's IQR
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [b + 0.5 for b in base]
+    close = bench_pairs.summarize(pairs(base, change), {"metric": "higher"})["metric"]
+    assert close["change_wins"] == 10 and close["base_iqr"] == 2
+    assert close["claim_met"] is False
+
+
+def test_a_met_claim_is_named_on_stdout(bench_pairs, monkeypatch, tmp_path, capsys):
+    spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+
+    def run_once(tree, workload, seed, seconds):
+        metrics = {name: 1.0 + seed / 100 for name in names}
+        if tree == bench_pairs.ROOT and workload == "dense":
+            metrics["cases_per_s"] *= 2
+        return {"metrics": metrics, "correct": True, "attempted": 10, "failed": 0,
+                "fail_frac": 0.0, "src_lines": 1}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, target: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--workloads", "sweep", "dense", "--seeds", *map(str, range(1, 11)), "--seconds", "1"]
+    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("claim")] == ["claim met: dense cases_per_s"]

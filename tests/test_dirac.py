@@ -27,6 +27,9 @@ from cliffsteer.steering import (
     SteeringSymbol,
     _steering_terms,
     construct_eigen,
+    construct_exp_left,
+    construct_power_left,
+    construct_trig_left,
     power_coefficient,
 )
 from cliffsteer.verify import (
@@ -309,3 +312,62 @@ def test_combined_residuals_match_definition():
         check(lame_navier_residual(f, mu, lam).residual, expected, f)
         expected = reference(f, "right") * alpha + once * beta
         check(alpha_beta_residual(f, alpha, beta).residual, expected, f)
+
+
+# -- single symbols and pass counts ----------------------------------------------
+
+SINGLE_SYMBOLS = [
+    SteeringSymbol.power_exp(0, Fraction(-3, 2)),
+    SteeringSymbol.power_exp(2),
+    SteeringSymbol.power_exp(1, Fraction(1, 3)),
+    SteeringSymbol.cosine(2),
+    SteeringSymbol.sine(Fraction(-3, 2)),
+]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bar", [False, True], ids=["z", "zbar"])
+@pytest.mark.parametrize("sym", SINGLE_SYMBOLS, ids=str)
+def test_single_symbol_matches_definition(sym, bar, sign, side):
+    # on the left, d/dx_0 + e_1 d/dx_1 reaches a symbol as one action, so each
+    # symbol kind and bar is checked alone, where no other term can hide it
+    if bar:
+        sym = sym.conjugate()
+    rng = random.Random(str(sym))
+    for m in (3, 4):
+        a = polynomial(rng, m, range(2, m + 1), 3)
+        f = SteeringExpression(m, [(sym, a)])
+        check(NumeratorForm(f).dirac(side, sign).build(), reference(f, side, sign), f)
+        if side == "left" and sign == 1 and not bar:
+            # 2 d/dz-bar kills phi(z): only phi(z-bar) dirac_y A is left
+            expected = SteeringExpression(m, [(sym.conjugate(), reference(a, "left", 1, True))])
+            check(NumeratorForm(f).dirac(side, sign).build(), expected, f)
+
+
+def count_dirac_calls(monkeypatch, build):
+    calls = []
+    original = NumeratorForm.dirac
+
+    def counted(self, side, sign=1, y_only=False, times=1):
+        calls.append(times)
+        return original(self, side, sign, y_only, times)
+
+    monkeypatch.setattr(NumeratorForm, "dirac", counted)
+    build()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_a_construction_makes_one_dirac_pass_per_target(monkeypatch, order):
+    # dirac_y^(2k-1) = (-1)^(k-1) dirac_y laplacian_y^(k-1): the tails of every
+    # order share one pass per barred target symbol
+    m = 4
+    a, b, c = polyharmonic_basis(2 * order - 1, order, m)[:3]
+    assert count_dirac_calls(monkeypatch, lambda: construct_exp_left(a, order)) == [1]
+    assert count_dirac_calls(monkeypatch, lambda: construct_trig_left(a, b, order)) == [1, 1]
+    seeds = [a, a * 0, b, c]
+    targets = {i + 2 * k - 1 for i in range(len(seeds)) for k in range(1, order + 1)}
+    calls = count_dirac_calls(monkeypatch, lambda: construct_power_left(seeds, order))
+    assert calls == [1] * len(targets)

@@ -56,6 +56,21 @@ class TestSymbols:
         assert zk.conjugate() == SteeringSymbol.power_exp(3, 0, bar=True)
         assert zk.conjugate().conjugate() == zk
 
+    def test_conjugate_equals_the_constructed_twin(self):
+        # conjugate copies a checked symbol without re-running its checks, so it
+        # must give exactly what the checking constructor gives
+        for kind in ("powexp", "cos", "sin"):
+            for bar in (False, True):
+                for power in range(3) if kind == "powexp" else (0,):
+                    for rate in (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(3, 2)):
+                        sym = SteeringSymbol(kind, bar=bar, power=power, rate=rate)
+                        twin = SteeringSymbol(kind, bar=not bar, power=power, rate=rate)
+                        assert sym.conjugate() == twin
+                        assert hash(sym.conjugate()) == hash(twin)
+                        assert sym.conjugate().sort_key() == twin.sort_key()
+                        assert sym.conjugate().conjugate() == sym
+        assert CONST.conjugate() is CONST
+
     def test_trig_validation(self):
         with pytest.raises(ValueError, match="nonzero rate"):
             SteeringSymbol.cosine(0)
@@ -798,13 +813,13 @@ REFUSALS = [
      "seed is not annihilated by laplacian^1"),
     ("dsolve-harmonic-seed-m-mismatch",
      lambda: dsolve(DSolveSpec(M, (1, -1), (RootSpec(Fraction(1), 1, _y2(5)),))),
-     ValueError, "coefficient dimension mismatch: m=5 vs m=4"),
+     ValueError, "root 1 harmonic seed: dimension mismatch: m=5 vs m=4"),
     ("dsolve-harmonic-seed-not-harmonic",
      lambda: dsolve(DSolveSpec(M, (1, -1), (RootSpec(Fraction(1), 1, _not_harmonic()),))),
      ValueError, "root 1 harmonic seed is not annihilated by laplacian^1"),
     ("dsolve-seed-m-mismatch-after-later-fault",
      lambda: _dsolve_zero_root(_monogenic_seed(5), _y2()), ValueError,
-     "root 0 seed 1 is not left monogenic in the y variables"),
+     "root 0 seed 0: dimension mismatch: m=5 vs m=4"),
     ("dsolve-seed-not-monogenic", lambda: _dsolve_zero_root(_y2()), ValueError,
      "root 0 seed 0 is not left monogenic in the y variables"),
 ]

@@ -14,12 +14,16 @@ failure counts and package source line count, and per workload and metric
 each side's median and quartiles, the number of pairs the working tree won
 (ties count for neither side), and ``worse_frac``, how far the working
 tree's median is worse than the base's relative to the base's, with
-``beyond_bound`` set when that exceeds the metric's bound.  Metric names,
-bounds and whether lower or higher is better come from ``BENCHMARK.json``.
-Each metric beyond its bound is named on stderr (``beyond bound: ...``)
-without changing the exit status.  A run that reports ``correct: false`` or
-a nonzero ``fail_frac`` is kept in the file, named on stderr, and makes the
-exit status 1.  Standard library only.
+``beyond_bound`` set when that exceeds the metric's bound, and
+``claim_met`` set when the working tree won at least nine tenths of the
+pairs and its median is better than the base's by more than the base's
+interquartile range.  Metric names, bounds and whether lower or higher is
+better come from ``BENCHMARK.json``.  Each metric whose claim is met is
+named on stdout (``claim met: <workload> <metric>``), each metric beyond its
+bound on stderr (``beyond bound: ...``), neither changing the exit status.
+A run that reports ``correct: false`` or a nonzero ``fail_frac`` is kept in
+the file, named on stderr, and makes the exit status 1.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -82,8 +86,9 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict], better: dict[str, str], bounds: dict | None = None) -> dict:
-    """Per metric: medians, quartiles, pair wins and, against ``bounds`` (metric
-    -> largest allowed relative worsening), how far the change's median is worse."""
+    """Per metric: medians, quartiles, pair wins, whether a gain may be claimed
+    and, against ``bounds`` (metric -> largest allowed relative worsening), how
+    far the change's median is worse."""
     out = {}
     for name, direction in better.items():
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -95,6 +100,7 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict | None = N
         worse = sign * (base_median - change_median)
         worse_frac = worse / abs(base_median) if base_median else (0.0 if worse <= 0 else None)
         bound = (bounds or {}).get(name)
+        wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
         out[name] = {
             "better": direction,
             "base_median": base_median,
@@ -102,8 +108,10 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict | None = N
             "base_quartiles": q_base,
             "change_quartiles": quartiles(change),
             "base_iqr": q_base[1] - q_base[0],
-            "change_wins": sum(1 for b, c in zip(base, change) if sign * (c - b) > 0),
+            "change_wins": wins,
             "pairs": len(pairs),
+            # a gain: at least 9 of 10 pairs won, and a median gap beyond the base's IQR
+            "claim_met": 10 * wins >= 9 * len(pairs) and -worse > q_base[1] - q_base[0],
             "worse_frac": worse_frac,
             "bound": bound,
             "beyond_bound": bound is not None and (worse_frac is None or worse_frac > bound),
@@ -191,6 +199,10 @@ def main(argv=None) -> int:
             doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better, bounds)}
             # written after every workload, so an interrupted run keeps the finished ones
             Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    for workload, result in doc["workloads"].items():
+        for name, m in result["summary"].items():
+            if m["claim_met"]:
+                print(f"claim met: {workload} {name}")
     for line in bound_breaches(doc):
         print(f"beyond bound: {line}", file=sys.stderr)
     failed = failed_runs(doc)
