@@ -8,14 +8,9 @@ hypercomplex derivative) and verifies them by literally applying the
 differential operators over exact rational arithmetic.
 """
 
-from .algebra import Multivector, e1_sandwich, inner_outer
+from .algebra import Multivector, e1_sandwich
 from .appell import appell_poly, pochhammer, t_coeff
-from .polynomials import (
-    CliffordPolynomial,
-    dirac_power,
-    paravector_power,
-    polyharmonic_basis,
-)
+from .polynomials import CliffordPolynomial, paravector_power, polyharmonic_basis
 from .steering import (
     CoefficientTable,
     DSolveSpec,
@@ -30,7 +25,6 @@ from .steering import (
     construct_two_sided,
     dsolve,
     power_coefficient,
-    rational_roots,
     tn_closed_form,
 )
 from .verify import (
@@ -48,9 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Multivector",
     "e1_sandwich",
-    "inner_outer",
     "CliffordPolynomial",
-    "dirac_power",
     "paravector_power",
     "polyharmonic_basis",
     "SteeringSymbol",
@@ -67,7 +59,6 @@ __all__ = [
     "construct_two_sided",
     "construct_eigen",
     "dsolve",
-    "rational_roots",
     "ResidualReport",
     "n_monogenic_residual",
     "inframonogenic_residual",

@@ -323,13 +323,6 @@ class Multivector(TermMap):
             self.m, {mask: q for mask, q in self._terms.items() if mask.bit_count() == k}
         )
 
-    def homogeneous_grade(self) -> int | None:
-        """Common grade of all stored blades, or None when mixed or zero."""
-        grades = {mask.bit_count() for mask in self._terms}
-        if len(grades) == 1:
-            return grades.pop()
-        return None
-
     def scalar_part(self) -> Fraction:
         return self._terms.get(0, _ZERO)
 
@@ -375,31 +368,6 @@ class Multivector(TermMap):
             blade = "*".join(f"e{j}" for j in indices_from_mask(mask))
             parts.append(f"({format_fraction(q)}){'*' + blade if blade else ''}")
         return " + ".join(parts)
-
-
-def inner_outer(v: Multivector, f: Multivector) -> Tuple[Multivector, Multivector]:
-    """Split v*f into its grade k-1 and grade k+1 parts.
-
-    ``v`` must be a 1-vector and ``f`` grade-homogeneous of some grade k;
-    the parts are (v*f - (-1)^k f*v)/2 and (v*f + (-1)^k f*v)/2 and sum
-    back to the geometric product.
-    """
-    if v.m != f.m:
-        raise ValueError(f"dimension mismatch: m={v.m} vs m={f.m}")
-    if v and v.homogeneous_grade() != 1:
-        raise ValueError("first argument must be a pure 1-vector")
-    if not f:
-        zero = Multivector.zero(v.m)
-        return zero, zero
-    k = f.homogeneous_grade()
-    if k is None:
-        raise ValueError("second argument must be grade-homogeneous")
-    vf = v * f
-    fv = f * v
-    if k % 2:
-        fv = -fv
-    half = Fraction(1, 2)
-    return (vf - fv) * half, (vf + fv) * half
 
 
 def e1_sandwich(a):

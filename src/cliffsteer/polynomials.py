@@ -141,15 +141,6 @@ class CliffordPolynomial(DiracOperand):
     def constant_term(self) -> Multivector:
         return self._terms.get((0,) * (self.m + 1), Multivector.zero(self.m))
 
-    def total_degree(self) -> int:
-        """Largest monomial degree; zero polynomial reports -1."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self._terms}) <= 1
-
     def restrict_scope(self, scope: Iterable[int]) -> "CliffordPolynomial":
         """Re-declare the variable scope, failing if the content does not fit."""
         scope = frozenset(scope)
@@ -310,22 +301,29 @@ def _poly_from_ints(
 
 class NumeratorForm:
     """``f``'s terms as symbol (None for a polynomial) -> monomial -> blade ->
-    integer numerator over ``den``, or ``f``'s own Fractions in a fresh form
-    (``den`` None).  Operators chain forms; ``build`` makes each Fraction."""
+    integer numerator over the integer ``den``.  The first link reads ``f``'s
+    Fractions once, over their common denominator, so there is one format from
+    seed to residual; operators chain forms and ``build`` makes each Fraction."""
 
     __slots__ = ("f", "terms", "den")
 
-    def __init__(self, f, terms: dict | None = None, den: int | None = None):
+    def __init__(self, f, terms: dict | None = None, den: int = 1):
         if terms is None:
             own = ((None, f),) if isinstance(f, CliffordPolynomial) else f.items()
-            terms = {sym: poly._terms for sym, poly in own}
+            polys = {sym: poly._terms for sym, poly in own}
+            den = _common_denominator(polys.values())
+            terms = {
+                sym: {
+                    exps: {m: q.numerator * (den // q.denominator) for m, q in mv._terms.items()}
+                    for exps, mv in monos.items()
+                }
+                for sym, monos in polys.items()
+            }
         self.f, self.terms, self.den = f, terms, den
 
     def build(self):
-        """The object of ``f``'s type and scope holding this form (a fresh form is ``f``)."""
+        """The object of ``f``'s type and scope holding this form."""
         f, den = self.f, self.den
-        if den is None:
-            return f
         if isinstance(f, CliffordPolynomial):
             return _poly_from_ints(f.m, f.var_scope, self.terms.get(None, {}), den)
         y = frozenset(range(2, f.m + 1))
@@ -334,25 +332,22 @@ class NumeratorForm:
 
     @classmethod
     def combine(cls, f, parts: list) -> "NumeratorForm":
-        """sum w * form over (form, w) parts as integers over one lcm; a fresh
-        form's Fractions are read over their common denominator."""
-        reads = [1 if p.den else _common_denominator(p.terms.values()) for p, _ in parts]
-        den = lcm(*((p.den or read) * w.denominator for (p, w), read in zip(parts, reads)))
+        """sum w * form over (form, w) parts as integers over one lcm."""
+        den = lcm(*(p.den * w.denominator for p, w in parts))
         out: dict = {}
-        for (p, w), read in zip(parts, reads):
-            n = w.numerator * (den // ((p.den or read) * w.denominator))
+        for p, w in parts:
+            n = w.numerator * (den // (p.den * w.denominator))
             for sym, monos in p.terms.items():
                 own = out.setdefault(sym, {})
                 for exps, blades in monos.items():
                     acc = own.setdefault(exps, {})
                     for mask, q in blades.items():
-                        acc[mask] = acc.get(mask, 0) + n * q.numerator * (read // q.denominator)
+                        acc[mask] = acc.get(mask, 0) + n * q
         return cls(f, out, den)
 
     def laplacian(self, variables: Iterable[int] | None = None) -> "NumeratorForm":
         """The Laplacian of a polynomial's form over ``variables`` (default: its var_scope)."""
         f = self.f
-        read = 1 if self.den else _common_denominator(self.terms.values())
         indices = [i for i in (f.var_scope if variables is None else variables) if 0 <= i <= f.m]
         acc: dict[Monomial, dict[int, int]] = {}
         for exps, blades in self.terms[None].items():
@@ -363,8 +358,8 @@ class NumeratorForm:
                 target = acc.setdefault(exps[:i] + (e - 2,) + exps[i + 1 :], {})
                 w = e * (e - 1)
                 for mask, q in blades.items():
-                    target[mask] = target.get(mask, 0) + w * q.numerator * (read // q.denominator)
-        return NumeratorForm(f, {None: acc}, self.den or read)
+                    target[mask] = target.get(mask, 0) + w * q
+        return NumeratorForm(f, {None: acc}, self.den)
 
     def dirac(self, side: str, sign: int = 1, y_only: bool = False,
               times: int = 1) -> "NumeratorForm":
@@ -391,7 +386,6 @@ class NumeratorForm:
         for _ in range(times):
             rates = () if y_only else (s.rate.denominator for s in form.terms if s is not None)
             rate_den = lcm(*rates)
-            read = 1 if form.den else _common_denominator(form.terms.values())
             # e_j d/dx_j as (multiplier, flip bit, parity selector, lands on the
             # flipped symbol); d/dx_0 flips nothing
             gens = {} if y_only else {0: (rate_den, 0, 0, False)}
@@ -428,8 +422,7 @@ class NumeratorForm:
                             actions.append((out, k * n, bit, sel))
                     if not actions:
                         continue
-                    for mask, q in blades.items():
-                        c = q.numerator * (read // q.denominator)
+                    for mask, c in blades.items():
                         if not c:
                             continue
                         for target, n, bit, sel in actions:
@@ -438,7 +431,7 @@ class NumeratorForm:
                                 v = -v
                             out_mask = mask ^ bit
                             target[out_mask] = target.get(out_mask, 0) + v
-            form = NumeratorForm(self.f, acc, (form.den or read) * rate_den)
+            form = NumeratorForm(self.f, acc, form.den * rate_den)
         return form
 
 
@@ -446,11 +439,6 @@ def dirac(f, side: str, sign: int = 1, y_only: bool = False):
     """``NumeratorForm.dirac`` as a chain of one link on a CliffordPolynomial
     or SteeringExpression ``f``; it builds each output Fraction once."""
     return NumeratorForm(f).dirac(side, sign, y_only).build()
-
-
-def dirac_power(poly: CliffordPolynomial, k: int, side: str = "left") -> CliffordPolynomial:
-    """Apply the y-Dirac operator k times on the given side, as one chain."""
-    return NumeratorForm(poly).dirac(side, y_only=True, times=k).build()
 
 
 def paravector_power(m: int, k: int, conjugated: bool = False) -> CliffordPolynomial:

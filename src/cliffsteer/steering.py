@@ -28,7 +28,8 @@ z^j exp(rz) -> exp(rz) sum_i (-1)^i j!/(j-i)! z^(j-i) / r^(i+1).
 
 In R_{0,m}, dirac_y^2 = -laplacian_y, so the tail a target symbol collects,
 sum_k w_k dirac_y^(2k-1) A, is dirac_y(sum_k (-1)^(k-1) w_k laplacian_y^(k-1) A):
-one Laplacian chain per seed, and one Dirac pass per target symbol.
+one Laplacian chain per seed, and one Dirac pass per target symbol; a zero
+seed has a zero tail and costs neither.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .algebra import (
@@ -96,15 +97,15 @@ class SteeringSymbol:
     def power_exp(
         cls, power: int = 0, rate: ScalarLike = 0, bar: bool = False
     ) -> "SteeringSymbol":
-        return cls(KIND_POWEXP, bar=bar, power=power, rate=coerce_fraction(rate))
+        return cls(KIND_POWEXP, bar=bar, power=power, rate=rate)
 
     @classmethod
     def cosine(cls, rate: ScalarLike, bar: bool = False) -> "SteeringSymbol":
-        return cls(KIND_COS, bar=bar, rate=coerce_fraction(rate))
+        return cls(KIND_COS, bar=bar, rate=rate)
 
     @classmethod
     def sine(cls, rate: ScalarLike, bar: bool = False) -> "SteeringSymbol":
-        return cls(KIND_SIN, bar=bar, rate=coerce_fraction(rate))
+        return cls(KIND_SIN, bar=bar, rate=rate)
 
     @classmethod
     def constant(cls) -> "SteeringSymbol":
@@ -465,9 +466,12 @@ def _conjugate_side(sym: SteeringSymbol, order: int) -> tuple:
 
 def _steering_terms(pairs: Sequence[tuple], order: int) -> list:
     # the (symbol, seed) pairs plus their conjugate side: laplacian_y^(k-1) of each
-    # seed at link k, one sum over one denominator per target and one Dirac pass on it
+    # seed at link k, one sum over one denominator per target and one Dirac pass on
+    # it; a zero seed has a zero tail and costs nothing
     parts: dict = {}
     for sym, seed in pairs:
+        if not seed:
+            continue
         chain = [NumeratorForm(seed)]
         for _ in range(order - 1):
             chain.append(chain[-1].laplacian(range(2, seed.m + 1)))
@@ -691,66 +695,3 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
             _require_monogenic(mk, "left", f"root {r} seed {k}")
             terms.append((SteeringSymbol.power_exp(k, r), mk))
     return SteeringExpression(spec.m, terms)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def rational_roots(coeffs: Sequence[ScalarLike]) -> list[Tuple[Fraction, int]]:
-    """All rational roots (with multiplicity) of a_0 x^n + ... + a_n.
-
-    Raises if a non-constant factor with no rational roots is left over,
-    naming its coefficients: irrational and complex roots are out of scope
-    and must not be silently approximated.
-    """
-    work = [coerce_fraction(c) for c in coeffs]
-    if not work or not work[0]:
-        raise ValueError("leading coefficient must be nonzero")
-    den = 1
-    for c in work:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in work]
-    roots: list[Tuple[Fraction, int]] = []
-    zero_mult = 0
-    while len(ints) > 1 and ints[-1] == 0:
-        ints.pop()
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    current = [Fraction(c) for c in ints]
-    if len(current) > 1:
-        candidates = sorted(
-            {
-                Fraction(sign * p, q)
-                for p in _divisors(ints[-1])
-                for q in _divisors(ints[0])
-                for sign in (1, -1)
-                if p
-            }
-        )
-        for cand in candidates:
-            mult = 0
-            while len(current) > 1:
-                quotient, remainder = _synthetic_divide(current, cand)
-                if remainder:
-                    break
-                current = list(quotient)
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
-        if len(current) > 1:
-            left = ", ".join(format_fraction(c) for c in current)
-            raise ValueError(
-                f"characteristic polynomial has a factor with no rational roots: [{left}]"
-            )
-    return sorted(roots)

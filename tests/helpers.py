@@ -4,7 +4,7 @@ from fractions import Fraction
 import random
 
 from cliffsteer.algebra import Multivector
-from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
+from cliffsteer.polynomials import CliffordPolynomial, NumeratorForm, polyharmonic_basis
 from cliffsteer.steering import SteeringExpression, SteeringSymbol
 
 
@@ -27,6 +27,11 @@ def x(m, index, yonly=False):
 
 def ymono(m, exponents, coef=1):
     return CliffordPolynomial.monomial(m, exponents, coef, range(2, m + 1))
+
+
+def dirac_y_power(poly, k, side="left"):
+    """The y-Dirac operator applied k times on ``side``, as one integer chain."""
+    return NumeratorForm(poly).dirac(side, y_only=True, times=k).build()
 
 
 def random_multivector(rng, m, max_terms=4):

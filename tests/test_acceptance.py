@@ -15,11 +15,7 @@ import pytest
 
 from cliffsteer.algebra import Multivector
 from cliffsteer.cli import main as cli_main
-from cliffsteer.polynomials import (
-    CliffordPolynomial,
-    dirac_power,
-    polyharmonic_basis,
-)
+from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
 from cliffsteer.steering import (
     DSolveSpec,
     RootSpec,
@@ -44,7 +40,7 @@ from cliffsteer.verify import (
     lame_navier_residual,
     n_monogenic_residual,
 )
-from helpers import e, random_harmonic, random_multivector, scalar, x, ymono
+from helpers import dirac_y_power, e, random_harmonic, random_multivector, scalar, x, ymono
 
 M = 4
 YSCOPE = range(2, M + 1)
@@ -220,7 +216,7 @@ def test_criterion_05_exponential_polymonogenic_sweep():
             tail = expr.coefficient(EXP_ZBAR)
             displayed = CliffordPolynomial.zero(M, YSCOPE)
             for power, coef in DISPLAYED_TAILS[order]:
-                displayed = displayed + dirac_power(seed, power) * coef
+                displayed = displayed + dirac_y_power(seed, power) * coef
             assert tail == displayed, f"tail mismatch at order {order}"
         count += 1
     for order in (2, 3, 4, 5):
@@ -256,7 +252,7 @@ def test_criterion_07_trigonometric_signed_tails():
                 expected_cos = zero
                 expected_sin = zero
                 for k in range(1, order + 1):
-                    d = dirac_power(seed, 2 * k - 1)
+                    d = dirac_y_power(seed, 2 * k - 1)
                     expected_cos = expected_cos + d * (Fraction((-1) ** k) * table[k - 1])
                     expected_sin = expected_sin + d * (
                         Fraction((-1) ** (k + 1)) * table[k - 1]

@@ -9,7 +9,6 @@ from cliffsteer.algebra import (
     blade_product,
     e1_sandwich,
     format_fraction,
-    inner_outer,
     parse_fraction,
 )
 from cliffsteer.polynomials import CliffordPolynomial
@@ -142,37 +141,6 @@ class TestNorm:
         for _ in range(200):
             a = random_multivector(rng, rng.randint(2, 5))
             assert a.norm_sq() == (a * a.conjugate()).grade(0).scalar_part()
-
-
-class TestInnerOuter:
-    def test_contraction(self):
-        inner, outer = inner_outer(e(4, 2), e(4, 2, 3))
-        assert inner == -e(4, 3)
-        assert not outer
-
-    def test_extension(self):
-        inner, outer = inner_outer(e(4, 4), e(4, 2, 3))
-        assert not inner
-        assert outer == e(4, 2, 3, 4)
-
-    def test_decomposition_recovers_product(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            m = rng.randint(2, 5)
-            v = Multivector(
-                m, {1 << (rng.randrange(m)): Fraction(rng.randint(-5, 5), rng.randint(1, 4))}
-            )
-            k = rng.randint(0, m)
-            masks = [mask for mask in range(1 << m) if mask.bit_count() == k]
-            f = Multivector(m, {rng.choice(masks): Fraction(rng.randint(-5, 5), 3)})
-            inner, outer = inner_outer(v, f)
-            assert inner + outer == v * f
-
-    def test_rejects_mixed_grades(self):
-        with pytest.raises(ValueError, match="grade-homogeneous"):
-            inner_outer(e(4, 2), scalar(4, 1) + e(4, 2, 3))
-        with pytest.raises(ValueError, match="1-vector"):
-            inner_outer(e(4, 1, 2), e(4, 3))
 
 
 class TestE1Sandwich:

@@ -16,7 +16,7 @@ import pytest
 
 from cliffsteer import steering
 from cliffsteer.algebra import Multivector
-from cliffsteer.polynomials import CliffordPolynomial, dirac_power, polyharmonic_basis
+from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
 from cliffsteer.steering import (
     DSolveSpec,
     RootSpec,
@@ -29,6 +29,7 @@ from cliffsteer.steering import (
     dsolve,
 )
 from cliffsteer.verify import n_monogenic_residual
+from helpers import dirac_y_power
 
 RATES = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(3, 2))
 
@@ -50,7 +51,7 @@ def _full_chain_seeds(m, order, count):
     # seeds whose every conjugate-side link dirac^(2k-1), k <= order, is nonzero,
     # so that every weight of the table reaches the expression
     basis = polyharmonic_basis(2 * order - 1, order, m)
-    seeds = [b for b in basis if dirac_power(b, 2 * order - 1)][:count]
+    seeds = [b for b in basis if dirac_y_power(b, 2 * order - 1)][:count]
     assert len(seeds) == count
     return seeds
 

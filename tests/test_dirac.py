@@ -19,7 +19,6 @@ from cliffsteer.polynomials import (
     CliffordPolynomial,
     NumeratorForm,
     dirac,
-    dirac_power,
     polyharmonic_basis,
 )
 from cliffsteer.steering import (
@@ -229,8 +228,6 @@ def test_chains_match_repeated_definition(k, side, sign):
     for f in ypolys:
         expected = chain_reference(f, k, side, sign, y_only=True)
         check(NumeratorForm(f).dirac(side, sign, y_only=True, times=k).build(), expected, f)
-        if sign == 1:
-            check(dirac_power(f, k, side), expected, f)
     for f in polys + exprs:
         if sign == 1:
             check(n_monogenic_residual(f, k, side).residual, chain_reference(f, k, side), f)
@@ -367,7 +364,33 @@ def test_a_construction_makes_one_dirac_pass_per_target(monkeypatch, order):
     a, b, c = polyharmonic_basis(2 * order - 1, order, m)[:3]
     assert count_dirac_calls(monkeypatch, lambda: construct_exp_left(a, order)) == [1]
     assert count_dirac_calls(monkeypatch, lambda: construct_trig_left(a, b, order)) == [1, 1]
+    assert count_dirac_calls(monkeypatch, lambda: construct_trig_left(a, a * 0, order)) == [1]
+    # a zero seed has a zero tail, so only the nonzero seeds' targets get a pass
     seeds = [a, a * 0, b, c]
-    targets = {i + 2 * k - 1 for i in range(len(seeds)) for k in range(1, order + 1)}
+    targets = {i + 2 * k - 1 for i, s in enumerate(seeds) if s for k in range(1, order + 1)}
     calls = count_dirac_calls(monkeypatch, lambda: construct_power_left(seeds, order))
     assert calls == [1] * len(targets)
+
+
+def test_zero_seeds_make_no_dirac_pass(monkeypatch):
+    m = 4
+    zero = polyharmonic_basis(1, 1, m)[0] * 0
+    for build in (lambda: construct_exp_left(zero, 3),
+                  lambda: construct_power_left([zero, zero], 2)):
+        out = []
+        assert count_dirac_calls(monkeypatch, lambda: out.append(build())) == []
+        assert out == [SteeringExpression(m)]
+
+
+def test_a_fresh_form_holds_integers_over_one_denominator():
+    # the first link reads f's Fractions once, so every form has one format: an
+    # int den and int numerators, which build back into f
+    fractional = [cancelling_polynomial(4), cancelling_expression(4)]
+    assert all(NumeratorForm(f).den > 1 for f in fractional)
+    for f in fractional + polynomial_inputs() + expression_inputs():
+        form = NumeratorForm(f)
+        assert type(form.den) is int
+        blades = [b for monos in form.terms.values() for b in monos.values()]
+        numerators = [q for b in blades for q in b.values()]
+        assert numerators and all(type(q) is int for q in numerators)
+        check(form.build(), f, f)

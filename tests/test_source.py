@@ -10,7 +10,8 @@ defined in one class body, ``merge_terms`` (the one rule that sums like terms)
 is defined once, and no class assigns ``__hash__`` (defining ``__eq__``
 already makes a class unhashable).  In ``steering.py`` one function calls
 ``NumeratorForm.combine``: every constructor builds its conjugate side
-through that one rule.
+through that one rule.  Every name the package root exports is used by the
+package, the benchmark or the tools, with one named exemption.
 """
 
 import ast
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliffsteer"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cliffsteer"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -160,3 +162,27 @@ def test_steering_combines_forms_in_one_function():
             ):
                 callers.add(func.name)
     assert len(callers) == 1, callers
+
+
+# exports kept although nothing calls them: power_coefficient is the reference
+# the power-family tests compare the construction rule against
+UNCALLED_EXPORTS = {"power_coefficient"}
+
+
+def test_every_export_has_a_caller():
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in _tree(PACKAGE / "__init__.py").body
+        if isinstance(node, ast.Assign) and _bound_names(node) == ["__all__"]
+    )
+    callers = [p for p in MODULES if p.name != "__init__.py"]
+    callers += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    used = set()
+    for path in callers:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = sorted(set(exported) - used - UNCALLED_EXPORTS)
+    assert not uncalled, f"exports nothing in the package, perfbench or tools uses: {uncalled}"

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from cliffsteer.algebra import Multivector
-from cliffsteer.polynomials import CliffordPolynomial, dirac_power, polyharmonic_basis
+from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
 from cliffsteer.steering import (
     DSolveSpec,
     RootSpec,
@@ -19,11 +19,11 @@ from cliffsteer.steering import (
     construct_two_sided,
     dsolve,
     power_coefficient,
-    rational_roots,
     tn_closed_form,
 )
 from cliffsteer.verify import d_equation_residual, n_monogenic_residual
 from helpers import (
+    dirac_y_power,
     e,
     random_harmonic,
     random_steering,
@@ -368,7 +368,7 @@ def _apply_int_poly_as_dirac(int_poly, poly):
     total = CliffordPolynomial.zero(poly.m, poly.var_scope)
     for power, coef in enumerate(int_poly):
         if coef:
-            total = total + dirac_power(poly, power) * coef
+            total = total + dirac_y_power(poly, power) * coef
     return total
 
 
@@ -465,14 +465,14 @@ class TestTrigConstructor:
             expected_b2 = CliffordPolynomial.zero(M, YSCOPE)
             for k in range(1, order + 1):
                 sign = Fraction((-1) ** (k + 1))
-                expected_b2 = expected_b2 + dirac_power(seed, 2 * k - 1) * (sign * table[k - 1])
+                expected_b2 = expected_b2 + dirac_y_power(seed, 2 * k - 1) * (sign * table[k - 1])
             assert expr.coefficient(SteeringSymbol.sine(1, bar=True)) == expected_b2
             assert not expr.coefficient(SteeringSymbol.cosine(1, bar=True))
             flipped = construct_trig_left(zero, seed, order)
             expected_a2 = CliffordPolynomial.zero(M, YSCOPE)
             for k in range(1, order + 1):
                 sign = Fraction((-1) ** k)
-                expected_a2 = expected_a2 + dirac_power(seed, 2 * k - 1) * (sign * table[k - 1])
+                expected_a2 = expected_a2 + dirac_y_power(seed, 2 * k - 1) * (sign * table[k - 1])
             assert flipped.coefficient(SteeringSymbol.cosine(1, bar=True)) == expected_a2
 
     def test_sweep_residuals_vanish(self):
@@ -832,24 +832,6 @@ def test_construction_refusals(call, kind, message):
         call()
     assert type(info.value) is kind
     assert str(info.value) == message
-
-
-class TestRationalRoots:
-    def test_distinct_roots(self):
-        assert rational_roots((1, 1, -2)) == [(Fraction(-2), 1), (Fraction(1), 1)]
-
-    def test_repeated_root(self):
-        assert rational_roots((1, -2, 1)) == [(Fraction(1), 2)]
-
-    def test_zero_root(self):
-        assert rational_roots((1, 0, 0)) == [(Fraction(0), 2)]
-
-    def test_fractional_root(self):
-        assert rational_roots((2, -1)) == [(Fraction(1, 2), 1)]
-
-    def test_irrational_factor_reported(self):
-        with pytest.raises(ValueError, match="no rational roots"):
-            rational_roots((1, 0, -2))
 
 
 class TestExpressionJson:

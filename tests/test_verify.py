@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cliffsteer.algebra import Multivector
-from cliffsteer.polynomials import CliffordPolynomial, dirac_power
+from cliffsteer.polynomials import CliffordPolynomial
 from cliffsteer.steering import (
     SteeringExpression,
     SteeringSymbol,
@@ -20,7 +20,7 @@ from cliffsteer.verify import (
     lame_navier_residual,
     n_monogenic_residual,
 )
-from helpers import e, random_y_poly, x, ymono
+from helpers import dirac_y_power, e, random_y_poly, x, ymono
 
 M = 4
 YSCOPE = range(2, M + 1)
@@ -154,8 +154,8 @@ class TestInfrapoly:
             b = random_y_poly(rng, M)
             expr = SteeringExpression(M, [(EXP_Z, a), (EXP_ZBAR, b)])
             got = infrapoly_residual(expr, 2, 1).residual
-            c1 = dirac_power(a, 2) + dirac_power(b, 1) * 2
-            c2 = dirac_power(a, 1) * 2 + dirac_power(b, 2) + b * 4
+            c1 = dirac_y_power(a, 2) + dirac_y_power(b, 1) * 2
+            c2 = dirac_y_power(a, 1) * 2 + dirac_y_power(b, 2) + b * 4
             expected = SteeringExpression(
                 M,
                 [
