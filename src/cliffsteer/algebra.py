@@ -117,6 +117,15 @@ def document_m(obj, kind: str) -> int:
     return m
 
 
+def generator_count(m) -> int:
+    """``m``, checked to be a generator count the package supports."""
+    if not isinstance(m, int) or not MIN_GENERATORS <= m <= MAX_GENERATORS:
+        raise ValueError(
+            f"generator count must be in {MIN_GENERATORS}..{MAX_GENERATORS}, got {m!r}"
+        )
+    return m
+
+
 def indices_from_mask(mask: int) -> Tuple[int, ...]:
     out = []
     j = 1
@@ -165,6 +174,19 @@ class TermMap:
             elif old is not None:
                 del data[key]
         return data
+
+    def _decoded(self, pairs: list, name):
+        """This term map, built from a document's (key, coefficient) ``pairs``, or
+        an error if the document listed a key twice or with an empty coefficient,
+        which the constructor summed or dropped; ``name`` writes a key."""
+        if len(self) < len(pairs):
+            seen = set()
+            for key, c in pairs:
+                if not c or key in seen:
+                    problem = "is listed more than once" if c else "has an empty coefficient"
+                    raise ValueError(f"{name(key)} {problem}")
+                seen.add(key)
+        return self
 
     def _like(self, other, data: dict):
         """A value of this type and ``m`` holding ``data``, made from ``self`` and ``other``."""
@@ -251,11 +273,7 @@ class Multivector(TermMap):
     __slots__ = ()
 
     def __init__(self, m: int, terms: Mapping[int, ScalarLike] | Iterable = ()):
-        if not isinstance(m, int) or not MIN_GENERATORS <= m <= MAX_GENERATORS:
-            raise ValueError(
-                f"generator count must be in {MIN_GENERATORS}..{MAX_GENERATORS}, got {m!r}"
-            )
-        limit = 1 << m
+        limit = 1 << generator_count(m)
         pairs = []
         for mask, coef in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(mask, int) or not 0 <= mask < limit:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .algebra import Multivector, TermMap, document_m, json_list, json_object
+from .algebra import Multivector, TermMap, document_m, generator_count, json_list, json_object
 
 Monomial = Tuple[int, ...]
 
@@ -204,9 +204,9 @@ class CliffordPolynomial(DiracOperand):
         """Dirac operator over the y variables x_2..x_m, acting on one side."""
         return dirac(self, side, y_only=True)
 
-    def laplacian(self, variables: Iterable[int] | None = None) -> "CliffordPolynomial":
-        """Sum of second partials over ``variables`` (default: the var_scope)."""
-        return NumeratorForm(self).laplacian(variables).build()
+    def laplacian(self) -> "CliffordPolynomial":
+        """Sum of second partials over the var_scope."""
+        return NumeratorForm(self).laplacian().build()
 
     # -- serialization ----------------------------------------------------------
 
@@ -225,15 +225,13 @@ class CliffordPolynomial(DiracOperand):
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "CliffordPolynomial":
-        """Decode a document, checking each field once as it is read."""
+        """Decode a document: the JSON shapes and canonical monomial keys are
+        checked here, every rule of a polynomial once, by the constructor."""
         m = document_m(obj, "polynomial")
         scope = obj.get("vars")
         if scope is not None:
             json_list(scope, "polynomial field 'vars'")
-        scope = frozenset(range(m + 1) if scope is None else scope)
-        if not all(type(i) is int and 0 <= i <= m for i in scope):
-            raise ValueError(f"var_scope must be a subset of x0..x{m}")
-        data = {}
+        pairs = []
         for entry in json_list(obj.get("terms", []), "polynomial field 'terms'"):
             json_object(entry, "polynomial term")
             monomial = json_object(entry["monomial"], "polynomial term field 'monomial'")
@@ -249,20 +247,8 @@ class CliffordPolynomial(DiracOperand):
                     raise ValueError(f"monomial key {raw_i!r} must be written {str(i)!r}")
                 seen.add(i)
                 exps[i] = e
-            mv = Multivector.from_obj(entry["coef"])
-            key = tuple(exps)
-            if any(type(x) is not int or x < 0 for x in key):
-                raise ValueError(f"monomial {key!r} must give {m + 1} nonnegative exponents")
-            for i, x in enumerate(key):
-                if x and i not in scope:
-                    raise ValueError(f"monomial uses x{i} outside the declared variable scope")
-            if mv.m != m:
-                raise ValueError(f"coefficient dimension mismatch: m={mv.m} vs m={m}")
-            if not mv or key in data:
-                problem = "is listed more than once" if mv else "has an empty coefficient"
-                raise ValueError(f"monomial {key!r} {problem}")
-            data[key] = mv
-        return cls._unsafe(m, scope, data)
+            pairs.append((tuple(exps), Multivector.from_obj(entry["coef"])))
+        return cls(m, pairs, scope)._decoded(pairs, lambda key: f"monomial {key!r}")
 
     def __str__(self) -> str:
         if not self._terms:
@@ -345,13 +331,12 @@ class NumeratorForm:
                         acc[mask] = acc.get(mask, 0) + n * q
         return cls(f, out, den)
 
-    def laplacian(self, variables: Iterable[int] | None = None) -> "NumeratorForm":
-        """The Laplacian of a polynomial's form over ``variables`` (default: its var_scope)."""
-        f = self.f
-        indices = [i for i in (f.var_scope if variables is None else variables) if 0 <= i <= f.m]
+    def laplacian(self) -> "NumeratorForm":
+        """The Laplacian of a polynomial's form, over the polynomial's var_scope."""
+        scope = self.f.var_scope
         acc: dict[Monomial, dict[int, int]] = {}
         for exps, blades in self.terms[None].items():
-            for i in indices:
+            for i in scope:
                 e = exps[i]
                 if e < 2:
                     continue
@@ -359,7 +344,7 @@ class NumeratorForm:
                 w = e * (e - 1)
                 for mask, q in blades.items():
                     target[mask] = target.get(mask, 0) + w * q
-        return NumeratorForm(f, {None: acc}, self.den)
+        return NumeratorForm(self.f, {None: acc}, self.den)
 
     def dirac(self, side: str, sign: int = 1, y_only: bool = False,
               times: int = 1) -> "NumeratorForm":
@@ -479,53 +464,34 @@ def _scalar_laplacian(poly: Mapping[Tuple[int, ...], int]) -> dict[Tuple[int, ..
     return {key: q for key, q in out.items() if q}
 
 
-def polyharmonic_basis(
-    degree: int,
-    order: int,
-    m: int,
-    yvars: Iterable[int] | None = None,
-    value: CoefficientLike | None = None,
-) -> list[CliffordPolynomial]:
-    """Basis of homogeneous degree-``degree`` polynomials killed by laplacian^order.
+def polyharmonic_basis(degree: int, order: int, m: int) -> list[CliffordPolynomial]:
+    """Basis of homogeneous degree-``degree`` polynomials in the y variables
+    x_2..x_m killed by laplacian^order.
 
-    Write p = sum_j x^j b_j, with x the first of ``yvars`` and every b_j free
-    of x, and let L be the Laplacian in the other y variables.  Expanding
-    laplacian^k = sum_i C(k,i) d_x^(2i) L^(k-i) shows that p lies in the
-    kernel of laplacian^k exactly when, for every j >= 0,
+    Write p = sum_j x_2^j b_j, every b_j free of x_2, and L for the Laplacian
+    in x_3..x_m.  Expanding laplacian^k = sum_i C(k,i) d_2^(2i) L^(k-i) shows
+    that p lies in the kernel of laplacian^k exactly when, for every j >= 0,
 
         (j+2k)!/j! b_(j+2k) = -sum_(i<k) C(k,i) (j+2i)!/j! L^(k-i) b_(j+2i),
 
-    the Cauchy-Kovalevskaya recurrence in x; b_0..b_(2k-1) are free.  There
-    is one element per free monomial, i.e. per monomial whose x-exponent is
+    the Cauchy-Kovalevskaya recurrence in x_2; b_0..b_(2k-1) are free.  There
+    is one element per free monomial, i.e. per monomial whose x_2-exponent is
     below 2*order, listed in graded-lex order; the element's part of
-    x-degree below 2*order is exactly that monomial with coefficient 1.
+    x_2-degree below 2*order is exactly that monomial with coefficient 1.
     This is the reduced-echelon kernel basis of the iterated-Laplacian
-    matrix in the graded-lex monomial basis.  ``value`` scales every element
-    by a constant multivector (default: the scalar 1).
+    matrix in the graded-lex monomial basis.  Every coefficient is a scalar.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if order < 1:
         raise ValueError("order must be at least 1")
-    variables = tuple(sorted(set(yvars))) if yvars is not None else tuple(range(2, m + 1))
-    if not variables or not all(0 <= v <= m for v in variables):
-        raise ValueError(f"yvars must be a nonempty subset of x0..x{m}")
-    if value is None:
-        value_mv = Multivector.scalar(m, 1)
-    elif isinstance(value, Multivector):
-        value_mv = value
-    else:
-        value_mv = Multivector.scalar(m, value)
-    if value_mv.m != m:
-        raise ValueError(f"coefficient dimension mismatch: m={value_mv.m} vs m={m}")
-    scope = frozenset(variables)
-    pattern = list(value_mv.items())
+    scope = frozenset(range(2, generator_count(m) + 1))
     # a_j = j! b_j turns the recurrence into a_(j+2k) = -sum_i C(k,i) L^(k-i) a_(j+2i)
     # over the integers; step[(rest, i)] caches C(k,i) L^(k-i) of one monomial
     step: dict[Tuple[Tuple[int, ...], int], dict[Tuple[int, ...], int]] = {}
     fact = [factorial(j) for j in range(degree + 1)]
     out = []
-    for free in _homogeneous_exponents(len(variables), degree):
+    for free in _homogeneous_exponents(m - 1, degree):
         if free[0] >= 2 * order:
             continue
         a: list[dict[Tuple[int, ...], int]] = [{} for _ in range(degree + 1)]
@@ -543,19 +509,10 @@ def polyharmonic_basis(
                     for t, w in image.items():
                         acc[t] = acc.get(t, 0) - c * w
             a[j + 2 * order] = {t: c for t, c in acc.items() if c}
-        terms: dict[Monomial, Multivector] = {}
-        for j, aj in enumerate(a):
-            for rest, c in aj.items():
-                exps = [0] * (m + 1)
-                for v, e in zip(variables, (j,) + rest):
-                    exps[v] = e
-                if pattern:
-                    terms[tuple(exps)] = Multivector._unsafe(
-                        m,
-                        {
-                            mask: Fraction(c * v.numerator, fact[j] * v.denominator)
-                            for mask, v in pattern
-                        },
-                    )
+        terms = {
+            (0, 0, j) + rest: Multivector._unsafe(m, {0: Fraction(c, fact[j])})
+            for j, aj in enumerate(a)
+            for rest, c in aj.items()
+        }
         out.append(CliffordPolynomial._unsafe(m, scope, terms))
     return out

@@ -324,21 +324,15 @@ class SteeringExpression(DiracOperand):
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "SteeringExpression":
-        """Decode a document, checking each field once as it is read."""
+        """Decode a document: the JSON shapes are checked here, every rule of
+        an expression once, by the constructor."""
         m = document_m(obj, "steering expression")
-        data = {}
+        pairs = []
         for entry in json_list(obj.get("terms", []), "steering expression field 'terms'"):
             json_object(entry, "steering expression term")
             sym = SteeringSymbol.from_obj(entry["symbol"])
-            poly = CliffordPolynomial.from_obj(entry["coef"])
-            if poly.m != m:
-                raise ValueError(f"coefficient dimension mismatch: m={poly.m} vs m={m}")
-            poly = poly.restrict_scope(range(2, m + 1))
-            if not poly or sym in data:
-                problem = "is listed more than once" if poly else "has an empty coefficient"
-                raise ValueError(f"symbol {sym} {problem}")
-            data[sym] = poly
-        return cls._unsafe(m, data)
+            pairs.append((sym, CliffordPolynomial.from_obj(entry["coef"])))
+        return cls(m, pairs)._decoded(pairs, lambda sym: f"symbol {sym}")
 
     def __str__(self) -> str:
         if not self._terms:
@@ -439,12 +433,17 @@ def _as_steering_seed(poly: CliffordPolynomial, what: str) -> CliffordPolynomial
         raise ValueError(f"{what} must depend on x2..x{poly.m} only ({exc})") from None
 
 
-def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str) -> None:
-    p = NumeratorForm(seed)
+def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str) -> list:
+    # the chain seed .. laplacian^(order-1) seed the conjugate side is built from,
+    # once laplacian^order seed is seen to vanish; a zero seed has none, and no pass
+    if not seed:
+        return []
+    chain = [NumeratorForm(seed)]
     for _ in range(order):
-        p = p.laplacian()
-    if p.build():  # makes Fractions only for the numerators that are not zero
+        chain.append(chain[-1].laplacian())
+    if chain.pop().build():  # makes Fractions only for the numerators that are not zero
         raise ValueError(f"{what} is not annihilated by laplacian^{order}")
+    return chain
 
 
 def _require_monogenic(seed: CliffordPolynomial, side: str, what: str) -> None:
@@ -464,24 +463,21 @@ def _conjugate_side(sym: SteeringSymbol, order: int) -> tuple:
     return tuple((target, tuple(parts)) for target, parts in out.items())
 
 
-def _steering_terms(pairs: Sequence[tuple], order: int) -> list:
-    # the (symbol, seed) pairs plus their conjugate side: laplacian_y^(k-1) of each
-    # seed at link k, one sum over one denominator per target and one Dirac pass on
-    # it; a zero seed has a zero tail and costs nothing
-    parts: dict = {}
-    for sym, seed in pairs:
-        if not seed:
+def _steering_terms(pairs: Sequence[tuple]) -> list:
+    # (symbol, A) and the conjugate side of each (symbol, chain A .. laplacian_y^(n-1) A)
+    # pair: chain[k-1] at link k, one sum over one denominator per target and one
+    # Dirac pass on it; a zero seed's chain is empty, and it costs nothing
+    terms, parts = [], {}
+    for sym, chain in pairs:
+        if not chain:
             continue
-        chain = [NumeratorForm(seed)]
-        for _ in range(order - 1):
-            chain.append(chain[-1].laplacian(range(2, seed.m + 1)))
-        for target, weights in _conjugate_side(sym, order):
+        terms.append((sym, chain[0].f))
+        for target, weights in _conjugate_side(sym, len(chain)):
             parts.setdefault(target, []).extend(
                 (chain[k - 1], -w if k % 2 == 0 else w) for k, w in weights
             )
-    seed = pairs[0][1]
-    return list(pairs) + [
-        (target, NumeratorForm.combine(seed, forms).dirac("left", y_only=True).build())
+    return terms + [
+        (target, NumeratorForm.combine(forms[0][0].f, forms).dirac("left", y_only=True).build())
         for target, forms in parts.items()
     ]
 
@@ -517,17 +513,17 @@ def _construct(
     if not clean:
         raise ValueError("at least one seed is required")
     m = clean[0].m
-    for (what, _, _), seed in zip(named, clean):
+    pairs = []
+    for (what, sym, _), seed in zip(named, clean):
         if seed.m != m:
             raise ValueError(f"dimension mismatch: m={m} vs m={seed.m}")
         if side == "left":
-            _require_polyharmonic(seed, order, what)
+            pairs.append((sym, _require_polyharmonic(seed, order, what)))
         else:
             _require_monogenic(seed, "right", what)
-    if side == "both":
-        clean = [seed - e1_sandwich(seed) for seed in clean]
-    pairs = [(sym, seed) for (_, sym, _), seed in zip(named, clean)]
-    return SteeringExpression(m, _steering_terms(pairs, order))
+            seed = seed - e1_sandwich(seed)
+            pairs.append((sym, [NumeratorForm(seed)] if seed else []))
+    return SteeringExpression(m, _steering_terms(pairs))
 
 
 def construct_exp_left(seed: CliffordPolynomial, order: int) -> SteeringExpression:
@@ -685,9 +681,8 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
                     "the zero root takes monogenic seeds only (the eigen pair needs 1/(2*rate))"
                 )
             h = read(root.harmonic_seed, f"root {r} harmonic seed")
-            if h:
-                _require_polyharmonic(h, 1, f"root {r} harmonic seed")
-                terms += _steering_terms([(SteeringSymbol.power_exp(0, r), h)], 1)
+            chain = _require_polyharmonic(h, 1, f"root {r} harmonic seed")
+            terms += _steering_terms([(SteeringSymbol.power_exp(0, r), chain)])
         for k, seed in enumerate(root.monogenic_seeds):
             mk = read(seed, f"root {r} seed {k}")
             if not mk:

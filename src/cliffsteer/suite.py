@@ -293,7 +293,7 @@ def _algebra_random(args):
             exps = tuple(rng2.randint(0, 2) for _ in range(m + 1))
             terms[exps] = _random_multivector(rng2, m)
         p = CliffordPolynomial(m, terms)
-        laplacian = p.laplacian(range(0, m + 1))
+        laplacian = p.laplacian()
         if dirac(p, "left", -1).cr_left() != laplacian:
             return False, "factorization failure (cr after conjugate)"
         cr = p.cr_left()

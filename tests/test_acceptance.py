@@ -397,7 +397,7 @@ def test_criterion_13_algebra_kernel_properties():
         conj = p.partial(0)
         for j in range(1, m + 1):
             conj = conj - Multivector.blade(m, (j,)) * p.partial(j)
-        lap = p.laplacian(range(0, m + 1))
+        lap = p.laplacian()
         assert conj.cr_left() == lap
         back = p.cr_left()
         assert back.partial(0) * 2 - back.cr_left() == lap

@@ -1,4 +1,5 @@
-"""``tools/bench_pairs``: medians, quartiles, pair wins and failed runs.
+"""``tools/bench_pairs``: medians, quartiles, pair wins, failed runs and
+the source size of each side.
 
 The tool is a script, not a package module, so it is loaded from its path.
 """
@@ -206,3 +207,36 @@ def test_a_met_claim_is_named_on_stdout(bench_pairs, monkeypatch, tmp_path, caps
     assert bench_pairs.main([*argv, "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("claim")] == ["claim met: dense cases_per_s"]
+
+
+def test_source_size_is_printed_and_a_changing_tree_exits_one(
+    bench_pairs, monkeypatch, tmp_path, capsys
+):
+    spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    sizes = {"base": {1: 2543, 2: 2543}, "change": {1: 2513, 2: 2513}}
+
+    def run_once(tree, workload, seed, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "base"
+        return {"metrics": {name: 1.0 for name in names}, "correct": True, "attempted": 10,
+                "failed": 0, "fail_frac": 0.0, "src_lines": sizes[side][seed]}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, target: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--workloads", "sweep", "basis", "--seeds", "1", "2", "--seconds", "1"]
+    argv += ["--out", str(tmp_path / "bench.json")]
+    assert bench_pairs.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "src lines: 2543 -> 2513" and not captured.err
+    # the working tree was edited between the runs of seed 1 and seed 2
+    sizes["change"][2] = 2515
+    assert bench_pairs.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "src lines vary: change 2513, 2515\n"
+    assert "src lines:" not in captured.out
+    sizes["base"][1] = 2600
+    assert bench_pairs.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "src lines vary: base 2543, 2600\nsrc lines vary: change 2513, 2515\n"
+    )

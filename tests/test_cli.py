@@ -351,6 +351,12 @@ class TestBasisAndAppell:
             poly = CliffordPolynomial.from_obj(obj)
             assert not poly.laplacian()
 
+    @pytest.mark.parametrize("m", [1, 0, -3, 17])
+    def test_basis_refuses_a_generator_count_outside_the_range(self, capsys, m):
+        code, out, err = run(capsys, ["basis", "--degree", "2", "--m", str(m)])
+        assert code == 2 and not out
+        assert err == f"error: generator count must be in 2..16, got {m}\n"
+
     def test_appell_roundtrip(self, capsys):
         code, out, _ = run(capsys, ["appell", "--k", "2", "--m", "3"])
         assert code == 0

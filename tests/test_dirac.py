@@ -22,6 +22,8 @@ from cliffsteer.polynomials import (
     polyharmonic_basis,
 )
 from cliffsteer.steering import (
+    DSolveSpec,
+    RootSpec,
     SteeringExpression,
     SteeringSymbol,
     _steering_terms,
@@ -29,6 +31,7 @@ from cliffsteer.steering import (
     construct_exp_left,
     construct_power_left,
     construct_trig_left,
+    dsolve,
     power_coefficient,
 )
 from cliffsteer.verify import (
@@ -193,6 +196,14 @@ def chain_reference(f, k, side, sign=1, y_only=False, scale=Fraction(1)):
     return f
 
 
+def laplacian_chain(seed, order):
+    # the forms seed .. laplacian^(order-1) seed, the chain _steering_terms takes
+    chain = [NumeratorForm(seed)]
+    for _ in range(order - 1):
+        chain.append(chain[-1].laplacian())
+    return chain
+
+
 def chain_inputs():
     rng = random.Random(1)
     polys = [polynomial(rng, m, range(m + 1), 3) for m in (3, 4) for _ in range(2)]
@@ -258,7 +269,7 @@ def test_tail_matches_weighted_definition(order, sign):
                 power = chain_reference(seed, 2 * k - 1, "left", y_only=True)
                 tail = tail + power * (weight(k) * C[k - 1] / rate ** (2 * k - 1))
             expected = SteeringExpression(m, [(sym, seed), (target, tail)])
-            got = SteeringExpression(m, _steering_terms([(sym, seed)], order))
+            got = SteeringExpression(m, _steering_terms([(sym, laplacian_chain(seed, order))]))
             check(got, expected, expected)
 
 
@@ -276,7 +287,8 @@ def test_power_terms_match_weighted_definition(order):
                 piece = power * power_coefficient(j, k)
                 zbar_k = SteeringSymbol.power_exp(k, bar=True)
                 expected = expected + SteeringExpression(m, [(zbar_k, piece)])
-        got = SteeringExpression(m, _steering_terms(pairs, order))
+        chains = [(sym, laplacian_chain(a, order)) for sym, a in pairs]
+        got = SteeringExpression(m, _steering_terms(chains))
         check(got, expected, expected)
 
 
@@ -380,6 +392,42 @@ def test_zero_seeds_make_no_dirac_pass(monkeypatch):
         out = []
         assert count_dirac_calls(monkeypatch, lambda: out.append(build())) == []
         assert out == [SteeringExpression(m)]
+
+
+def test_a_left_seed_gets_one_laplacian_chain(monkeypatch):
+    # the chain the precondition builds, A .. laplacian^(n-1) A, is the one the
+    # conjugate side is built from: one first read of the seed and n links
+    m = 4
+    a = polyharmonic_basis(5, 3, m)[0]
+    h = polyharmonic_basis(2, 1, m)[0]
+    spec = DSolveSpec(m, [1, -1], [RootSpec(1, harmonic_seed=h)])
+    init, laplacian = NumeratorForm.__init__, NumeratorForm.laplacian
+
+    def counted(build):
+        reads, links = [], []
+
+        def counted_init(self, f, terms=None, den=1):
+            if terms is None:
+                reads.append(f)
+            init(self, f, terms, den)
+
+        def counted_laplacian(self, *args):
+            links.append(self)
+            return laplacian(self, *args)
+
+        monkeypatch.setattr(NumeratorForm, "__init__", counted_init)
+        monkeypatch.setattr(NumeratorForm, "laplacian", counted_laplacian)
+        out = build()
+        monkeypatch.undo()
+        return out, len(links), len(reads)
+
+    out, links, reads = counted(lambda: construct_exp_left(a, 3))
+    assert (links, reads) == (3, 1)
+    assert n_monogenic_residual(out, 3, "left").is_zero
+    assert counted(lambda: construct_exp_left(a * 0, 3))[1:] == (0, 0)
+    out, links, reads = counted(lambda: dsolve(spec))
+    assert (links, reads) == (1, 1)
+    assert d_equation_residual(out, [1, -1]).is_zero
 
 
 def test_a_fresh_form_holds_integers_over_one_denominator():

@@ -10,7 +10,9 @@ defined in one class body, ``merge_terms`` (the one rule that sums like terms)
 is defined once, and no class assigns ``__hash__`` (defining ``__eq__``
 already makes a class unhashable).  In ``steering.py`` one function calls
 ``NumeratorForm.combine``: every constructor builds its conjugate side
-through that one rule.  Every name the package root exports is used by the
+through that one rule.  Each rule a polynomial or expression constructor
+checks is written in one function body: the decoders build through the
+constructors.  Every name the package root exports is used by the
 package, the benchmark or the tools, with one named exemption.
 """
 
@@ -162,6 +164,30 @@ def test_steering_combines_forms_in_one_function():
             ):
                 callers.add(func.name)
     assert len(callers) == 1, callers
+
+
+# (module, message) of each rule a constructor checks; a decoder builds through
+# the constructor rather than checking the rule again
+SINGLE_CHECKS = [
+    ("polynomials.py", "var_scope must be a subset"),
+    ("polynomials.py", "nonnegative exponents"),
+    ("polynomials.py", "outside the declared variable scope"),
+    ("polynomials.py", "coefficient dimension mismatch"),
+    ("steering.py", "coefficient dimension mismatch"),
+]
+
+
+@pytest.mark.parametrize("module, message", SINGLE_CHECKS, ids=lambda v: v.split()[0])
+def test_each_rule_is_checked_in_one_function(module, message):
+    tree = _tree(PACKAGE / module)
+    holders = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and message in node.value
+    ]
+    assert len(holders) == 1, f"{module}: {message!r} appears in {holders}"
 
 
 # exports kept although nothing calls them: power_coefficient is the reference

@@ -22,8 +22,10 @@ better come from ``BENCHMARK.json``.  Each metric whose claim is met is
 named on stdout (``claim met: <workload> <metric>``), each metric beyond its
 bound on stderr (``beyond bound: ...``), neither changing the exit status.
 A run that reports ``correct: false`` or a nonzero ``fail_frac`` is kept in
-the file, named on stderr, and makes the exit status 1.  Standard library
-only.
+the file, named on stderr, and makes the exit status 1.  The package source
+size of each side is printed last (``src lines: <base> -> <change>``); a side
+whose runs report more than one size, a tree edited mid-run, is named with
+its sizes on stderr and makes the exit status 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -149,6 +151,16 @@ def bound_breaches(doc: dict) -> list[str]:
     return lines
 
 
+def src_lines(doc: dict) -> dict[str, list[int]]:
+    """Per side, the distinct package source line counts its runs reported."""
+    seen: dict[str, set] = {"base": set(), "change": set()}
+    for result in doc["workloads"].values():
+        for pair in result["runs"]:
+            for side, values in seen.items():
+                values.add(pair[side]["src_lines"])
+    return {side: sorted(values) for side, values in seen.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
@@ -208,7 +220,13 @@ def main(argv=None) -> int:
     failed = failed_runs(doc)
     for line in failed:
         print(f"failed run: {line}", file=sys.stderr)
-    return 1 if failed else 0
+    sizes = src_lines(doc)
+    varied = [side for side, values in sizes.items() if len(values) > 1]
+    for side in varied:
+        print(f"src lines vary: {side} {', '.join(map(str, sizes[side]))}", file=sys.stderr)
+    if not varied:
+        print(f"src lines: {sizes['base'][0]} -> {sizes['change'][0]}")
+    return 1 if failed or varied else 0
 
 
 if __name__ == "__main__":
