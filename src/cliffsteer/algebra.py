@@ -18,11 +18,13 @@ be shared freely between threads.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 MIN_GENERATORS = 2
 MAX_GENERATORS = 16
+MAX_DIGITS = sys.int_info.default_max_str_digits
 
 ScalarLike = Union[int, Fraction]
 
@@ -50,6 +52,12 @@ def parse_fraction(raw: object) -> Fraction:
     if isinstance(raw, str):
         if "e" in raw or "E" in raw:  # "1e30000000" alone is a 30-million-digit integer
             raise ValueError(f"fraction {raw!r} uses exponent notation; write it as num/den")
+        if len(raw) > MAX_DIGITS:  # no shorter string has a part with too many digits
+            digits = max(sum(c.isdigit() for c in part) for part in raw.split("/"))
+            if digits > MAX_DIGITS:
+                raise OverflowError(
+                    f"fraction {raw[:20]!r}... has {digits} digits, over the limit of {MAX_DIGITS}"
+                )
         return Fraction(raw)
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
@@ -106,22 +114,26 @@ def json_list(value, what: str) -> list:
     return value
 
 
+def json_field(obj, key: str, what: str):
+    """``obj[key]``, ``obj`` checked to be a JSON object; ``what`` names it in errors."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError):  # a JSON list, string or number has no fields
+        json_object(obj, what)
+        raise ValueError(f"{what}: missing field {key!r}") from None
+
+
 def document_m(obj, kind: str) -> int:
     """The checked generator count of a JSON document; ``kind`` names it in errors."""
-    m = json_object(obj, f"{kind} document")["m"]
+    m = json_field(obj, "m", f"{kind} document")
+    return generator_count(m, f"{kind} field 'm'")
+
+
+def generator_count(m, what: str = "generator count") -> int:
+    """``m``, checked to be a generator count the package supports; ``what`` names it."""
     if type(m) is not int or not MIN_GENERATORS <= m <= MAX_GENERATORS:
         raise ValueError(
-            f"{kind} field 'm' must be an integer in {MIN_GENERATORS}..{MAX_GENERATORS}, "
-            f"got {m!r}"
-        )
-    return m
-
-
-def generator_count(m) -> int:
-    """``m``, checked to be a generator count the package supports."""
-    if not isinstance(m, int) or not MIN_GENERATORS <= m <= MAX_GENERATORS:
-        raise ValueError(
-            f"generator count must be in {MIN_GENERATORS}..{MAX_GENERATORS}, got {m!r}"
+            f"{what} must be an integer in {MIN_GENERATORS}..{MAX_GENERATORS}, got {m!r}"
         )
     return m
 
@@ -368,9 +380,8 @@ class Multivector(TermMap):
         m = document_m(obj, "multivector")
         data: dict[int, Fraction] = {}
         for entry in json_list(obj.get("terms", []), "multivector field 'terms'"):
-            json_object(entry, "multivector term")
-            mask = mask_from_indices(entry["blades"], m)
-            q = parse_fraction(entry["coef"])
+            mask = mask_from_indices(json_field(entry, "blades", "multivector term"), m)
+            q = parse_fraction(json_field(entry, "coef", "multivector term"))
             if not q:
                 raise ValueError(f"blade {entry['blades']} has a zero coefficient")
             if mask in data:

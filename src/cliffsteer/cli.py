@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .algebra import document_m, json_list, json_object, parse_fraction
+from .algebra import document_m, json_field, json_list, json_object, parse_fraction
 from .appell import appell_poly
 from .polynomials import CliffordPolynomial, polyharmonic_basis
 from .steering import (
@@ -75,8 +75,11 @@ def _parse_function(obj) -> SteeringExpression | CliffordPolynomial:
 def _frac(text: str) -> Fraction:
     try:
         return parse_fraction(text)
+    except OverflowError as exc:  # its message names the limit and cuts the value short
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+        raise argparse.ArgumentTypeError(f"not an exact rational: {shown}") from exc
 
 
 def _coeff_list(text: str) -> tuple[Fraction, ...]:
@@ -106,21 +109,17 @@ def cmd_appell(args) -> int:
 
 def cmd_construct(args) -> int:
     doc = _load_document(args)
-    if args.side == "right":
-        raise ValueError(
-            "right-handed construction is not supported; use --side left or --side both"
-        )
     both = args.side == "both"
     if args.family == "exp":
         seed = CliffordPolynomial.from_obj(doc)
         expr = construct_two_sided("exp", seed) if both else construct_exp_left(seed, args.n)
     elif args.family == "trig":
-        json_object(doc, "trig seed document")
         keys = ("M", "N") if both else ("a1", "b1")
-        a, b = (CliffordPolynomial.from_obj(doc[k]) for k in keys)
+        fields = (json_field(doc, k, "trig seed document") for k in keys)
+        a, b = (CliffordPolynomial.from_obj(field) for field in fields)
         expr = construct_two_sided("trig", (a, b)) if both else construct_trig_left(a, b, args.n)
     else:
-        seeds = json_object(doc, "power seed document")["seeds"]
+        seeds = json_field(doc, "seeds", "power seed document")
         seeds = json_list(seeds, "power seed document field 'seeds'")
         seeds = [CliffordPolynomial.from_obj(entry) for entry in seeds]
         expr = construct_two_sided("power", seeds) if both else construct_power_left(seeds, args.n)
@@ -157,12 +156,10 @@ def cmd_verify(args) -> int:
         report = alpha_beta_residual(func, args.alpha, args.beta)
     elif op == "infrapoly":
         report = infrapoly_residual(func, args.p, args.q)
-    elif op == "deq":
+    else:  # "deq", the last operator the parser accepts
         if not args.coeffs:
             raise ValueError("--op deq needs --coeffs")
         report = d_equation_residual(func, args.coeffs)
-    else:
-        raise ValueError(f"unknown operator {op!r}")
     _emit(report.to_obj(), args.out)
     return EXIT_OK if report.is_zero else EXIT_NONZERO
 
@@ -172,7 +169,7 @@ def _root_from_obj(obj) -> RootSpec:
     monogenic = obj.get("monogenic_seeds", [])
     json_list(monogenic, "dsolve spec root field 'monogenic_seeds'")
     return RootSpec(
-        value=parse_fraction(obj["root"]),
+        value=parse_fraction(json_field(obj, "root", "dsolve spec root")),
         multiplicity=obj.get("multiplicity", 1),
         harmonic_seed=None if harmonic is None else CliffordPolynomial.from_obj(harmonic),
         monogenic_seeds=tuple(CliffordPolynomial.from_obj(s) for s in monogenic),
@@ -182,7 +179,8 @@ def _root_from_obj(obj) -> RootSpec:
 def cmd_dsolve(args) -> int:
     doc = _load_document(args)
     m = document_m(doc, "dsolve spec")
-    roots = json_list(doc["roots"], "dsolve spec field 'roots'")
+    roots = json_field(doc, "roots", "dsolve spec document")
+    roots = json_list(roots, "dsolve spec field 'roots'")
     spec = DSolveSpec(m=m, coeffs=args.coeffs, roots=tuple(_root_from_obj(r) for r in roots))
     solution = dsolve(spec)
     report = d_equation_residual(solution, args.coeffs)
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct = sub.add_parser("construct", help="build a steering solution")
     construct.add_argument("--family", choices=("exp", "trig", "power"), required=True)
     construct.add_argument("--n", type=int, default=1, help="monogenicity order")
-    construct.add_argument("--side", choices=("left", "right", "both"), default="left")
+    construct.add_argument("--side", choices=("left", "both"), default="left")
     construct.add_argument("--m", type=int, help="optional dimension cross-check")
     construct.add_argument("--seed", help="inline JSON seed document")
     construct.add_argument("--seed-file", help="path to the JSON seed document")
@@ -300,9 +298,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: malformed JSON ({exc})", file=sys.stderr)
     except RecursionError:
         print("error: document nested too deeply", file=sys.stderr)
-    except KeyError as exc:
-        print(f"error: missing field {exc}", file=sys.stderr)
-    except (ValueError, TypeError, IndexError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, IndexError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_INPUT
 

@@ -17,7 +17,9 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .algebra import Multivector, TermMap, document_m, generator_count, json_list, json_object
+from .algebra import (
+    Multivector, TermMap, document_m, generator_count, json_field, json_list, json_object
+)
 
 Monomial = Tuple[int, ...]
 
@@ -46,7 +48,7 @@ class DiracOperand(TermMap):
         """(1/2)(d/dx_0 - sum_j e_j d/dx_j), the hypercomplex derivative; it is one
         only on left monogenic input, but the operator applies unconditionally."""
         form = NumeratorForm(self).dirac("left", -1)
-        return NumeratorForm.combine(self, [(form, Fraction(1, 2))]).build()
+        return NumeratorForm(self, form.terms, 2 * form.den).build()
 
 
 class CliffordPolynomial(DiracOperand):
@@ -66,6 +68,7 @@ class CliffordPolynomial(DiracOperand):
         terms: Mapping[Monomial, CoefficientLike] | Iterable = (),
         var_scope: Iterable[int] | None = None,
     ):
+        generator_count(m)
         scope = frozenset(range(m + 1)) if var_scope is None else frozenset(var_scope)
         if not all(type(i) is int and 0 <= i <= m for i in scope):
             raise ValueError(f"var_scope must be a subset of x0..x{m}")
@@ -116,10 +119,7 @@ class CliffordPolynomial(DiracOperand):
     def variable(
         cls, m: int, index: int, var_scope: Iterable[int] | None = None
     ) -> "CliffordPolynomial":
-        if not 0 <= index <= m:
-            raise ValueError(f"variable index {index} out of range 0..{m}")
-        exps = tuple(1 if i == index else 0 for i in range(m + 1))
-        return cls(m, {exps: 1}, var_scope)
+        return cls.monomial(m, {index: 1}, 1, var_scope)
 
     @classmethod
     def monomial(
@@ -151,18 +151,20 @@ class CliffordPolynomial(DiracOperand):
 
     # -- ring structure ----------------------------------------------------------
 
+    def _times_coefficients(self, other: Multivector, left: bool) -> "CliffordPolynomial":
+        self._require_same_m(other)
+        data = {}
+        for exps, mv in self._terms.items():
+            prod = other * mv if left else mv * other
+            if prod:
+                data[exps] = prod
+        return CliffordPolynomial._unsafe(self.m, self.var_scope, data)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
         if isinstance(other, Multivector):
-            # right-multiply every coefficient
-            self._require_same_m(other)
-            data = {}
-            for exps, mv in self._terms.items():
-                prod = mv * other
-                if prod:
-                    data[exps] = prod
-            return CliffordPolynomial._unsafe(self.m, self.var_scope, data)
+            return self._times_coefficients(other, left=False)
         if isinstance(other, CliffordPolynomial):
             self._require_same_m(other)
             products = (
@@ -177,14 +179,7 @@ class CliffordPolynomial(DiracOperand):
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
         if isinstance(other, Multivector):
-            # left-multiply every coefficient
-            self._require_same_m(other)
-            data = {}
-            for exps, mv in self._terms.items():
-                prod = other * mv
-                if prod:
-                    data[exps] = prod
-            return CliffordPolynomial._unsafe(self.m, self.var_scope, data)
+            return self._times_coefficients(other, left=True)
         return NotImplemented
 
     # -- differential operators ----------------------------------------------------
@@ -233,8 +228,8 @@ class CliffordPolynomial(DiracOperand):
             json_list(scope, "polynomial field 'vars'")
         pairs = []
         for entry in json_list(obj.get("terms", []), "polynomial field 'terms'"):
-            json_object(entry, "polynomial term")
-            monomial = json_object(entry["monomial"], "polynomial term field 'monomial'")
+            monomial = json_field(entry, "monomial", "polynomial term")
+            json_object(monomial, "polynomial term field 'monomial'")
             exps = [0] * (m + 1)
             seen = set()
             for raw_i, e in monomial.items():
@@ -247,7 +242,8 @@ class CliffordPolynomial(DiracOperand):
                     raise ValueError(f"monomial key {raw_i!r} must be written {str(i)!r}")
                 seen.add(i)
                 exps[i] = e
-            pairs.append((tuple(exps), Multivector.from_obj(entry["coef"])))
+            coef = Multivector.from_obj(json_field(entry, "coef", "polynomial term"))
+            pairs.append((tuple(exps), coef))
         return cls(m, pairs, scope)._decoded(pairs, lambda key: f"monomial {key!r}")
 
     def __str__(self) -> str:
@@ -431,13 +427,9 @@ def paravector_power(m: int, k: int, conjugated: bool = False) -> CliffordPolyno
     if k < 0:
         raise ValueError("power must be nonnegative")
     sign = -1 if conjugated else 1
-    terms: dict[Monomial, CoefficientLike] = {}
-    unit = tuple(1 if i == 0 else 0 for i in range(m + 1))
-    terms[unit] = 1
+    base = CliffordPolynomial.variable(m, 0)
     for j in range(1, m + 1):
-        exps = tuple(1 if i == j else 0 for i in range(m + 1))
-        terms[exps] = Multivector.blade(m, (j,), sign)
-    base = CliffordPolynomial(m, terms)
+        base = base + CliffordPolynomial.monomial(m, {j: 1}, Multivector.blade(m, (j,), sign))
     out = CliffordPolynomial.constant(m, 1)
     for _ in range(k):
         out = out * base

@@ -47,8 +47,9 @@ from .algebra import (
     coerce_fraction,
     document_m,
     format_fraction,
+    generator_count,
+    json_field,
     json_list,
-    json_object,
     parse_fraction,
 )
 from .polynomials import CliffordPolynomial, DiracOperand, NumeratorForm
@@ -177,9 +178,8 @@ class SteeringSymbol:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "SteeringSymbol":
-        json_object(obj, "steering symbol document")
         return cls(
-            obj["kind"],
+            json_field(obj, "kind", "steering symbol document"),
             bar=obj.get("bar", False),
             power=obj.get("power", 0),
             rate=parse_fraction(obj.get("rate", 0)),
@@ -211,18 +211,16 @@ class SteeringExpression(DiracOperand):
         terms: Mapping[SteeringSymbol, CoefficientLike] | Iterable = (),
     ):
         pairs = []
-        y_scope = range(2, m + 1)
+        y_scope = range(2, generator_count(m) + 1)
         for sym, coef in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(sym, SteeringSymbol):
                 raise TypeError(f"term keys must be SteeringSymbol, got {type(sym).__name__}")
-            if isinstance(coef, CliffordPolynomial):
-                poly = coef
-            else:
-                poly = CliffordPolynomial.constant(m, coef)
-            if poly.m != m:
-                raise ValueError(f"coefficient dimension mismatch: m={poly.m} vs m={m}")
-            if poly:  # skipped here, since the merge would hash its symbol for nothing
-                pairs.append((sym, poly.restrict_scope(y_scope)))
+            if not isinstance(coef, CliffordPolynomial):
+                coef = CliffordPolynomial.constant(m, coef)
+            if coef.m != m:
+                raise ValueError(f"coefficient dimension mismatch: m={coef.m} vs m={m}")
+            if coef:  # skipped here, since the merge would hash its symbol for nothing
+                pairs.append((sym, coef.restrict_scope(y_scope)))
         super().__init__(m, pairs)
 
     def _lift(self, other):
@@ -328,10 +326,10 @@ class SteeringExpression(DiracOperand):
         an expression once, by the constructor."""
         m = document_m(obj, "steering expression")
         pairs = []
+        what = "steering expression term"
         for entry in json_list(obj.get("terms", []), "steering expression field 'terms'"):
-            json_object(entry, "steering expression term")
-            sym = SteeringSymbol.from_obj(entry["symbol"])
-            pairs.append((sym, CliffordPolynomial.from_obj(entry["coef"])))
+            sym = SteeringSymbol.from_obj(json_field(entry, "symbol", what))
+            pairs.append((sym, CliffordPolynomial.from_obj(json_field(entry, "coef", what))))
         return cls(m, pairs)._decoded(pairs, lambda sym: f"symbol {sym}")
 
     def __str__(self) -> str:
@@ -347,9 +345,8 @@ class SteeringExpression(DiracOperand):
 
 @lru_cache(maxsize=None)
 def _c(k: int) -> Fraction:
-    # c_1 = -1/2;  c_k = -(1/2^k) sum_{j=1..k//2} sum_{i=1..j} C(k+1,2j+1) C(j,i) c_{k-i}
-    if k < 1:
-        raise ValueError("coefficient index starts at 1")
+    # c_1 = -1/2;  c_k = -(1/2^k) sum_{j=1..k//2} sum_{i=1..j} C(k+1,2j+1) C(j,i) c_{k-i};
+    # every caller checks that k >= 1
     if k == 1:
         return Fraction(-1, 2)
     acc = Fraction(0)
@@ -616,24 +613,17 @@ class DSolveSpec:
         object.__setattr__(self, "roots", tuple(self.roots))
 
 
-def _synthetic_divide(
-    coeffs: Sequence[Fraction], r: Fraction
-) -> Tuple[Tuple[Fraction, ...], Fraction]:
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(out[-1] * r + c)
-    return tuple(out[:-1]), out[-1]
-
-
 def _verify_root(coeffs: Sequence[Fraction], r: Fraction, multiplicity: int) -> None:
-    work: Sequence[Fraction] = coeffs
+    work = list(coeffs)
     for stage in range(multiplicity):
         if len(work) < 2:
             raise ValueError(
                 f"root {r} with multiplicity {multiplicity} exceeds the polynomial degree"
             )
-        work, remainder = _synthetic_divide(work, r)
-        if remainder:
+        # synthetic division by (x - r) in place; the last entry is the remainder
+        for i in range(1, len(work)):
+            work[i] += work[i - 1] * r
+        if work.pop():
             raise ValueError(
                 f"{r} is not a root of the characteristic polynomial to multiplicity "
                 f"{multiplicity} (division fails at stage {stage + 1})"
@@ -667,7 +657,7 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
             raise ValueError(f"{what}: dimension mismatch: m={seed.m} vs m={spec.m}")
         return seed
 
-    terms: list = []
+    terms, pairs = [], []
     for root in spec.roots:
         r = root.value
         if len(root.monogenic_seeds) > root.multiplicity:
@@ -682,11 +672,11 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
                 )
             h = read(root.harmonic_seed, f"root {r} harmonic seed")
             chain = _require_polyharmonic(h, 1, f"root {r} harmonic seed")
-            terms += _steering_terms([(SteeringSymbol.power_exp(0, r), chain)])
+            pairs.append((SteeringSymbol.power_exp(0, r), chain))
         for k, seed in enumerate(root.monogenic_seeds):
             mk = read(seed, f"root {r} seed {k}")
             if not mk:
                 continue
             _require_monogenic(mk, "left", f"root {r} seed {k}")
             terms.append((SteeringSymbol.power_exp(k, r), mk))
-    return SteeringExpression(spec.m, terms)
+    return SteeringExpression(spec.m, terms + _steering_terms(pairs))

@@ -53,8 +53,6 @@ def n_monogenic_residual(f: Verifiable, n: int, side: str = "left") -> ResidualR
     """Residual of the n-fold Cauchy-Riemann operator; n = 0 returns f."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return _report(f"cr_{side}^{n}", NumeratorForm(f).dirac(side, times=n).build())
 
 
@@ -111,13 +109,13 @@ def d_equation_residual(f: Verifiable, coeffs: Sequence[ScalarLike]) -> Residual
     coeffs = tuple(coerce_fraction(c) for c in coeffs)
     if not coeffs:
         raise ValueError("at least one coefficient is required")
-    if f.cr_left():
+    powers = [NumeratorForm(f)]
+    if powers[0].dirac("left").build():
         raise ValueError(
             "input is not left monogenic; the hypercomplex derivative is undefined"
         )
     n = len(coeffs) - 1
     # D^k = (1/2^k) (d/dx_0 - sum_j e_j d/dx_j)^k: unscaled links, weighted in the sum
-    powers = [NumeratorForm(f)]
     for _ in range(n):
         powers.append(powers[-1].dirac("left", -1))
     parts = [(powers[n - j], a / 2 ** (n - j)) for j, a in enumerate(coeffs)]

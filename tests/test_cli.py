@@ -15,6 +15,8 @@ from cliffsteer.verify import inframonogenic_residual, n_monogenic_residual
 from helpers import e, x, ymono
 
 M = 4
+# a coefficient of 5001 digits, over the 4300 Python converts by default
+TOO_LONG = f"fraction {'1' + '0' * 19!r}... has 5001 digits, over the limit of 4300"
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -92,11 +94,11 @@ class TestConstructVerifyPipeline:
         assert left["is_zero"] and right["is_zero"]
 
     def test_right_side_construction_rejected(self, capsys):
-        code, _, err = run(
-            capsys, ["construct", "--family", "exp", "--side", "right", "--seed", seed_doc()]
-        )
-        assert code == 2
-        assert "not supported" in err
+        # the parser offers --side left and both only
+        with pytest.raises(SystemExit) as info:
+            main(["construct", "--family", "exp", "--side", "right", "--seed", seed_doc()])
+        assert info.value.code == 2
+        assert "argument --side: invalid choice: 'right'" in capsys.readouterr().err
 
     def test_bad_seed_precondition_named(self, capsys):
         bad = json.dumps(ymono(M, {2: 2}).to_obj())  # not harmonic
@@ -224,6 +226,31 @@ class TestVerifyOperators:
         assert len(errors) == 1 and errors[0].endswith(f"not an exact rational: {value!r}")
         assert err.endswith(errors[0] + "\n") and "Traceback" not in err
 
+    def test_over_long_coefficient_refused_naming_the_limit(self, capsys, tmp_path):
+        seed = CliffordPolynomial.constant(M, 1, range(2, M + 1)).to_obj()
+        seed["terms"][0]["coef"]["terms"][0]["coef"] = "1" + "0" * 5000
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(seed))
+        code, out, err = run(capsys, ["construct", "--family", "exp", "--seed-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {TOO_LONG}\n" and len(err) < 200
+
+    def test_over_long_argument_refused_naming_the_limit(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--op", "lame", "--mu", "1" + "0" * 5000, "--lambda", "1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        # argparse prints its usage, then the one error line
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"argument --mu: {TOO_LONG}")
+        assert len(errors[0]) < 200 and err.endswith(errors[0] + "\n")
+
+    def test_refused_argument_shown_by_its_first_20_characters(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--op", "lame", "--mu", "1e" + "0" * 40, "--lambda", "1"])
+        err = capsys.readouterr().err
+        assert err.endswith(f"not an exact rational: {'1e' + '0' * 18!r}...\n")
+
     @pytest.mark.parametrize("where", ["seed coef", "symbol rate", "dsolve root"])
     def test_exponent_in_document_refused_naming_it(self, capsys, tmp_path, where):
         one = CliffordPolynomial.constant(M, 1, range(2, M + 1)).to_obj()
@@ -338,7 +365,7 @@ class TestVerifyOperators:
             capsys, ["verify", "--op", "cr"], stdin_text=doc, monkeypatch=monkeypatch
         )
         assert code == 2 and not out
-        assert err == "error: missing field 'symbol'\n"
+        assert err == "error: steering expression term: missing field 'symbol'\n"
 
 
 class TestBasisAndAppell:
@@ -355,7 +382,7 @@ class TestBasisAndAppell:
     def test_basis_refuses_a_generator_count_outside_the_range(self, capsys, m):
         code, out, err = run(capsys, ["basis", "--degree", "2", "--m", str(m)])
         assert code == 2 and not out
-        assert err == f"error: generator count must be in 2..16, got {m}\n"
+        assert err == f"error: generator count must be an integer in 2..16, got {m}\n"
 
     def test_appell_roundtrip(self, capsys):
         code, out, _ = run(capsys, ["appell", "--k", "2", "--m", "3"])

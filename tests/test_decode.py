@@ -216,7 +216,7 @@ MALFORMED = [
         "missing-field",
         CONSTRUCT,
         {"m": M, "terms": [{"monomial": {"2": 1}}]},
-        "missing field 'coef'",
+        "polynomial term: missing field 'coef'",
     ),
     ("unknown-symbol-kind", VERIFY, expr((sym("tan"), X2)), "unknown symbol kind 'tan'"),
     (
@@ -356,3 +356,54 @@ def test_malformed_document_exits_two_with_its_message(capsys, tmp_path, command
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
+
+
+TRIG = ["construct", "--family", "trig"]
+TRIG_BOTH = ["construct", "--family", "trig", "--side", "both"]
+POWER = ["construct", "--family", "power"]
+
+
+def with_coef(coef):
+    """A polynomial document whose one term has the multivector document ``coef``."""
+    return poly(({"2": 1}, coef))
+
+
+def with_terms(doc, *terms):
+    return {**doc, "terms": list(terms)}
+
+
+# (the object a field is missing from, subcommand, document, the missing field)
+MISSING = [
+    ("multivector document", CONSTRUCT, with_coef({"terms": []}), "m"),
+    ("multivector term", CONSTRUCT, with_coef(with_terms(E2, {"coef": "1"})), "blades"),
+    ("multivector term", CONSTRUCT, with_coef(with_terms(E2, {"blades": [2]})), "coef"),
+    ("polynomial document", CONSTRUCT, {"vars": [2, 3, 4], "terms": []}, "m"),
+    ("polynomial term", CONSTRUCT, with_terms(X2, {"coef": E2}), "monomial"),
+    ("polynomial term", VERIFY, with_terms(X2, {"monomial": {"2": 1}}), "coef"),
+    ("steering expression document", VERIFY, {"terms": []}, "m"),
+    ("steering expression term", VERIFY, {"m": M, "terms": [{"coef": X2}]}, "symbol"),
+    ("steering expression term", VERIFY, {"m": M, "terms": [{"symbol": sym()}]}, "coef"),
+    ("steering symbol document", VERIFY, expr(({"rate": "1/1"}, X2)), "kind"),
+    ("trig seed document", TRIG, {"b1": X2}, "a1"),
+    ("trig seed document", TRIG, {"a1": X2}, "b1"),
+    ("trig seed document", TRIG_BOTH, {"N": X2}, "M"),
+    ("trig seed document", TRIG_BOTH, {"M": X2}, "N"),
+    ("power seed document", POWER, {}, "seeds"),
+    ("dsolve spec document", DSOLVE, {"roots": [{"root": "1", "harmonic_seed": X2}]}, "m"),
+    ("dsolve spec document", DSOLVE, {"m": M}, "roots"),
+    ("dsolve spec root", DSOLVE, {"m": M, "roots": [{"harmonic_seed": X2}]}, "root"),
+]
+
+
+@pytest.mark.parametrize(
+    "what, command, doc, field", MISSING, ids=[f"{row[0]}-{row[3]}" for row in MISSING]
+)
+def test_missing_field_names_the_object_it_is_missing_from(
+    capsys, tmp_path, what, command, doc, field
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([*command, FILE_FLAG[command[0]], str(path)])
+    captured = capsys.readouterr()
+    expected = f"error: {what}: missing field {field!r}\n"
+    assert (code, captured.out, captured.err) == (2, "", expected)

@@ -1,0 +1,39 @@
+"""``tools/identity``: the digest lines repeat, and a differing line exits one.
+
+The tool is a script, not a package module, so it is loaded from its path.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+
+
+@pytest.fixture(scope="module")
+def identity():
+    spec = importlib.util.spec_from_file_location("identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_lines_repeat_and_a_differing_line_exits_one(identity, capsys):
+    cs, workloads = identity.load(identity.ROOT)
+    first = identity.digest_lines(cs, workloads, tiny=True)
+    assert first == identity.digest_lines(cs, workloads, tiny=True)
+    names = [line.rsplit(" ", 1)[0] for line in first]
+    expected = [f"{w} seed {s}" for w in workloads.WORKLOADS for s in identity.SEEDS]
+    assert names == expected + [" ".join(identity.TINY_SUITE)]
+    assert identity.compare(first, first) == 0
+    assert capsys.readouterr().err == ""
+
+    key, digest = first[2].rsplit(" ", 1)
+    changed = first[:2] + [f"{key} {'0' * len(digest)}"] + first[3:-1]
+    assert identity.compare(first, changed) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"differs: {key}: {digest} -> {'0' * len(digest)}",
+        f"differs: {names[-1]}: {first[-1].rsplit(' ', 1)[1]} -> missing",
+    ]

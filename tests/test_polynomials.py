@@ -7,6 +7,7 @@ import sympy
 
 from cliffsteer.algebra import Multivector
 from cliffsteer.polynomials import CliffordPolynomial, paravector_power, polyharmonic_basis
+from cliffsteer.steering import SteeringExpression
 from helpers import e, random_multivector, random_poly, scalar, x, ymono
 
 
@@ -336,3 +337,19 @@ class TestJson:
             with pytest.raises(ValueError, match="must be written '2'"):
                 CliffordPolynomial.from_obj(self._doc({key: 1}))
         assert CliffordPolynomial.from_obj(self._doc({"2": 1})) == x(3, 2)
+
+
+@pytest.mark.parametrize("m", [0, 1, 17, 40])
+@pytest.mark.parametrize(
+    "build",
+    [
+        CliffordPolynomial,
+        lambda m: CliffordPolynomial.zero(m, range(2, 5)),
+        SteeringExpression,
+    ],
+    ids=["polynomial", "zero-polynomial-in-y", "expression"],
+)
+def test_a_term_map_without_terms_checks_its_generator_count(build, m):
+    with pytest.raises(ValueError) as info:
+        build(m)
+    assert str(info.value) == f"generator count must be an integer in 2..16, got {m}"

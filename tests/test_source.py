@@ -12,8 +12,10 @@ already makes a class unhashable).  In ``steering.py`` one function calls
 ``NumeratorForm.combine``: every constructor builds its conjugate side
 through that one rule.  Each rule a polynomial or expression constructor
 checks is written in one function body: the decoders build through the
-constructors.  Every name the package root exports is used by the
-package, the benchmark or the tools, with one named exemption.
+constructors; package-wide, one function checks the side of a Dirac-type
+operator and one compares a generator count with ``MIN_GENERATORS``.  Every
+name the package root exports is used by the package, the benchmark or the
+tools, with one named exemption.
 """
 
 import ast
@@ -166,28 +168,45 @@ def test_steering_combines_forms_in_one_function():
     assert len(callers) == 1, callers
 
 
-# (module, message) of each rule a constructor checks; a decoder builds through
-# the constructor rather than checking the rule again
+# (module, rule) of each rule checked in one function body: a message text, or
+# a constant that only the one comparison of the rule names; module None is the
+# whole package.  A decoder builds through the constructor rather than checking
+# a rule again, the Dirac link alone checks the side, and generator_count alone
+# checks a generator count
 SINGLE_CHECKS = [
     ("polynomials.py", "var_scope must be a subset"),
     ("polynomials.py", "nonnegative exponents"),
     ("polynomials.py", "outside the declared variable scope"),
     ("polynomials.py", "coefficient dimension mismatch"),
     ("steering.py", "coefficient dimension mismatch"),
+    (None, "side must be 'left' or 'right'"),
+    (None, "MIN_GENERATORS"),
 ]
 
 
-@pytest.mark.parametrize("module, message", SINGLE_CHECKS, ids=lambda v: v.split()[0])
-def test_each_rule_is_checked_in_one_function(module, message):
-    tree = _tree(PACKAGE / module)
+def _states(node, rule):
+    """Whether ``node`` is a string holding ``rule`` or a comparison naming it."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and rule in node.value
+    return isinstance(node, ast.Compare) and any(
+        isinstance(name, ast.Name) and name.id == rule for name in ast.walk(node)
+    )
+
+
+@pytest.mark.parametrize(
+    "module, rule", SINGLE_CHECKS, ids=lambda v: "package" if v is None else v.split()[0]
+)
+def test_each_rule_is_checked_in_one_function(module, rule):
+    paths = MODULES if module is None else [PACKAGE / module]
     holders = [
-        func.name
-        for func in ast.walk(tree)
+        f"{path.name}:{func.name}"
+        for path in paths
+        for func in ast.walk(_tree(path))
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and message in node.value
+        if _states(node, rule)
     ]
-    assert len(holders) == 1, f"{module}: {message!r} appears in {holders}"
+    assert len(holders) == 1, f"{module or 'package'}: {rule!r} appears in {holders}"
 
 
 # exports kept although nothing calls them: power_coefficient is the reference

@@ -76,8 +76,10 @@ class TestNMonogenicResidual:
         assert n_monogenic_residual(z, 1, "left").is_zero
 
     def test_rejects_bad_side(self):
-        with pytest.raises(ValueError, match="side"):
-            n_monogenic_residual(_two_sided(), 1, "up")
+        # n = 0 applies no link, and is refused all the same
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="^side must be 'left' or 'right', got 'up'$"):
+                n_monogenic_residual(_two_sided(), n, "up")
 
 
 class TestInframonogenic:

@@ -1,0 +1,134 @@
+"""Check that the working tree's outputs are byte-identical to a base commit's.
+
+    python3 tools/identity.py                  # the digest lines of the working tree
+    python3 tools/identity.py --base HEAD~1    # the same lines for HEAD~1, compared
+
+Every workload of ``perfbench.workloads.WORKLOADS`` is built at seeds 7 and
+11 and each of its cases runs once.  One line ``<workload> seed <s> <sha256
+prefix>`` digests the workload's input fingerprint and its outcomes: each
+case's returned expressions, reports and polynomials as their documents, and
+for ``pipeline`` each case's exit codes and stderr plus every document the
+commands wrote.  One more line digests the output of ``cliffsteer suite
+--max-n 5 --max-degree 5`` with its ms column masked, and its exit status.
+
+``--base REV`` computes the same lines in a child process on the committed
+files of REV (``git archive``, unpacked in a temporary directory, as
+``tools/bench_pairs.py`` does), names each line that differs on stderr and
+exits 1 if any does.  The lines of the working tree are printed either way.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, export  # noqa: E402
+
+SEEDS = (7, 11)
+SUITE = ["suite", "--max-n", "5", "--max-degree", "5"]
+TINY_SUITE = ["suite", "--max-n", "1", "--max-degree", "1", "--cases", "10"]
+
+
+def load(tree: Path):
+    """``cliffsteer`` from ``tree/src`` and ``perfbench.workloads`` from ``tree``."""
+    sys.path[:0] = [str(tree / "src"), str(tree)]
+    import cliffsteer
+    import cliffsteer.cli  # noqa: F401  (the pipeline workload calls cli.main)
+    from perfbench import workloads
+
+    where = Path(cliffsteer.__file__).resolve()
+    if not where.is_relative_to((tree / "src").resolve()):
+        raise ImportError(f"cliffsteer was imported from {where}, not from {tree / 'src'}")
+    return cliffsteer, workloads
+
+
+def _plain(value):
+    """``value`` with each of the program's objects written as its document."""
+    if hasattr(value, "to_obj"):
+        return value.to_obj()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _digest(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(json.dumps(part, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()[:16]
+
+
+def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
+    """One line per workload and seed, and one for the suite; ``tiny`` shrinks
+    every workload and the suite, for a quick self-test."""
+    lines = []
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            with tempfile.TemporaryDirectory() as workdir:
+                workload = workloads.build(name, cs, seed, workdir, tiny)
+                parts = [workload.fingerprint]
+                for case in workload.cases:
+                    try:
+                        outcome = json.dumps(_plain(case.run()), sort_keys=True)
+                    except Exception as exc:  # a raising case is one more outcome
+                        outcome = f"raised {type(exc).__name__}: {exc}"
+                    # the temporary directory's name differs from run to run
+                    parts.append([case.label, outcome.replace(workdir, "<workdir>")])
+                # the documents the pipeline's commands wrote, by name
+                for path in sorted(Path(workdir).iterdir()):
+                    parts.append([path.name, path.read_text(encoding="ascii")])
+            lines.append(f"{name} seed {seed} {_digest(parts)}")
+    argv = TINY_SUITE if tiny else SUITE
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cs.cli.main(argv)
+    masked = re.sub(r" *\d+\.\d\d ms", " <ms>", out.getvalue())
+    lines.append(f"{' '.join(argv)} {_digest([code, masked])}")
+    return lines
+
+
+def compare(base: list[str], change: list[str]) -> int:
+    """Name on stderr each line whose digest differs between the two sides, or
+    that one side lacks; 1 if there is any, else 0."""
+    split = [dict(line.rsplit(" ", 1) for line in side) for side in (base, change)]
+    differing = 0
+    for key in dict.fromkeys([*split[0], *split[1]]):
+        old, new = (side.get(key, "missing") for side in split)
+        if old != new:
+            print(f"differs: {key}: {old} -> {new}", file=sys.stderr)
+            differing += 1
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="commit to compare the working tree with")
+    parser.add_argument("--tree", type=Path, default=ROOT, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.base is None:
+        lines = digest_lines(*load(args.tree))
+        print("\n".join(lines))
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        export(args.base, Path(tmp))
+        child = [sys.executable, str(Path(__file__).resolve()), "--tree", tmp]
+        done = subprocess.run(child, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"the digest of {args.base} exited {done.returncode}:\n{done.stderr}")
+    lines = digest_lines(*load(ROOT))
+    print("\n".join(lines))
+    return compare(done.stdout.splitlines(), lines)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
