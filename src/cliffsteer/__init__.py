@@ -10,7 +10,7 @@ differential operators over exact rational arithmetic.
 
 from .algebra import Multivector, e1_sandwich
 from .appell import appell_poly, pochhammer, t_coeff
-from .polynomials import CliffordPolynomial, paravector_power, polyharmonic_basis
+from .polynomials import CliffordPolynomial, polyharmonic_basis
 from .steering import (
     CoefficientTable,
     DSolveSpec,
@@ -43,7 +43,6 @@ __all__ = [
     "Multivector",
     "e1_sandwich",
     "CliffordPolynomial",
-    "paravector_power",
     "polyharmonic_basis",
     "SteeringSymbol",
     "SteeringExpression",

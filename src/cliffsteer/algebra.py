@@ -47,18 +47,26 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_fraction(raw: object) -> Fraction:
-    """Parse a "num/den" string (or bare integer) back into a Fraction."""
+def quoted(raw: str) -> str:
+    """``raw`` as an error message shows it: quoted, and cut after 20 characters."""
+    return repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}..."
+
+
+def parse_fraction(raw: object, what: str = "fraction") -> Fraction:
+    """Parse a "num/den" string (or bare integer) into a Fraction; ``what`` names it."""
     if isinstance(raw, str):
         if "e" in raw or "E" in raw:  # "1e30000000" alone is a 30-million-digit integer
-            raise ValueError(f"fraction {raw!r} uses exponent notation; write it as num/den")
+            raise ValueError(f"{what} {quoted(raw)} uses exponent notation; write it as num/den")
         if len(raw) > MAX_DIGITS:  # no shorter string has a part with too many digits
             digits = max(sum(c.isdigit() for c in part) for part in raw.split("/"))
             if digits > MAX_DIGITS:
                 raise OverflowError(
-                    f"fraction {raw[:20]!r}... has {digits} digits, over the limit of {MAX_DIGITS}"
+                    f"{what} {quoted(raw)} has {digits} digits, over the limit of {MAX_DIGITS}"
                 )
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ValueError:  # Fraction's own message shows the whole string
+            raise ValueError(f"Invalid literal for Fraction: {quoted(raw)}") from None
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     raise TypeError(f"fractions must be encoded as strings, got {type(raw).__name__}")

@@ -1,18 +1,18 @@
 """Generalized Appell polynomials with Pochhammer-ratio coefficients.
 
-P_k(X) = sum_s T_s^k X^(k-s) Xbar^s over paravector powers, with
-T_s^k = C(k,s) ((m+1)/2)_(k-s) ((m-1)/2)_(s) / m_(k).  The sequence is
-built by direct expansion, not by the derivative recursion it satisfies,
-so that D P_k = k P_{k-1} stays an independent cross-check.
+P_k = sum_s T_s^k X^(k-s) Xbar^s with T_s^k = C(k,s) ((m+1)/2)_(k-s) ((m-1)/2)_(s) / m_(k),
+X = x_0 + w, Xbar = x_0 - w and w = sum_j x_j e_j.  As w^2 = -R = -sum_j x_j^2, P_k is
+sum_i c_i x_0^(k-i) w^i, with w^(2l) = (-R)^l and w^(2l+1) = (-R)^l w, built without a
+Clifford product or the derivative recursion: D P_k = k P_{k-1} stays an independent check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
-from .algebra import ScalarLike, coerce_fraction
-from .polynomials import CliffordPolynomial, paravector_power
+from .algebra import Multivector, ScalarLike, coerce_fraction, generator_count
+from .polynomials import CliffordPolynomial, homogeneous_exponents
 
 
 def pochhammer(a: ScalarLike, k: int) -> Fraction:
@@ -20,35 +20,38 @@ def pochhammer(a: ScalarLike, k: int) -> Fraction:
     if k < 0:
         raise ValueError("pochhammer index must be nonnegative")
     a = coerce_fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
+    return prod((a + i for i in range(k)), start=Fraction(1))
 
 
 def t_coeff(k: int, s: int, m: int) -> Fraction:
     """The exact scalar weight of X^(k-s) Xbar^s in P_k."""
     if not 0 <= s <= k:
         raise ValueError(f"index out of range: need 0 <= s <= k, got s={s}, k={k}")
-    if m < 2:
-        raise ValueError("need at least two generators")
-    numerator = (
-        comb(k, s)
-        * pochhammer(Fraction(m + 1, 2), k - s)
-        * pochhammer(Fraction(m - 1, 2), s)
-    )
-    return numerator / pochhammer(Fraction(m), k)
+    generator_count(m)
+    rising = pochhammer(Fraction(m + 1, 2), k - s) * pochhammer(Fraction(m - 1, 2), s)
+    return comb(k, s) * rising / pochhammer(Fraction(m), k)
 
 
 def appell_poly(k: int, m: int) -> CliffordPolynomial:
     """The k-th Appell polynomial in R_{0,m}, expanded exactly."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    # Horner's rule in Xbar: Q_0 = T_k, Q_i = Q_(i-1) Xbar + T_(k-i) X^i, P_k = Q_k
-    x, xbar = paravector_power(m, 1), paravector_power(m, 1, conjugated=True)
-    x_power = CliffordPolynomial.constant(m, 1)
-    total = CliffordPolynomial.constant(m, t_coeff(k, k, m))
-    for i in range(1, k + 1):
-        x_power = x_power * x
-        total = total * xbar + x_power * t_coeff(k, k - i, m)
-    return total
+    weights = [t_coeff(k, s, m) for s in range(k + 1)]
+    data = {}
+    for i in range(k + 1):
+        # the weight of x_0^(k-i) w^i in (x_0 + w)^(k-s) (x_0 - w)^s, summed over s
+        c = sum(
+            t * (-1) ** q * comb(k - s, i - q) * comb(s, q)
+            for s, t in enumerate(weights) for q in range(i + 1)
+        )
+        half, odd = divmod(i, 2)
+        for alpha in homogeneous_exponents(m, half):  # (-R)^half, expanded multinomially
+            q = (-c if half & 1 else c) * (factorial(half) // prod(map(factorial, alpha)))
+            exps = (k - i,) + tuple(2 * a for a in alpha)
+            if odd:  # times w = sum_j x_j e_j, one term per j
+                for j in range(1, m + 1):
+                    key = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+                    data[key] = Multivector._unsafe(m, {1 << (j - 1): q})
+            else:
+                data[exps] = Multivector._unsafe(m, {0: q})
+    return CliffordPolynomial._unsafe(m, frozenset(range(m + 1)), data)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .algebra import document_m, json_field, json_list, json_object, parse_fraction
+from .algebra import document_m, json_field, json_list, json_object, parse_fraction, quoted
 from .appell import appell_poly
 from .polynomials import CliffordPolynomial, polyharmonic_basis
 from .steering import (
@@ -57,12 +57,16 @@ def _emit(obj, out_path: str | None) -> None:
 
 def _load_document(args) -> object:
     if getattr(args, "seed", None):
-        return json.loads(args.seed)
-    path = getattr(args, "seed_file", None) or getattr(args, "in_path", None)
-    if path:
+        text = args.seed
+    elif path := getattr(args, "seed_file", None) or getattr(args, "in_path", None):
         with open(path, "r", encoding="ascii") as handle:
-            return json.load(handle)
-    return json.load(sys.stdin)
+            text = handle.read()
+    else:
+        text = sys.stdin.read()
+    try:
+        return json.loads(text)
+    except ValueError:  # parsed again, so that an integer too long to convert names the limit
+        return json.loads(text, parse_int=lambda digits: int(parse_fraction(digits, "integer")))
 
 
 def _parse_function(obj) -> SteeringExpression | CliffordPolynomial:
@@ -78,8 +82,7 @@ def _frac(text: str) -> Fraction:
     except OverflowError as exc:  # its message names the limit and cuts the value short
         raise argparse.ArgumentTypeError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
-        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
-        raise argparse.ArgumentTypeError(f"not an exact rational: {shown}") from exc
+        raise argparse.ArgumentTypeError(f"not an exact rational: {quoted(text)}") from exc
 
 
 def _coeff_list(text: str) -> tuple[Fraction, ...]:

@@ -422,27 +422,13 @@ def dirac(f, side: str, sign: int = 1, y_only: bool = False):
     return NumeratorForm(f).dirac(side, sign, y_only).build()
 
 
-def paravector_power(m: int, k: int, conjugated: bool = False) -> CliffordPolynomial:
-    """Expand (x_0 +/- sum_j x_j e_j)^k by repeated multiplication."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    sign = -1 if conjugated else 1
-    base = CliffordPolynomial.variable(m, 0)
-    for j in range(1, m + 1):
-        base = base + CliffordPolynomial.monomial(m, {j: 1}, Multivector.blade(m, (j,), sign))
-    out = CliffordPolynomial.constant(m, 1)
-    for _ in range(k):
-        out = out * base
-    return out
-
-
-def _homogeneous_exponents(count: int, degree: int) -> Iterator[Tuple[int, ...]]:
+def homogeneous_exponents(count: int, degree: int) -> Iterator[Tuple[int, ...]]:
     # graded-lex listing: the earliest variable takes the largest exponent first
     if count == 1:
         yield (degree,)
         return
     for first in range(degree, -1, -1):
-        for rest in _homogeneous_exponents(count - 1, degree - first):
+        for rest in homogeneous_exponents(count - 1, degree - first):
             yield (first,) + rest
 
 
@@ -483,7 +469,7 @@ def polyharmonic_basis(degree: int, order: int, m: int) -> list[CliffordPolynomi
     step: dict[Tuple[Tuple[int, ...], int], dict[Tuple[int, ...], int]] = {}
     fact = [factorial(j) for j in range(degree + 1)]
     out = []
-    for free in _homogeneous_exponents(m - 1, degree):
+    for free in homogeneous_exponents(m - 1, degree):
         if free[0] >= 2 * order:
             continue
         a: list[dict[Tuple[int, ...], int]] = [{} for _ in range(degree + 1)]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliffsteer.algebra import Multivector
 from cliffsteer.appell import appell_poly, pochhammer, t_coeff
 from cliffsteer.polynomials import CliffordPolynomial
 from cliffsteer.steering import SteeringExpression, SteeringSymbol
@@ -82,3 +83,60 @@ class TestAppellSequence:
             expected = SteeringExpression(m, [(SteeringSymbol.power_exp(k - 1, 0), mono * k)])
             assert zk.hypercomplex_d() == expected
             assert not zk.cr_left()
+
+
+def paravector(m, sign=1):
+    """x_0 + sign * sum_j x_j e_j: X for sign 1, its conjugate Xbar for sign -1."""
+    out = CliffordPolynomial.variable(m, 0)
+    for j in range(1, m + 1):
+        out = out + CliffordPolynomial.monomial(m, {j: 1}, Multivector.blade(m, (j,), sign))
+    return out
+
+
+def powers(base, n):
+    """[base^0, ..., base^n] by repeated Clifford-polynomial products."""
+    out = [CliffordPolynomial.constant(base.m, 1)]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
+
+
+class TestParavectorProducts:
+    """``appell_poly`` expands P_k in the paravector plane; here X and Xbar are
+    multiplied out as Clifford polynomials, an oracle independent of it."""
+
+    def test_first_power(self):
+        m = 2
+        expected = x(m, 0) + x(m, 1) * e(m, 1) + x(m, 2) * e(m, 2)
+        assert paravector(m) == expected
+
+    def test_x_times_xbar_is_squared_norm(self):
+        for m in (2, 3):
+            product = paravector(m) * paravector(m, -1)
+            expected = CliffordPolynomial.zero(m)
+            for i in range(m + 1):
+                expected = expected + CliffordPolynomial.monomial(m, {i: 2}, 1)
+            assert product == expected
+
+    def test_square_expansion(self):
+        m = 2
+        got = paravector(m) * paravector(m)
+        expected = (
+            CliffordPolynomial.monomial(m, {0: 2}, 1)
+            - CliffordPolynomial.monomial(m, {1: 2}, 1)
+            - CliffordPolynomial.monomial(m, {2: 2}, 1)
+            + CliffordPolynomial.monomial(m, {0: 1, 1: 1}, e(m, 1) * 2)
+            + CliffordPolynomial.monomial(m, {0: 1, 2: 1}, e(m, 2) * 2)
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_appell_equals_the_product_expansion(self, m):
+        xs, xbars = powers(paravector(m), 8), powers(paravector(m, -1), 8)
+        for k in range(0, 9):
+            expected = CliffordPolynomial.zero(m)
+            for s in range(k + 1):
+                expected = expected + xs[k - s] * xbars[s] * t_coeff(k, s, m)
+            got = appell_poly(k, m)
+            assert got == expected
+            assert got.to_obj() == expected.to_obj()

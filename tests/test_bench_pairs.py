@@ -6,6 +6,7 @@ The tool is a script, not a package module, so it is loaded from its path.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,34 @@ def test_run_keeps_the_source_line_count(bench_pairs, monkeypatch):
         "fail_frac": 0.0,
         "src_lines": 2718,
     }
+
+
+def test_each_run_compiles_into_a_fresh_cache_outside_both_trees(
+    bench_pairs, monkeypatch, tmp_path
+):
+    report = {"report": {"fail_frac": 0.0, "src_lines": 1, "workload": "basis"}}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    caches = []
+
+    class Done:
+        returncode = 0
+        stderr = ""
+        stdout = f"{json.dumps(report)}\n{json.dumps(result)}\n"
+
+    def run(command, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert cache.is_dir() and not any(cache.iterdir())
+        assert env["PATH"] == os.environ["PATH"]  # the rest of the environment is kept
+        caches.append(cache)
+        return Done
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    for tree in (tmp_path, bench_pairs.ROOT, tmp_path, bench_pairs.ROOT):
+        bench_pairs.run_once(tree, "basis", 1, 1.0)
+    assert len(set(caches)) == 4
+    for cache in caches:
+        assert not cache.exists()  # removed after its run
+        assert not cache.is_relative_to(tmp_path) and not cache.is_relative_to(bench_pairs.ROOT)
 
 
 def test_a_failing_run_is_kept_named_and_exits_one(bench_pairs, monkeypatch, tmp_path, capsys):

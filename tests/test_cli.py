@@ -235,6 +235,46 @@ class TestVerifyOperators:
         assert (code, out) == (2, "")
         assert err == f"error: {TOO_LONG}\n" and len(err) < 200
 
+    @pytest.mark.parametrize(
+        "coef, message",
+        [
+            ("x" * 5000, f"Invalid literal for Fraction: {'x' * 20!r}..."),
+            ("1e" + "0" * 5000, f"fraction {'1e' + '0' * 18!r}... uses exponent notation"),
+        ],
+        ids=["not-a-number", "exponent"],
+    )
+    def test_long_refused_coefficient_shown_by_its_first_20_characters(
+        self, capsys, tmp_path, coef, message
+    ):
+        seed = CliffordPolynomial.constant(M, 1, range(2, M + 1)).to_obj()
+        seed["terms"][0]["coef"]["terms"][0]["coef"] = coef
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(seed))
+        code, out, err = run(capsys, ["construct", "--family", "exp", "--seed-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("source", ["--seed", "--seed-file", "stdin"])
+    def test_over_long_json_integer_refused_naming_the_limit(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        seed = CliffordPolynomial.constant(M, 1, range(2, M + 1)).to_obj()
+        seed["terms"][0]["coef"]["terms"][0]["coef"] = "COEF"
+        # a bare JSON integer, not a string: json.dumps refuses to write one this long
+        text = json.dumps(seed).replace('"COEF"', "1" + "0" * 5000)
+        argv = ["construct", "--family", "exp"]
+        if source == "--seed":
+            argv += ["--seed", text]
+        elif source == "--seed-file":
+            path = tmp_path / "seed.json"
+            path.write_text(text)
+            argv += ["--seed-file", str(path)]
+        code, out, err = run(capsys, argv, text if source == "stdin" else None, monkeypatch)
+        assert (code, out) == (2, "")
+        limit = f"integer {'1' + '0' * 19!r}... has 5001 digits, over the limit of 4300"
+        assert err == f"error: {limit}\n"
+
     def test_over_long_argument_refused_naming_the_limit(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--op", "lame", "--mu", "1" + "0" * 5000, "--lambda", "1"])

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from cliffsteer.algebra import Multivector
-from cliffsteer.polynomials import CliffordPolynomial, paravector_power, polyharmonic_basis
+from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
 from cliffsteer.steering import SteeringExpression
 from helpers import e, random_multivector, random_poly, scalar, x, ymono
 
@@ -154,33 +154,6 @@ class TestDerivatives:
         m = 3
         p = x(m, 2)
         assert not p.laplacian()  # x0, x1 and x3 are in scope but absent
-
-
-class TestParavectorPowers:
-    def test_first_power(self):
-        m = 2
-        expected = x(m, 0) + x(m, 1) * e(m, 1) + x(m, 2) * e(m, 2)
-        assert paravector_power(m, 1) == expected
-
-    def test_x_times_xbar_is_squared_norm(self):
-        for m in (2, 3):
-            product = paravector_power(m, 1) * paravector_power(m, 1, conjugated=True)
-            expected = CliffordPolynomial.zero(m)
-            for i in range(m + 1):
-                expected = expected + CliffordPolynomial.monomial(m, {i: 2}, 1)
-            assert product == expected
-
-    def test_square_expansion(self):
-        m = 2
-        got = paravector_power(m, 2)
-        expected = (
-            CliffordPolynomial.monomial(m, {0: 2}, 1)
-            - CliffordPolynomial.monomial(m, {1: 2}, 1)
-            - CliffordPolynomial.monomial(m, {2: 2}, 1)
-            + CliffordPolynomial.monomial(m, {0: 1, 1: 1}, e(m, 1, ) * 2)
-            + CliffordPolynomial.monomial(m, {0: 1, 2: 1}, e(m, 2) * 2)
-        )
-        assert got == expected
 
 
 def _sympy_kernel_basis(degree, order, nvars):

@@ -7,7 +7,10 @@ For every workload and seed, ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` runs once on an export of the base commit's
 committed files (``git archive``, unpacked in a temporary directory) and
 once on the working tree; which side runs first alternates from pair to
-pair, so drift of a shared host's speed falls on both sides alike.
+pair, so drift of a shared host's speed falls on both sides alike.  Each run
+gets its own fresh, empty ``PYTHONPYCACHEPREFIX`` outside both trees, so both
+sides compile every module alike and a ``__pycache__`` left in either tree is
+never read.
 
 The output file holds both shas, the seeds, every run's end-to-end metrics,
 failure counts and package source line count, and per workload and metric
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -57,12 +61,15 @@ def export(rev: str, target: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run; its result object plus the failure fraction."""
+    """One untraced run, compiling into a fresh bytecode cache; its result
+    object plus the failure fraction."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(command, cwd=tree, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         raise RuntimeError(
             f"{' '.join(command)} in {tree} exited {done.returncode}:\n{done.stderr}"

@@ -8,8 +8,10 @@ Every workload of ``perfbench.workloads.WORKLOADS`` is built at seeds 7 and
 prefix>`` digests the workload's input fingerprint and its outcomes: each
 case's returned expressions, reports and polynomials as their documents, and
 for ``pipeline`` each case's exit codes and stderr plus every document the
-commands wrote.  One more line digests the output of ``cliffsteer suite
---max-n 5 --max-degree 5`` with its ms column masked, and its exit status.
+commands wrote.  One line digests the documents of ``appell_poly(k, m)`` for
+m 2..6 and k 0..8, a wider grid than the ``basis`` workload's.  One more line
+digests the output of ``cliffsteer suite --max-n 5 --max-degree 5`` with its
+ms column masked, and its exit status.
 
 ``--base REV`` computes the same lines in a child process on the committed
 files of REV (``git archive``, unpacked in a temporary directory, as
@@ -37,6 +39,8 @@ from bench_pairs import ROOT, export  # noqa: E402
 SEEDS = (7, 11)
 SUITE = ["suite", "--max-n", "5", "--max-degree", "5"]
 TINY_SUITE = ["suite", "--max-n", "1", "--max-degree", "1", "--cases", "10"]
+APPELL = (range(2, 7), range(0, 9))  # m, k
+TINY_APPELL = (range(2, 4), range(0, 4))
 
 
 def load(tree: Path):
@@ -88,6 +92,9 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
                 for path in sorted(Path(workdir).iterdir()):
                     parts.append([path.name, path.read_text(encoding="ascii")])
             lines.append(f"{name} seed {seed} {_digest(parts)}")
+    ms, ks = TINY_APPELL if tiny else APPELL
+    appell = [cs.appell_poly(k, m).to_obj() for m in ms for k in ks]
+    lines.append(f"appell m {ms[0]}..{ms[-1]} k {ks[0]}..{ks[-1]} {_digest(appell)}")
     argv = TINY_SUITE if tiny else SUITE
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
