@@ -47,9 +47,11 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def quoted(raw: str) -> str:
-    """``raw`` as an error message shows it: quoted, and cut after 20 characters."""
-    return repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}..."
+def quoted(value) -> str:
+    """``value`` as an error shows it: its repr cut after 20 characters, a string's in quotes."""
+    text = repr(value)
+    cut = repr(value[:20]) if isinstance(value, str) else text[:20]
+    return text if cut == text else f"{cut}..."
 
 
 def parse_fraction(raw: object, what: str = "fraction") -> Fraction:
@@ -100,7 +102,7 @@ def mask_from_indices(indices: Iterable[int], m: int) -> int:
     previous = 0
     for j in indices:
         if type(j) is not int or not 1 <= j <= m:
-            raise ValueError(f"generator index {j!r} outside 1..{m}")
+            raise ValueError(f"generator index {quoted(j)} outside 1..{m}")
         if j <= previous:
             raise ValueError("blade indices must be strictly increasing")
         mask |= 1 << (j - 1)
@@ -141,7 +143,7 @@ def generator_count(m, what: str = "generator count") -> int:
     """``m``, checked to be a generator count the package supports; ``what`` names it."""
     if type(m) is not int or not MIN_GENERATORS <= m <= MAX_GENERATORS:
         raise ValueError(
-            f"{what} must be an integer in {MIN_GENERATORS}..{MAX_GENERATORS}, got {m!r}"
+            f"{what} must be an integer in {MIN_GENERATORS}..{MAX_GENERATORS}, got {quoted(m)}"
         )
     return m
 
@@ -197,13 +199,13 @@ class TermMap:
 
     def _decoded(self, pairs: list, name):
         """This term map, built from a document's (key, coefficient) ``pairs``, or
-        an error if the document listed a key twice or with an empty coefficient,
+        an error if the document listed a key twice or with a zero coefficient,
         which the constructor summed or dropped; ``name`` writes a key."""
         if len(self) < len(pairs):
             seen = set()
             for key, c in pairs:
                 if not c or key in seen:
-                    problem = "is listed more than once" if c else "has an empty coefficient"
+                    problem = "is listed more than once" if c else "has a zero coefficient"
                     raise ValueError(f"{name(key)} {problem}")
                 seen.add(key)
         return self
@@ -384,18 +386,15 @@ class Multivector(TermMap):
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "Multivector":
-        """Decode a document, checking each field once as it is read."""
+        """Decode a document; ``_decoded`` refuses its repeated or zero terms."""
         m = document_m(obj, "multivector")
-        data: dict[int, Fraction] = {}
+        pairs = []
         for entry in json_list(obj.get("terms", []), "multivector field 'terms'"):
             mask = mask_from_indices(json_field(entry, "blades", "multivector term"), m)
-            q = parse_fraction(json_field(entry, "coef", "multivector term"))
-            if not q:
-                raise ValueError(f"blade {entry['blades']} has a zero coefficient")
-            if mask in data:
-                raise ValueError(f"blade {entry['blades']} is listed more than once")
-            data[mask] = q
-        return cls._unsafe(m, data)
+            pairs.append((mask, parse_fraction(json_field(entry, "coef", "multivector term"))))
+        return cls._unsafe(m, {mask: q for mask, q in pairs if q})._decoded(
+            pairs, lambda mask: f"blade {list(indices_from_mask(mask))}"
+        )
 
     def __str__(self) -> str:
         if not self._terms:

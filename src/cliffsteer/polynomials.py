@@ -18,7 +18,7 @@ from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .algebra import (
-    Multivector, TermMap, document_m, generator_count, json_field, json_list, json_object
+    Multivector, TermMap, document_m, generator_count, json_field, json_list, json_object, quoted
 )
 
 Monomial = Tuple[int, ...]
@@ -76,7 +76,9 @@ class CliffordPolynomial(DiracOperand):
         for exps, coef in terms.items() if isinstance(terms, Mapping) else terms:
             key = tuple(exps)
             if len(key) != m + 1 or any(type(x) is not int or x < 0 for x in key):
-                raise ValueError(f"monomial {exps!r} must give {m + 1} nonnegative exponents")
+                raise ValueError(
+                    f"monomial {quoted(exps)} must give {m + 1} nonnegative exponents"
+                )
             for i, x in enumerate(key):
                 if x and i not in scope:
                     raise ValueError(f"monomial uses x{i} outside the declared variable scope")
@@ -231,16 +233,16 @@ class CliffordPolynomial(DiracOperand):
             monomial = json_field(entry, "monomial", "polynomial term")
             json_object(monomial, "polynomial term field 'monomial'")
             exps = [0] * (m + 1)
-            seen = set()
             for raw_i, e in monomial.items():
-                i = int(raw_i)
+                try:
+                    i = int(raw_i)
+                except ValueError:  # int's own message shows up to 200 characters
+                    raise ValueError(f"monomial key {quoted(raw_i)} names no variable") from None
                 if not 0 <= i <= m:
-                    raise ValueError(f"variable index {i} out of range 0..{m}")
-                if i in seen:
-                    raise ValueError(f"monomial names x{i} more than once")
+                    raise ValueError(f"variable index {quoted(i)} out of range 0..{m}")
+                # two keys naming one variable cannot both be written str(i)
                 if raw_i != str(i):
-                    raise ValueError(f"monomial key {raw_i!r} must be written {str(i)!r}")
-                seen.add(i)
+                    raise ValueError(f"monomial key {quoted(raw_i)} must be written {str(i)!r}")
                 exps[i] = e
             coef = Multivector.from_obj(json_field(entry, "coef", "polynomial term"))
             pairs.append((tuple(exps), coef))

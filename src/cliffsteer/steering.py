@@ -17,8 +17,10 @@ derivative keeps expressions inside the same closed symbol family.
 This module also houses the constructors: exponential / trigonometric /
 power-steering polymonogenic solutions, two-sided monogenic solutions,
 hypercomplex-derivative eigenfunctions, and solutions of constant
-coefficient equations in the hypercomplex derivative.  All of them follow
-one rule: a seed term phi(z) A with laplacian^n A = 0 gets the conjugate side
+coefficient equations in the hypercomplex derivative.  Each completes a z
+side, terms phi(z) A with phi unbarred (the exp, trig and power families are
+presets), by one rule: a seed term phi(z) A with laplacian^n A = 0 gets
+the conjugate side
 
     sum_{k=1..n} c_k (I^(2k-1) phi)(z-bar) dirac_y^(2k-1) A,
 
@@ -51,6 +53,7 @@ from .algebra import (
     json_field,
     json_list,
     parse_fraction,
+    quoted,
 )
 from .polynomials import CliffordPolynomial, DiracOperand, NumeratorForm
 
@@ -79,7 +82,7 @@ class SteeringSymbol:
 
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
+            raise ValueError(f"unknown symbol kind {quoted(self.kind)}")
         rate = coerce_fraction(self.rate)
         object.__setattr__(self, "rate", rate)
         if type(self.power) is not int or self.power < 0:
@@ -89,8 +92,8 @@ class SteeringSymbol:
         if self.kind != KIND_POWEXP:
             if self.power:
                 raise ValueError("trigonometric symbols carry no power")
-            if not rate:
-                raise ValueError("trigonometric symbols need a nonzero rate")
+            if rate.numerator <= 0:  # cos(-rz) = cos(rz), sin(-rz) = -sin(rz): one symbol each
+                raise ValueError("trigonometric symbols need a positive rate")
         elif self.power == 0 and not rate and self.bar:
             object.__setattr__(self, "bar", False)
 
@@ -479,39 +482,32 @@ def _steering_terms(pairs: Sequence[tuple]) -> list:
     ]
 
 
-def _family(family: str, seeds, rate: Fraction) -> list:
-    # (name refusals give the seed, symbol, seed) of each seed of a family; exp
-    # and trig run at ``rate`` (1 unless construct_eigen sets it), power at rate 0
+def _family(family: str, seeds) -> list:
+    # the z side of a family at rate 1, as (name refusals give the seed, symbol,
+    # seed) triples; power runs at rate 0
     if family == "exp":
-        return [("seed", SteeringSymbol.power_exp(0, rate), seeds)]
+        return [("seed", SteeringSymbol.power_exp(0, 1), seeds)]
     if family == "trig":
         seed_cos, seed_sin = seeds
-        return [
-            ("cos seed", SteeringSymbol.cosine(rate), seed_cos),
-            ("sin seed", SteeringSymbol.sine(rate), seed_sin),
-        ]
+        cos, sin = SteeringSymbol.cosine(1), SteeringSymbol.sine(1)
+        return [("cos seed", cos, seed_cos), ("sin seed", sin, seed_sin)]
     if family == "power":
         return [(f"seed {i}", SteeringSymbol.power_exp(i), seed) for i, seed in enumerate(seeds)]
     raise ValueError(f"unknown steering family {family!r}")
 
 
-def _construct(
-    family: str, seeds, order: int, side: str = "left", rate: ScalarLike = 1
-) -> SteeringExpression:
-    # the one construction path: side "left" needs laplacian^order of every seed
-    # to vanish, side "both" needs right monogenic seeds and builds on M - e1 M e1
+def _construct(z_side: Sequence[tuple], order: int = 1, side: str = "left") -> SteeringExpression:
+    # the one construction path, from the z side: a (name, unbarred symbol, seed)
+    # triple per term; side "left" needs laplacian^order of every seed to vanish,
+    # side "both" needs right monogenic seeds and builds on M - e1 M e1
     if order < 1:
         raise ValueError("order must be at least 1")
-    rate = coerce_fraction(rate)
-    if not rate:
-        raise ValueError("eigenvalue rate must be nonzero")
-    named = _family(family, seeds, rate)
-    clean = [_as_steering_seed(seed, what) for what, _, seed in named]
+    clean = [_as_steering_seed(seed, what) for what, _, seed in z_side]
     if not clean:
         raise ValueError("at least one seed is required")
     m = clean[0].m
     pairs = []
-    for (what, sym, _), seed in zip(named, clean):
+    for (what, sym, _), seed in zip(z_side, clean):
         if seed.m != m:
             raise ValueError(f"dimension mismatch: m={m} vs m={seed.m}")
         if side == "left":
@@ -526,7 +522,7 @@ def _construct(
 def construct_exp_left(seed: CliffordPolynomial, order: int) -> SteeringExpression:
     """exp(z)H + exp(zb) sum_k c_k dirac^(2k-1) H, left n-monogenic for
     every H with laplacian^n H = 0."""
-    return _construct("exp", seed, order)
+    return _construct(_family("exp", seed), order)
 
 
 def construct_trig_left(
@@ -535,7 +531,7 @@ def construct_trig_left(
     """cos(z)A1 + sin(z)B1 + cos(zb)A2 + sin(zb)B2 with the alternating-sign
     conjugate tails A2 = sum (-1)^k c_k dirac^(2k-1) B1 and
     B2 = sum (-1)^(k+1) c_k dirac^(2k-1) A1."""
-    return _construct("trig", (seed_cos, seed_sin), order)
+    return _construct(_family("trig", (seed_cos, seed_sin)), order)
 
 
 def construct_power_left(
@@ -547,7 +543,7 @@ def construct_power_left(
     The conjugate series terminates on its own: seeds beyond the supplied
     list are zero, so every B_k with k > K + 2n - 1 vanishes.
     """
-    return _construct("power", seeds, order)
+    return _construct(_family("power", seeds), order)
 
 
 def construct_two_sided(family: str, seeds) -> SteeringExpression:
@@ -559,13 +555,15 @@ def construct_two_sided(family: str, seeds) -> SteeringExpression:
     differences M - e1 M e1, which are harmonic and whose left Dirac
     derivatives supply the conjugate-side coefficients.
     """
-    return _construct(family, seeds, 1, "both")
+    return _construct(_family(family, seeds), side="both")
 
 
 def construct_eigen(rate: ScalarLike, seed: CliffordPolynomial) -> SteeringExpression:
     """exp(r z)H - (1/2r) exp(r zb) dirac H: a left monogenic eigenfunction
     of the hypercomplex derivative with eigenvalue r."""
-    return _construct("exp", seed, 1, rate=rate)
+    if not coerce_fraction(rate):
+        raise ValueError("eigenvalue rate must be nonzero")
+    return _construct([("seed", SteeringSymbol.power_exp(0, rate), seed)])
 
 
 # ---------------------------------------------------------------------------

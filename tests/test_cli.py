@@ -19,6 +19,27 @@ M = 4
 TOO_LONG = f"fraction {'1' + '0' * 19!r}... has 5001 digits, over the limit of 4300"
 
 
+LONG = "x" * 5000
+
+
+def _poly_term(doc):
+    # the first term of the first coefficient of an expression document
+    return doc["terms"][0]["coef"]["terms"][0]
+
+
+# (id, mutation of the expression document exp(z) x2) for each refusal that shows
+# a value read from the document
+LONG_VALUES = [
+    ("generator-count", lambda doc: doc.update(m=LONG)),
+    ("blade-index", lambda doc: _poly_term(doc)["coef"]["terms"][0].update(blades=[LONG])),
+    ("symbol-kind", lambda doc: doc["terms"][0]["symbol"].update(kind=LONG)),
+    ("monomial-key", lambda doc: _poly_term(doc).update(monomial={LONG: 1})),
+    ("non-canonical-key", lambda doc: _poly_term(doc).update(monomial={"0" * 4000 + "2": 1})),
+    ("variable-index", lambda doc: _poly_term(doc).update(monomial={"9" * 4000: 1})),
+    ("exponent", lambda doc: _poly_term(doc).update(monomial={"2": LONG})),
+]
+
+
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
@@ -254,6 +275,34 @@ class TestVerifyOperators:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
         assert len(err) < 200
+
+    @pytest.mark.parametrize(
+        "mutate", [case[1] for case in LONG_VALUES], ids=[case[0] for case in LONG_VALUES]
+    )
+    def test_long_refused_value_shown_short(self, capsys, tmp_path, mutate):
+        symbol = {"bar": False, "kind": "powexp", "power": 0, "rate": "1/1"}
+        doc = {"m": M, "terms": [{"symbol": symbol, "coef": x(M, 2, yonly=True).to_obj()}]}
+        mutate(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["verify", "--op", "cr", "--in", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and len(err) < 120
+
+    @pytest.mark.parametrize("kind, sign", [("cos", -1), ("sin", 1)])
+    def test_trig_symbol_with_a_negative_rate_refused(self, capsys, tmp_path, kind, sign):
+        # cos(2z) x2 - cos(-2z) x2 and sin(2z) x2 + sin(-2z) x2 are zero functions,
+        # which one symbol per rate and sign could not show
+        x2 = x(M, 2, yonly=True)
+        terms = [
+            {"symbol": {"bar": False, "kind": kind, "power": 0, "rate": rate}, "coef": coef}
+            for rate, coef in (("2/1", x2.to_obj()), ("-2/1", (x2 * sign).to_obj()))
+        ]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"m": M, "terms": terms}))
+        code, out, err = run(capsys, ["verify", "--op", "cr-left", "--n", "1", "--in", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: trigonometric symbols need a positive rate\n"
 
     @pytest.mark.parametrize("source", ["--seed", "--seed-file", "stdin"])
     def test_over_long_json_integer_refused_naming_the_limit(
@@ -584,7 +633,7 @@ class TestRepeatedAndEmptyTerms:
     def test_monomial_with_empty_coefficient(self, capsys, tmp_path):
         doc = self.poly(({"3": 1}, e(M, 3).to_obj()), (self.X2, self.EMPTY))
         err = self.refused(capsys, tmp_path, ["construct", "--family", "exp", "--seed-file"], doc)
-        assert err == "error: monomial (0, 0, 1, 0, 0) has an empty coefficient\n"
+        assert err == "error: monomial (0, 0, 1, 0, 0) has a zero coefficient\n"
 
     @pytest.mark.parametrize("scale", [-1, 2])
     def test_symbol_listed_twice_after_normalisation(self, capsys, tmp_path, scale):
@@ -599,7 +648,7 @@ class TestRepeatedAndEmptyTerms:
         exp = {"bar": False, "kind": "powexp", "power": 0, "rate": "1/1"}
         doc = self.expr((exp, self.poly()))
         err = self.refused(capsys, tmp_path, ["verify", "--op", "cr", "--in"], doc)
-        assert err == "error: symbol exp(1/1*z) has an empty coefficient\n"
+        assert err == "error: symbol exp(1/1*z) has a zero coefficient\n"
 
 
 class TestParserReuse:

@@ -83,6 +83,32 @@ NECESSITY += [
     ("two-sided-power", [SteeringSymbol.power_exp(i) for i in (0, 1)],
      lambda: construct_two_sided("power", _R), 1),
 ]
+# z sides beyond the presets, built through steering._construct: the Jordan family
+# {z^j exp(-z/3) : j < 3} and a mixed family
+Z_SIDES = {
+    "jordan": [SteeringSymbol.power_exp(j, Fraction(-1, 3)) for j in range(3)],
+    "mixed": [
+        SteeringSymbol.power_exp(2, Fraction(-1, 3)),
+        SteeringSymbol.cosine(Fraction(3, 2)),
+        SteeringSymbol.power_exp(3),
+        SteeringSymbol.sine(2),
+        SteeringSymbol.power_exp(0, 2),
+    ],
+}
+
+
+def _z_side(symbols, m, order):
+    # three full-chain seeds, taken in turn
+    seeds = _full_chain_seeds(m, order, 3)
+    return [(f"seed {i}", sym, seeds[i % 3]) for i, sym in enumerate(symbols)]
+
+
+for _order in (1, 2, 3):
+    for _name, _symbols in Z_SIDES.items():
+        NECESSITY.append(
+            (f"{_name}-order-{_order}", _symbols,
+             lambda z=_z_side(_symbols, 4, _order), o=_order: steering._construct(z, o), _order)
+        )
 for _rate in RATES:
     _h = _full_chain_seeds(4, 1, 1)[0]
     NECESSITY += [
@@ -120,6 +146,17 @@ def test_every_weight_is_needed(monkeypatch, symbols, build, order):
                 changed += 1
     # one weight per symbol and link at least
     assert changed >= len(symbols) * order
+
+
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", list(Z_SIDES))
+def test_any_z_side_is_completed_to_a_solution(name, order, m):
+    z_side = _z_side(Z_SIDES[name], m, order)
+    expr = steering._construct(z_side, order)
+    assert n_monogenic_residual(expr, order, "left").is_zero
+    for _, sym, seed in z_side:
+        assert expr.coefficient(sym) == seed
 
 
 # -- golden digest --------------------------------------------------------------

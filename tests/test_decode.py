@@ -49,7 +49,7 @@ def symbols(draw):
     bar = draw(st.booleans())
     if kind == "powexp":
         return SteeringSymbol.power_exp(draw(st.integers(0, 2)), draw(FRACTIONS), bar)
-    rate = draw(FRACTIONS.filter(bool))
+    rate = draw(FRACTIONS.filter(lambda q: q > 0))
     return SteeringSymbol(kind, bar=bar, rate=rate)
 
 
@@ -229,7 +229,7 @@ MALFORMED = [
         "trig-symbol-zero-rate",
         VERIFY,
         expr((sym("sin", rate="0/1"), X2)),
-        "trigonometric symbols need a nonzero rate",
+        "trigonometric symbols need a positive rate",
     ),
     (
         "bar-not-boolean",

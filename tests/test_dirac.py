@@ -84,9 +84,10 @@ def symbol(rng, rates=RATES):
     kind = rng.randrange(3)
     if kind == 0:
         return SteeringSymbol.power_exp(rng.randint(0, 3), rng.choice((0, rate)), bar)
+    # a trig symbol takes a positive rate: cos(-rz) = cos(rz), sin(-rz) = -sin(rz)
     if kind == 1:
-        return SteeringSymbol.cosine(rate, bar)
-    return SteeringSymbol.sine(rate, bar)
+        return SteeringSymbol.cosine(abs(rate), bar)
+    return SteeringSymbol.sine(abs(rate), bar)
 
 
 def expression(rng, m, rates=RATES):
@@ -260,6 +261,7 @@ def test_tail_matches_weighted_definition(order, sign):
             exp = SteeringSymbol.power_exp(0, rate)
             rows = [(exp, exp.conjugate(), lambda k: 1)]
         else:
+            rate = abs(rate)
             cos, sin = SteeringSymbol.cosine(rate), SteeringSymbol.sine(rate)
             rows = [(cos, sin.conjugate(), lambda k: -(-1) ** k),
                     (sin, cos.conjugate(), lambda k: (-1) ** k)]
@@ -330,7 +332,7 @@ SINGLE_SYMBOLS = [
     SteeringSymbol.power_exp(2),
     SteeringSymbol.power_exp(1, Fraction(1, 3)),
     SteeringSymbol.cosine(2),
-    SteeringSymbol.sine(Fraction(-3, 2)),
+    SteeringSymbol.sine(Fraction(3, 2)),
 ]
 
 

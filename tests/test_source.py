@@ -181,6 +181,7 @@ SINGLE_CHECKS = [
     ("steering.py", "coefficient dimension mismatch"),
     (None, "side must be 'left' or 'right'"),
     (None, "MIN_GENERATORS"),
+    (None, "is listed more than once"),
 ]
 
 

@@ -63,6 +63,7 @@ class TestSymbols:
             for bar in (False, True):
                 for power in range(3) if kind == "powexp" else (0,):
                     for rate in (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(3, 2)):
+                        rate = rate if kind == "powexp" else abs(rate)
                         sym = SteeringSymbol(kind, bar=bar, power=power, rate=rate)
                         twin = SteeringSymbol(kind, bar=not bar, power=power, rate=rate)
                         assert sym.conjugate() == twin
@@ -72,8 +73,11 @@ class TestSymbols:
         assert CONST.conjugate() is CONST
 
     def test_trig_validation(self):
-        with pytest.raises(ValueError, match="nonzero rate"):
-            SteeringSymbol.cosine(0)
+        for rate in (0, -1, Fraction(-3, 2)):
+            with pytest.raises(ValueError, match="need a positive rate"):
+                SteeringSymbol.cosine(rate)
+            with pytest.raises(ValueError, match="need a positive rate"):
+                SteeringSymbol.sine(rate)
         with pytest.raises(ValueError, match="power"):
             SteeringSymbol(kind="sin", power=1, rate=Fraction(1))
 
@@ -105,7 +109,7 @@ class TestSymbols:
         # d/dz applied t times to I^t phi gives phi back, for every kind and bar
         symbols = [CONST]
         for rate in (1, -2, Fraction(1, 2), Fraction(-3, 2)):
-            symbols += [SteeringSymbol.cosine(rate), SteeringSymbol.sine(rate)]
+            symbols += [SteeringSymbol.cosine(abs(rate)), SteeringSymbol.sine(abs(rate))]
             symbols += [SteeringSymbol.power_exp(j, rate) for j in range(4)]
         symbols += [SteeringSymbol.power_exp(j) for j in range(1, 4)]
         for sym in symbols + [sym.conjugate() for sym in symbols]:
