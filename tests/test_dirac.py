@@ -327,27 +327,30 @@ def test_combined_residuals_match_definition():
 
 # -- single symbols and pass counts ----------------------------------------------
 
+# (symbol, scale): the function scale * symbol; sin(-3/2 z) is written -sin(3/2 z),
+# since a trig symbol takes a positive rate
 SINGLE_SYMBOLS = [
-    SteeringSymbol.power_exp(0, Fraction(-3, 2)),
-    SteeringSymbol.power_exp(2),
-    SteeringSymbol.power_exp(1, Fraction(1, 3)),
-    SteeringSymbol.cosine(2),
-    SteeringSymbol.sine(Fraction(3, 2)),
+    (SteeringSymbol.power_exp(0, Fraction(-3, 2)), 1),
+    (SteeringSymbol.power_exp(2), 1),
+    (SteeringSymbol.power_exp(1, Fraction(1, 3)), 1),
+    (SteeringSymbol.cosine(2), 1),
+    (SteeringSymbol.sine(Fraction(3, 2)), -1),
 ]
+SINGLE_IDS = [str(sym) for sym, _ in SINGLE_SYMBOLS[:-1]] + ["sin(-3/2*z)"]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("bar", [False, True], ids=["z", "zbar"])
-@pytest.mark.parametrize("sym", SINGLE_SYMBOLS, ids=str)
-def test_single_symbol_matches_definition(sym, bar, sign, side):
+@pytest.mark.parametrize("sym, scale", SINGLE_SYMBOLS, ids=SINGLE_IDS)
+def test_single_symbol_matches_definition(sym, scale, bar, sign, side):
     # on the left, d/dx_0 + e_1 d/dx_1 reaches a symbol as one action, so each
     # symbol kind and bar is checked alone, where no other term can hide it
     if bar:
         sym = sym.conjugate()
     rng = random.Random(str(sym))
     for m in (3, 4):
-        a = polynomial(rng, m, range(2, m + 1), 3)
+        a = polynomial(rng, m, range(2, m + 1), 3) * scale
         f = SteeringExpression(m, [(sym, a)])
         check(NumeratorForm(f).dirac(side, sign).build(), reference(f, side, sign), f)
         if side == "left" and sign == 1 and not bar:
