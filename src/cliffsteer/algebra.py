@@ -69,6 +69,8 @@ def parse_fraction(raw: object, what: str = "fraction") -> Fraction:
             return Fraction(raw)
         except ValueError:  # Fraction's own message shows the whole string
             raise ValueError(f"Invalid literal for Fraction: {quoted(raw)}") from None
+        except ZeroDivisionError:  # Fraction's own message names no value
+            raise ZeroDivisionError(f"{what} {quoted(raw)} has a zero denominator") from None
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     raise TypeError(f"fractions must be encoded as strings, got {type(raw).__name__}")
@@ -101,9 +103,7 @@ def mask_from_indices(indices: Iterable[int], m: int) -> int:
     mask = 0
     previous = 0
     for j in indices:
-        if type(j) is not int or not 1 <= j <= m:
-            raise ValueError(f"generator index {quoted(j)} outside 1..{m}")
-        if j <= previous:
+        if integer_in(j, 1, m, "generator index") <= previous:
             raise ValueError("blade indices must be strictly increasing")
         mask |= 1 << (j - 1)
         previous = j
@@ -139,13 +139,19 @@ def document_m(obj, kind: str) -> int:
     return generator_count(m, f"{kind} field 'm'")
 
 
+def integer_in(value, least: int, most: int | None, what: str) -> int:
+    """``value``, checked to be an int (not a bool) in least..most, or of at least
+    ``least`` when ``most`` is None; ``what`` names it in errors.  The one check
+    of every integer bound in the package."""
+    if type(value) is not int or value < least or most is not None and value > most:
+        bound = f"of at least {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{what} must be an integer {bound}, got {quoted(value)}")
+    return value
+
+
 def generator_count(m, what: str = "generator count") -> int:
     """``m``, checked to be a generator count the package supports; ``what`` names it."""
-    if type(m) is not int or not MIN_GENERATORS <= m <= MAX_GENERATORS:
-        raise ValueError(
-            f"{what} must be an integer in {MIN_GENERATORS}..{MAX_GENERATORS}, got {quoted(m)}"
-        )
-    return m
+    return integer_in(m, MIN_GENERATORS, MAX_GENERATORS, what)
 
 
 def indices_from_mask(mask: int) -> Tuple[int, ...]:
@@ -295,12 +301,10 @@ class Multivector(TermMap):
     __slots__ = ()
 
     def __init__(self, m: int, terms: Mapping[int, ScalarLike] | Iterable = ()):
-        limit = 1 << generator_count(m)
+        top = (1 << generator_count(m)) - 1
         pairs = []
         for mask, coef in terms.items() if isinstance(terms, Mapping) else terms:
-            if not isinstance(mask, int) or not 0 <= mask < limit:
-                raise ValueError(f"blade mask {mask!r} is not valid for m={m}")
-            pairs.append((mask, coerce_fraction(coef)))
+            pairs.append((integer_in(mask, 0, top, "blade mask"), coerce_fraction(coef)))
         super().__init__(m, pairs)
 
     @classmethod
@@ -357,8 +361,7 @@ class Multivector(TermMap):
 
     def grade(self, k: int) -> "Multivector":
         """Projection onto the subspace of k-vectors."""
-        if not 0 <= k <= self.m:
-            raise ValueError(f"grade {k} out of range 0..{self.m}")
+        integer_in(k, 0, self.m, "grade")
         return Multivector._unsafe(
             self.m, {mask: q for mask, q in self._terms.items() if mask.bit_count() == k}
         )
@@ -390,7 +393,8 @@ class Multivector(TermMap):
         m = document_m(obj, "multivector")
         pairs = []
         for entry in json_list(obj.get("terms", []), "multivector field 'terms'"):
-            mask = mask_from_indices(json_field(entry, "blades", "multivector term"), m)
+            blades = json_field(entry, "blades", "multivector term")
+            mask = mask_from_indices(json_list(blades, "multivector term field 'blades'"), m)
             pairs.append((mask, parse_fraction(json_field(entry, "coef", "multivector term"))))
         return cls._unsafe(m, {mask: q for mask, q in pairs if q})._decoded(
             pairs, lambda mask: f"blade {list(indices_from_mask(mask))}"

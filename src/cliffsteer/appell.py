@@ -11,22 +11,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .algebra import Multivector, ScalarLike, coerce_fraction, generator_count
+from .algebra import Multivector, ScalarLike, coerce_fraction, generator_count, integer_in
 from .polynomials import CliffordPolynomial, homogeneous_exponents
 
 
 def pochhammer(a: ScalarLike, k: int) -> Fraction:
     """Rising factorial a(a+1)...(a+k-1) with the empty product equal to 1."""
-    if k < 0:
-        raise ValueError("pochhammer index must be nonnegative")
+    integer_in(k, 0, None, "pochhammer index")
     a = coerce_fraction(a)
     return prod((a + i for i in range(k)), start=Fraction(1))
 
 
 def t_coeff(k: int, s: int, m: int) -> Fraction:
     """The exact scalar weight of X^(k-s) Xbar^s in P_k."""
-    if not 0 <= s <= k:
-        raise ValueError(f"index out of range: need 0 <= s <= k, got s={s}, k={k}")
+    integer_in(s, 0, integer_in(k, 0, None, "Appell index k"), "Appell weight index s")
     generator_count(m)
     rising = pochhammer(Fraction(m + 1, 2), k - s) * pochhammer(Fraction(m - 1, 2), s)
     return comb(k, s) * rising / pochhammer(Fraction(m), k)
@@ -34,8 +32,7 @@ def t_coeff(k: int, s: int, m: int) -> Fraction:
 
 def appell_poly(k: int, m: int) -> CliffordPolynomial:
     """The k-th Appell polynomial in R_{0,m}, expanded exactly."""
-    if k < 0:
-        raise ValueError("index must be nonnegative")
+    integer_in(k, 0, None, "Appell index k")
     weights = [t_coeff(k, s, m) for s in range(k + 1)]
     data = {}
     for i in range(k + 1):

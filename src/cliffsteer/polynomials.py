@@ -18,7 +18,8 @@ from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .algebra import (
-    Multivector, TermMap, document_m, generator_count, json_field, json_list, json_object, quoted
+    Multivector, TermMap, document_m, generator_count, integer_in, json_field, json_list,
+    json_object, quoted
 )
 
 Monomial = Tuple[int, ...]
@@ -133,9 +134,7 @@ class CliffordPolynomial(DiracOperand):
     ) -> "CliffordPolynomial":
         exps = [0] * (m + 1)
         for i, e in exponents.items():
-            if not 0 <= i <= m:
-                raise ValueError(f"variable index {i} out of range 0..{m}")
-            exps[i] = e
+            exps[integer_in(i, 0, m, "variable index")] = e
         return cls(m, {tuple(exps): coef}, var_scope)
 
     # -- access ----------------------------------------------------------------
@@ -188,8 +187,7 @@ class CliffordPolynomial(DiracOperand):
 
     def partial(self, index: int) -> "CliffordPolynomial":
         """Coefficient-wise formal partial derivative with respect to x_index."""
-        if not 0 <= index <= self.m:
-            raise ValueError(f"variable index {index} out of range 0..{self.m}")
+        integer_in(index, 0, self.m, "variable index")
         lowered = (
             (exps[:index] + (exps[index] - 1,) + exps[index + 1 :], mv * exps[index])
             for exps, mv in self._terms.items()
@@ -234,12 +232,11 @@ class CliffordPolynomial(DiracOperand):
             json_object(monomial, "polynomial term field 'monomial'")
             exps = [0] * (m + 1)
             for raw_i, e in monomial.items():
-                try:
-                    i = int(raw_i)
+                try:  # a key that is not a string (no JSON key) is checked as it is
+                    i = int(raw_i) if type(raw_i) is str else raw_i
                 except ValueError:  # int's own message shows up to 200 characters
                     raise ValueError(f"monomial key {quoted(raw_i)} names no variable") from None
-                if not 0 <= i <= m:
-                    raise ValueError(f"variable index {quoted(i)} out of range 0..{m}")
+                integer_in(i, 0, m, "variable index")
                 # two keys naming one variable cannot both be written str(i)
                 if raw_i != str(i):
                     raise ValueError(f"monomial key {quoted(raw_i)} must be written {str(i)!r}")
@@ -461,10 +458,8 @@ def polyharmonic_basis(degree: int, order: int, m: int) -> list[CliffordPolynomi
     This is the reduced-echelon kernel basis of the iterated-Laplacian
     matrix in the graded-lex monomial basis.  Every coefficient is a scalar.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    integer_in(degree, 0, None, "degree")
+    integer_in(order, 1, None, "Laplacian order")
     scope = frozenset(range(2, generator_count(m) + 1))
     # a_j = j! b_j turns the recurrence into a_(j+2k) = -sum_i C(k,i) L^(k-i) a_(j+2i)
     # over the integers; step[(rest, i)] caches C(k,i) L^(k-i) of one monomial

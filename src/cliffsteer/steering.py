@@ -50,6 +50,7 @@ from .algebra import (
     document_m,
     format_fraction,
     generator_count,
+    integer_in,
     json_field,
     json_list,
     parse_fraction,
@@ -81,12 +82,11 @@ class SteeringSymbol:
     rate: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
+        if type(self.kind) is not str or self.kind not in _KIND_ORDER:  # a list has no hash
             raise ValueError(f"unknown symbol kind {quoted(self.kind)}")
         rate = coerce_fraction(self.rate)
         object.__setattr__(self, "rate", rate)
-        if type(self.power) is not int or self.power < 0:
-            raise ValueError("symbol power must be a nonnegative integer")
+        integer_in(self.power, 0, None, "symbol power")
         if type(self.bar) is not bool:
             raise ValueError("symbol bar flag must be true or false")
         if self.kind != KIND_POWEXP:
@@ -286,7 +286,7 @@ class SteeringExpression(DiracOperand):
 
     def partial(self, index: int) -> "SteeringExpression":
         """d/dx_index: hits the symbols for index 0, 1 and the coefficients else."""
-        if index in (0, 1):
+        if integer_in(index, 0, self.m, "variable index") < 2:
             # x_1 brings e_1, and d(z-bar)/dx_1 = -e_1 flips its sign on barred symbols
             out = []
             for sym, poly in self._terms.items():
@@ -297,8 +297,6 @@ class SteeringExpression(DiracOperand):
                         factor = Multivector.blade(self.m, (1,), -q if sym.bar else q)
                     out.append((dsym, factor * poly))
             return SteeringExpression(self.m, out)
-        if not 2 <= index <= self.m:
-            raise ValueError(f"variable index {index} out of range 0..{self.m}")
         return SteeringExpression(
             self.m, [(sym, poly.partial(index)) for sym, poly in self._terms.items()]
         )
@@ -373,16 +371,14 @@ class CoefficientTable:
 
 def ck_table(n: int) -> CoefficientTable:
     """Exact table c_1..c_n of the recursion coefficients."""
-    if n < 1:
-        raise ValueError("table length must be at least 1")
+    integer_in(n, 1, None, "table length")
     return CoefficientTable(n, tuple(_c(k) for k in range(1, n + 1)))
 
 
 def power_coefficient(j: int, k: int) -> Fraction:
     """Coefficient of the (2j-1)-th Dirac power in the k-th conjugate term
     of a power-steering solution: c_j / ((2j-1)! * C(k, k-2j+1))."""
-    if j < 1 or k < 1 or k - 2 * j + 1 < 0:
-        raise ValueError("need j >= 1 and k >= 2j - 1")
+    integer_in(k, 2 * integer_in(j, 1, None, "Dirac power index j") - 1, None, "term index k")
     return _c(j) / (factorial(2 * j - 1) * comb(k, k - 2 * j + 1))
 
 
@@ -395,20 +391,17 @@ def tn_closed_form(n: int) -> Tuple[Tuple[IntPoly, IntPoly], Tuple[IntPoly, IntP
     Entries are integer coefficient sequences (constant term first).  Must
     agree with the brute-force matrix power in the commutative ring Z[x].
     """
-    if n < 2:
-        raise ValueError("closed form is stated for n >= 2; n = 1 is the base matrix")
+    integer_in(n, 2, None, "matrix power n")  # n = 1 is the base matrix
 
     def double_sum(binomial_top: int, power_offset: int, k_max: int) -> IntPoly:
+        # every k here has 2k + 1 <= binomial_top, so each binomial is positive
         coeffs: dict[int, int] = {}
         for k in range(k_max + 1):
             top = comb(binomial_top, 2 * k + 1)
-            if not top:
-                continue
             for j in range(k + 1):
                 deg = 2 * j + power_offset
                 coeffs[deg] = coeffs.get(deg, 0) + top * comb(k, j)
-        size = max(coeffs) + 1 if coeffs else 1
-        out = [0] * size
+        out = [0] * (max(coeffs) + 1)
         for d, c in coeffs.items():
             out[d] = c
         return tuple(out)
@@ -500,8 +493,7 @@ def _construct(z_side: Sequence[tuple], order: int = 1, side: str = "left") -> S
     # the one construction path, from the z side: a (name, unbarred symbol, seed)
     # triple per term; side "left" needs laplacian^order of every seed to vanish,
     # side "both" needs right monogenic seeds and builds on M - e1 M e1
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    integer_in(order, 1, None, "order")
     clean = [_as_steering_seed(seed, what) for what, _, seed in z_side]
     if not clean:
         raise ValueError("at least one seed is required")
@@ -588,8 +580,7 @@ class RootSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "value", coerce_fraction(self.value))
-        if type(self.multiplicity) is not int or self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
+        integer_in(self.multiplicity, 1, None, "multiplicity")
         object.__setattr__(self, "monogenic_seeds", tuple(self.monogenic_seeds))
 
 
@@ -612,12 +603,9 @@ class DSolveSpec:
 
 
 def _verify_root(coeffs: Sequence[Fraction], r: Fraction, multiplicity: int) -> None:
+    # dsolve has checked that the multiplicities sum to at most the degree
     work = list(coeffs)
     for stage in range(multiplicity):
-        if len(work) < 2:
-            raise ValueError(
-                f"root {r} with multiplicity {multiplicity} exceeds the polynomial degree"
-            )
         # synthetic division by (x - r) in place; the last entry is the remainder
         for i in range(1, len(work)):
             work[i] += work[i - 1] * r

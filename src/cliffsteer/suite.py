@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable
 
-from .algebra import MAX_GENERATORS, Multivector, e1_sandwich
+from .algebra import MAX_GENERATORS, Multivector, e1_sandwich, integer_in
 from .appell import appell_poly
 from .polynomials import CliffordPolynomial, dirac, polyharmonic_basis
 from .steering import (
@@ -322,15 +322,13 @@ CRITERIA: list[tuple[str, Callable]] = [
 def run(args) -> list[tuple[str, bool, str, float]]:
     """(id, passed, detail, seconds) for every criterion, in order; settings
     outside the battery's range raise ValueError before any criterion runs."""
-    if not 4 <= args.m <= MAX_GENERATORS:  # criterion 12 builds blades on e_2..e_4
-        raise ValueError(f"--m must be in 4..{MAX_GENERATORS}, got {args.m}")
+    integer_in(args.m, 4, MAX_GENERATORS, "--m")  # criterion 12 builds blades on e_2..e_4
     for option, value, least in (
         ("--max-n", args.max_n, 1),
         ("--max-degree", args.max_degree, 0),
         ("--cases", args.cases, 1),
     ):
-        if value < least:
-            raise ValueError(f"{option} must be at least {least}, got {value}")
+        integer_in(value, least, None, option)
     rows = []
     for case_id, check in CRITERIA:
         start = time.perf_counter()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import ScalarLike, coerce_fraction, format_fraction
+from .algebra import ScalarLike, coerce_fraction, format_fraction, integer_in
 from .polynomials import CliffordPolynomial, NumeratorForm
 from .steering import SteeringExpression
 
@@ -51,8 +51,7 @@ def _report(description: str, residual: Verifiable) -> ResidualReport:
 
 def n_monogenic_residual(f: Verifiable, n: int, side: str = "left") -> ResidualReport:
     """Residual of the n-fold Cauchy-Riemann operator; n = 0 returns f."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    integer_in(n, 0, None, "order")
     return _report(f"cr_{side}^{n}", NumeratorForm(f).dirac(side, times=n).build())
 
 
@@ -93,8 +92,8 @@ def alpha_beta_residual(
 def infrapoly_residual(f: Verifiable, p: int, q: int) -> ResidualReport:
     """dX^p f dX^q; the interleaving order is immaterial since the
     one-sided operators commute."""
-    if p < 0 or q < 0:
-        raise ValueError("orders must be nonnegative")
+    integer_in(p, 0, None, "order p")
+    integer_in(q, 0, None, "order q")
     out = NumeratorForm(f).dirac("left", times=p).dirac("right", times=q).build()
     return _report(f"cr_left^{p} then cr_right^{q}", out)
 

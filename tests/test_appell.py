@@ -37,7 +37,8 @@ class TestWeights:
                 assert sum(t_coeff(k, s, m) for s in range(k + 1)) == 1
 
     def test_index_validation(self):
-        with pytest.raises(ValueError, match="out of range"):
+        message = r"^Appell weight index s must be an integer in 0\.\.2, got 3$"
+        with pytest.raises(ValueError, match=message):
             t_coeff(2, 3, 3)
 
 

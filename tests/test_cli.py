@@ -522,7 +522,7 @@ class TestDsolve:
         path.write_text(json.dumps({"m": M, "roots": [{"root": "1", "multiplicity": True}]}))
         code, out, err = run(capsys, ["dsolve", "--coeffs", "1,-1", "--spec-file", str(path)])
         assert code == 2 and not out
-        assert err == "error: multiplicity must be a positive integer\n"
+        assert err == "error: multiplicity must be an integer of at least 1, got True\n"
 
 
 class TestRoundTrips:
@@ -572,17 +572,27 @@ class TestSuite:
             (case_id, "pass", detail) for case_id, detail in self.SMALL_ROWS
         ]
 
+    # (argv, refusal, the row's test id, which it has kept since its refusal text
+    # read "must be at least" or "must be in")
+    SETTINGS = [
+        (["--perturb", "--max-n", "0"], "--max-n must be an integer of at least 1, got 0",
+         "argv0---max-n must be at least 1, got 0"),
+        (["--m", "3"], "--m must be an integer in 4..16, got 3",
+         "argv1---m must be in 4..16, got 3"),
+        (["--m", "2"], "--m must be an integer in 4..16, got 2",
+         "argv2---m must be in 4..16, got 2"),
+        (["--m", "17"], "--m must be an integer in 4..16, got 17",
+         "argv3---m must be in 4..16, got 17"),
+        (["--max-degree", "-1"], "--max-degree must be an integer of at least 0, got -1",
+         "argv4---max-degree must be at least 0, got -1"),
+        (["--cases", "-3"], "--cases must be an integer of at least 1, got -3",
+         "argv5---cases must be at least 1, got -3"),
+        (["--cases", "0"], "--cases must be an integer of at least 1, got 0",
+         "argv6---cases must be at least 1, got 0"),
+    ]
+
     @pytest.mark.parametrize(
-        "argv, limit",
-        [
-            (["--perturb", "--max-n", "0"], "--max-n must be at least 1, got 0"),
-            (["--m", "3"], "--m must be in 4..16, got 3"),
-            (["--m", "2"], "--m must be in 4..16, got 2"),
-            (["--m", "17"], "--m must be in 4..16, got 17"),
-            (["--max-degree", "-1"], "--max-degree must be at least 0, got -1"),
-            (["--cases", "-3"], "--cases must be at least 1, got -3"),
-            (["--cases", "0"], "--cases must be at least 1, got 0"),
-        ],
+        "argv, limit", [row[:2] for row in SETTINGS], ids=[row[2] for row in SETTINGS]
     )
     def test_settings_out_of_range_exit_two(self, capsys, argv, limit):
         code, out, err = run(capsys, ["suite", *argv])

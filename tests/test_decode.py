@@ -174,7 +174,13 @@ MALFORMED = [
         "blade-index-out-of-range",
         VERIFY,
         poly(({"2": 1}, mv(([5], "1")))),
-        "generator index 5 outside 1..4",
+        "generator index must be an integer in 1..4, got 5",
+    ),
+    (
+        "blades-string",
+        CONSTRUCT,
+        poly(({"2": 1}, {"m": M, "terms": [{"blades": "12", "coef": "1"}]})),
+        "multivector term field 'blades' must be a JSON list",
     ),
     (
         "zero-blade-coefficient",
@@ -204,7 +210,7 @@ MALFORMED = [
         "monomial-index-out-of-range",
         VERIFY,
         poly(({"7": 1}, E2)),
-        "variable index 7 out of range 0..4",
+        "variable index must be an integer in 0..4, got 7",
     ),
     (
         "monomial-not-an-object",
@@ -219,6 +225,8 @@ MALFORMED = [
         "polynomial term: missing field 'coef'",
     ),
     ("unknown-symbol-kind", VERIFY, expr((sym("tan"), X2)), "unknown symbol kind 'tan'"),
+    ("symbol-kind-list", VERIFY, expr((sym(["cos"]), X2)), "unknown symbol kind ['cos']"),
+    ("symbol-kind-object", VERIFY, expr((sym({"k": 1}), X2)), "unknown symbol kind {'k': 1}"),
     (
         "trig-symbol-with-power",
         VERIFY,
@@ -237,7 +245,19 @@ MALFORMED = [
         expr((sym(bar=1), X2)),
         "symbol bar flag must be true or false",
     ),
-    ("rate-1/0", VERIFY, expr((sym(rate="1/0"), X2)), "Fraction(1, 0)"),
+    ("rate-1/0", VERIFY, expr((sym(rate="1/0"), X2)), "fraction '1/0' has a zero denominator"),
+    (
+        "blade-coefficient-3/0",
+        CONSTRUCT,
+        poly(({"2": 1}, mv(([2], "3/0")))),
+        "fraction '3/0' has a zero denominator",
+    ),
+    (
+        "dsolve-root-1/0",
+        DSOLVE,
+        {"m": M, "roots": [{"root": "1/0"}]},
+        "fraction '1/0' has a zero denominator",
+    ),
     (
         "expression-coefficient-outside-y",
         VERIFY,

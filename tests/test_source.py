@@ -13,7 +13,7 @@ already makes a class unhashable).  In ``steering.py`` one function calls
 through that one rule.  Each rule a polynomial or expression constructor
 checks is written in one function body: the decoders build through the
 constructors; package-wide, one function checks the side of a Dirac-type
-operator and one compares a generator count with ``MIN_GENERATORS``.  Every
+operator, one names ``MIN_GENERATORS`` and one words an integer bound.  Every
 name the package root exports is used by the package, the benchmark or the
 tools, with one named exemption.
 """
@@ -169,10 +169,10 @@ def test_steering_combines_forms_in_one_function():
 
 
 # (module, rule) of each rule checked in one function body: a message text, or
-# a constant that only the one comparison of the rule names; module None is the
-# whole package.  A decoder builds through the constructor rather than checking
-# a rule again, the Dirac link alone checks the side, and generator_count alone
-# checks a generator count
+# a constant that only the one function checking the rule names; module None is
+# the whole package.  A decoder builds through the constructor rather than
+# checking a rule again, the Dirac link alone checks the side, generator_count
+# alone checks a generator count and integer_in alone words an integer bound
 SINGLE_CHECKS = [
     ("polynomials.py", "var_scope must be a subset"),
     ("polynomials.py", "nonnegative exponents"),
@@ -182,16 +182,15 @@ SINGLE_CHECKS = [
     (None, "side must be 'left' or 'right'"),
     (None, "MIN_GENERATORS"),
     (None, "is listed more than once"),
+    (None, "must be an integer"),
 ]
 
 
 def _states(node, rule):
-    """Whether ``node`` is a string holding ``rule`` or a comparison naming it."""
+    """Whether ``node`` is a string holding ``rule`` or a use of the name ``rule``."""
     if isinstance(node, ast.Constant):
         return isinstance(node.value, str) and rule in node.value
-    return isinstance(node, ast.Compare) and any(
-        isinstance(name, ast.Name) and name.id == rule for name in ast.walk(node)
-    )
+    return isinstance(node, ast.Name) and node.id == rule
 
 
 @pytest.mark.parametrize(

@@ -82,9 +82,10 @@ class TestSymbols:
             SteeringSymbol(kind="sin", power=1, rate=Fraction(1))
 
     def test_booleans_and_integers_not_interchangeable(self):
-        with pytest.raises(ValueError, match="nonnegative integer"):
+        power = "^symbol power must be an integer of at least 0, got True$"
+        with pytest.raises(ValueError, match=power):
             SteeringSymbol(kind="powexp", power=True)
-        with pytest.raises(ValueError, match="nonnegative integer"):
+        with pytest.raises(ValueError, match=power):
             SteeringSymbol.from_obj({"kind": "powexp", "power": True, "rate": "0/1"})
         with pytest.raises(ValueError, match="bar flag"):
             SteeringSymbol.from_obj({"kind": "powexp", "bar": "false", "power": 1, "rate": "0/1"})
@@ -745,11 +746,11 @@ def _dsolve_zero_root(*seeds):
 # type and text; the first fault found is the one reported
 REFUSALS = [
     ("exp-order-0", lambda: construct_exp_left(_y2(), 0), ValueError,
-     "order must be at least 1"),
+     "order must be an integer of at least 1, got 0"),
     ("trig-order-0", lambda: construct_trig_left(_y2(), _y2(), 0), ValueError,
-     "order must be at least 1"),
+     "order must be an integer of at least 1, got 0"),
     ("power-order-0", lambda: construct_power_left([_y2()], 0), ValueError,
-     "order must be at least 1"),
+     "order must be an integer of at least 1, got 0"),
     ("exp-not-polynomial", lambda: construct_exp_left(e(M, 2), 1), TypeError,
      "seed must be a CliffordPolynomial"),
     ("sin-not-polynomial", lambda: construct_trig_left(_y2(), 1, 1), TypeError,
@@ -836,6 +837,47 @@ def test_construction_refusals(call, kind, message):
         call()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+def _dsolve_root_1(*roots):
+    return dsolve(DSolveSpec(M, (1, -2, 1), roots))
+
+
+# every refusal of a D-equation spec, of its roots and of an expression's keys
+# that is not an integer bound, with its exact type and text
+SPEC_REFUSALS = [
+    ("spec-degree-0", lambda: DSolveSpec(M, (1,), ()), ValueError,
+     "need at least degree 1 (two coefficients)"),
+    ("spec-leading-zero", lambda: DSolveSpec(M, (0, 1), ()), ValueError,
+     "leading coefficient a0 must be nonzero"),
+    ("root-declared-twice",
+     lambda: _dsolve_root_1(RootSpec(Fraction(1)), RootSpec(Fraction(1))), ValueError,
+     "root 1 declared more than once"),
+    ("seeds-exceed-multiplicity",
+     lambda: _dsolve_root_1(RootSpec(Fraction(1), 1, None, (_monogenic_seed(M),) * 2)),
+     ValueError, "root 1: 2 monogenic seeds exceed multiplicity 1"),
+    ("expression-key-not-a-symbol", lambda: SteeringExpression(M, [("cos", 1)]), TypeError,
+     "term keys must be SteeringSymbol, got str"),
+    ("d-equation-no-coefficients", lambda: d_equation_residual(SteeringExpression(M), ()),
+     ValueError, "at least one coefficient is required"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", [r[1:] for r in SPEC_REFUSALS],
+                         ids=[r[0] for r in SPEC_REFUSALS])
+def test_spec_refusals(call, kind, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+def test_dsolve_skips_a_zero_monogenic_seed():
+    zero = CliffordPolynomial.zero(M, YSCOPE)
+    seed = _monogenic_seed(M)
+    solution = _dsolve_root_1(RootSpec(Fraction(1), 2, None, (zero, seed)))
+    assert solution == SteeringExpression(M, [(SteeringSymbol.power_exp(1, 1), seed)])
+    assert d_equation_residual(solution, (1, -2, 1)).is_zero
 
 
 class TestExpressionJson:
