@@ -395,7 +395,8 @@ class Multivector(TermMap):
         for entry in json_list(obj.get("terms", []), "multivector field 'terms'"):
             blades = json_field(entry, "blades", "multivector term")
             mask = mask_from_indices(json_list(blades, "multivector term field 'blades'"), m)
-            pairs.append((mask, parse_fraction(json_field(entry, "coef", "multivector term"))))
+            coef = json_field(entry, "coef", "multivector term")
+            pairs.append((mask, parse_fraction(coef, "blade coefficient")))
         return cls._unsafe(m, {mask: q for mask, q in pairs if q})._decoded(
             pairs, lambda mask: f"blade {list(indices_from_mask(mask))}"
         )

@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .algebra import document_m, json_field, json_list, json_object, parse_fraction, quoted
@@ -46,8 +47,31 @@ EXIT_NONZERO = 1
 EXIT_INPUT = 2
 
 
+def _indented(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` at the nesting whose line break and
+    indent is ``indent``, with each string encoded by the C encoder; any
+    other value (None, a float, a dict with a key that is not a string, an
+    unserializable object) goes to ``json.dumps`` whole."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = indent + "  "
+    if kind is list:
+        body = [_indented(v, inner) for v in obj]
+        return f"[{inner}{(',' + inner).join(body)}{indent}]" if body else "[]"
+    if kind is dict and all(type(k) is str for k in obj):
+        body = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in obj.items()]
+        return f"{{{inner}{(',' + inner).join(body)}{indent}}}" if body else "{}"
+    # json.dumps escapes every newline inside a string, so each one it writes starts a line
+    return json.dumps(obj, indent=2).replace("\n", indent)
+
+
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = _indented(obj) + "\n"
     if out_path:
         with open(out_path, "w", encoding="ascii") as handle:
             handle.write(text)
@@ -172,7 +196,7 @@ def _root_from_obj(obj) -> RootSpec:
     monogenic = obj.get("monogenic_seeds", [])
     json_list(monogenic, "dsolve spec root field 'monogenic_seeds'")
     return RootSpec(
-        value=parse_fraction(json_field(obj, "root", "dsolve spec root")),
+        value=parse_fraction(json_field(obj, "root", "dsolve spec root"), "dsolve root"),
         multiplicity=obj.get("multiplicity", 1),
         harmonic_seed=None if harmonic is None else CliffordPolynomial.from_obj(harmonic),
         monogenic_seeds=tuple(CliffordPolynomial.from_obj(s) for s in monogenic),

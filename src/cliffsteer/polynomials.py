@@ -355,7 +355,8 @@ class NumeratorForm:
         = 2 d/dz-bar on a symbol: one action, which leaves phi(z) out for sign 1
         and doubles the derivative of phi(z-bar).  Zero numerators are skipped
         where they are read; the output is over the input denominator times
-        the lcm of the rate denominators.
+        the lcm of the rate denominators.  Once a pass leaves no nonzero
+        numerator, the passes left are not run: the form is already zero.
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -363,7 +364,10 @@ class NumeratorForm:
         left = side == "left"
         full = (1 << m) - 1
         form = self
-        for _ in range(times):
+        for step in range(times):
+            # a pass that reads no nonzero numerator writes none, nor does any later one
+            if step and not any(any(b.values()) for s in form.terms.values() for b in s.values()):
+                break
             rates = () if y_only else (s.rate.denominator for s in form.terms if s is not None)
             rate_den = lcm(*rates)
             # e_j d/dx_j as (multiplier, flip bit, parity selector, lands on the

@@ -185,7 +185,7 @@ class SteeringSymbol:
             json_field(obj, "kind", "steering symbol document"),
             bar=obj.get("bar", False),
             power=obj.get("power", 0),
-            rate=parse_fraction(obj.get("rate", 0)),
+            rate=parse_fraction(obj.get("rate", 0), "symbol rate"),
         )
 
     def __str__(self) -> str:

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffsteer.cli as cli
 from cliffsteer.cli import main
@@ -17,6 +18,8 @@ from helpers import e, x, ymono
 M = 4
 # a coefficient of 5001 digits, over the 4300 Python converts by default
 TOO_LONG = f"fraction {'1' + '0' * 19!r}... has 5001 digits, over the limit of 4300"
+# the same coefficient in a document, named by its field
+TOO_LONG_COEF = f"blade coefficient {'1' + '0' * 19!r}... has 5001 digits, over the limit of 4300"
 
 
 LONG = "x" * 5000
@@ -129,6 +132,16 @@ class TestConstructVerifyPipeline:
 
 
 class TestVerifyOperators:
+    def test_order_far_past_zero_exit_zero(self, capsys, monkeypatch):
+        code, out, _ = run(
+            capsys,
+            ["verify", "--op", "cr", "--n", "1000000000"],
+            stdin_text=seed_doc(),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert json.loads(out)["operator"] == "cr_left^1000000000"
+
     def test_nonzero_residual_exit_one(self, capsys, monkeypatch):
         doc = json.dumps(
             {
@@ -254,13 +267,16 @@ class TestVerifyOperators:
         path.write_text(json.dumps(seed))
         code, out, err = run(capsys, ["construct", "--family", "exp", "--seed-file", str(path)])
         assert (code, out) == (2, "")
-        assert err == f"error: {TOO_LONG}\n" and len(err) < 200
+        assert err == f"error: {TOO_LONG_COEF}\n" and len(err) < 200
 
     @pytest.mark.parametrize(
         "coef, message",
         [
             ("x" * 5000, f"Invalid literal for Fraction: {'x' * 20!r}..."),
-            ("1e" + "0" * 5000, f"fraction {'1e' + '0' * 18!r}... uses exponent notation"),
+            (
+                "1e" + "0" * 5000,
+                f"blade coefficient {'1e' + '0' * 18!r}... uses exponent notation",
+            ),
         ],
         ids=["not-a-number", "exponent"],
     )
@@ -340,8 +356,15 @@ class TestVerifyOperators:
         err = capsys.readouterr().err
         assert err.endswith(f"not an exact rational: {'1e' + '0' * 18!r}...\n")
 
-    @pytest.mark.parametrize("where", ["seed coef", "symbol rate", "dsolve root"])
-    def test_exponent_in_document_refused_naming_it(self, capsys, tmp_path, where):
+    @pytest.mark.parametrize(
+        "where, name",
+        [
+            ("seed coef", "blade coefficient"),
+            ("symbol rate", "symbol rate"),
+            ("dsolve root", "dsolve root"),
+        ],
+    )
+    def test_exponent_in_document_refused_naming_it(self, capsys, tmp_path, where, name):
         one = CliffordPolynomial.constant(M, 1, range(2, M + 1)).to_obj()
         path = tmp_path / "doc.json"
         if where == "seed coef":
@@ -358,7 +381,7 @@ class TestVerifyOperators:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == "error: fraction '1e5000' uses exponent notation; write it as num/den\n"
+        assert err == f"error: {name} '1e5000' uses exponent notation; write it as num/den\n"
 
     def test_zero_denominator_in_document_exit_two(self, capsys, monkeypatch):
         doc = json.dumps(
@@ -537,6 +560,76 @@ class TestRoundTrips:
         code1, out1, _ = run(capsys, ["appell", "--k", "3", "--m", "3"])
         code2, out2, _ = run(capsys, ["appell", "--k", "3", "--m", "3"])
         assert out1 == out2
+
+
+
+# JSON trees: string keys and strings with non-ASCII text, quotes, backslashes
+# and control characters, ints up to 4300 digits of either sign, bools, None,
+# and lists and dicts that may be empty or hold only empty ones
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\u00e9'))
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**4300) + 1, 10**4300 - 1)
+    | _TEXT
+)
+_TREES = st.recursive(
+    _LEAVES, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4)
+)
+
+
+class TestEmitter:
+    """``cli._indented`` writes ``json.dumps(obj, indent=2)``'s bytes."""
+
+    @given(_TREES)
+    @settings(max_examples=100, deadline=None)
+    def test_same_text_as_json_dumps(self, tree):
+        assert cli._indented(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [1.5, float("nan"), {"a": [-0.0, {1: None, "b": ()}]}, [{2: "x"}, (True, [])]],
+        ids=["float", "nan", "nested-float-and-int-key", "tuple"],
+    )
+    def test_other_values_written_as_json_dumps_writes_them(self, tree):
+        assert cli._indented(tree) == json.dumps(tree, indent=2)
+
+    def test_unserializable_value_refused_as_json_dumps_refuses_it(self):
+        tree = {"a": [1, {"b": Fraction(1, 2)}]}
+        with pytest.raises(TypeError) as ours:
+            cli._indented(tree)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(tree, indent=2)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--n", "6"],
+            ["basis", "--m", "5", "--degree", "4", "--n", "2"],
+            ["appell", "--k", "6", "--m", "4"],
+            ["construct", "--family", "exp", "--side", "both", "--seed-file", "{seed}"],
+            ["verify", "--op", "cr", "--side", "both", "--in", "{expr}"],
+            ["dsolve", "--coeffs", "1,1,-2", "--spec-file", "{spec}"],
+        ],
+        ids=["coeffs", "basis", "appell", "construct-both", "verify-both", "dsolve"],
+    )
+    def test_every_subcommand_writes_json_dumps_bytes(self, capsys, tmp_path, argv):
+        seed = (x(M, 2, yonly=True) + ymono(M, {3: 1}, e(M, 2, 3))) * Fraction(1, 2)
+        h = ymono(M, {2: 1}, e(M, 2) * 2)
+        roots = [{"root": r, "harmonic_seed": h.to_obj()} for r in ("1", "-2")]
+        files = {
+            "seed": seed.to_obj(),
+            "expr": construct_two_sided("exp", seed).to_obj(),
+            "spec": {"m": M, "roots": roots},
+        }
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in files}) for arg in argv]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestSuite:

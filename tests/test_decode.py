@@ -245,18 +245,18 @@ MALFORMED = [
         expr((sym(bar=1), X2)),
         "symbol bar flag must be true or false",
     ),
-    ("rate-1/0", VERIFY, expr((sym(rate="1/0"), X2)), "fraction '1/0' has a zero denominator"),
+    ("rate-1/0", VERIFY, expr((sym(rate="1/0"), X2)), "symbol rate '1/0' has a zero denominator"),
     (
         "blade-coefficient-3/0",
         CONSTRUCT,
         poly(({"2": 1}, mv(([2], "3/0")))),
-        "fraction '3/0' has a zero denominator",
+        "blade coefficient '3/0' has a zero denominator",
     ),
     (
         "dsolve-root-1/0",
         DSOLVE,
         {"m": M, "roots": [{"root": "1/0"}]},
-        "fraction '1/0' has a zero denominator",
+        "dsolve root '1/0' has a zero denominator",
     ),
     (
         "expression-coefficient-outside-y",

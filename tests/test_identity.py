@@ -4,6 +4,7 @@ The tool is a script, not a package module, so it is loaded from its path.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,18 @@ def test_digest_lines_repeat_and_a_differing_line_exits_one(identity, capsys):
         f"differs: {key}: {digest} -> {'0' * len(digest)}",
         f"differs: {names[-1]}: {first[-1].rsplit(' ', 1)[1]} -> missing",
     ]
+
+
+def test_subcommand_outcomes_repeat_with_their_exit_codes(identity):
+    cs, _ = identity.load(identity.ROOT)
+    first = identity.subcommand_outcomes(cs)
+    assert first == identity.subcommand_outcomes(cs)
+    *runs, written = first
+    assert [argv for argv, _, _ in runs] == identity.SUBCOMMANDS
+    # the D-equation of the last argv is D f + f = 2f, a nonzero residual
+    assert [code for _, code, _ in runs] == [0] * (len(runs) - 1) + [1]
+    for argv, _, out in runs:
+        # construct writes its document to --out, not to stdout
+        expected = "" if argv[0] == "construct" else json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == expected
+    assert json.loads(written)["terms"]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,22 @@ class TestNMonogenicResidual:
     def test_works_on_polynomials(self):
         z = x(M, 0) + x(M, 1) * e(M, 1)
         assert n_monogenic_residual(z, 1, "left").is_zero
+
+    @pytest.mark.parametrize(
+        "f, side",
+        [
+            (x(M, 2, yonly=True), "left"),
+            (x(M, 2, yonly=True), "right"),
+            (construct_exp_left(ymono(M, {2: 3}), 2), "left"),
+        ],
+        ids=["x2-left", "x2-right", "exp-order-2-left"],
+    )
+    def test_passes_after_the_form_is_zero_not_run(self, f, side):
+        # each is zero after a few passes; a million passes would take seconds
+        start = time.perf_counter()
+        report = n_monogenic_residual(f, 10**6, side)
+        assert time.perf_counter() - start < 0.5
+        assert report.is_zero and report.operator_description == f"cr_{side}^1000000"
 
     def test_rejects_bad_side(self):
         # n = 0 applies no link, and is refused all the same

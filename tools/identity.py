@@ -11,7 +11,11 @@ for ``pipeline`` each case's exit codes and stderr plus every document the
 commands wrote.  One line digests the documents of ``appell_poly(k, m)`` for
 m 2..6 and k 0..8, a wider grid than the ``basis`` workload's.  One more line
 digests the output of ``cliffsteer suite --max-n 5 --max-degree 5`` with its
-ms column masked, and its exit status.
+ms column masked, and its exit status.  The ``subcommands`` line digests the
+exit code and stdout bytes of each emitting subcommand on fixed arguments
+(``SUBCOMMANDS``: ``coeffs``, ``basis``, ``appell``, a criterion-10 ``dsolve``
+spec, ``construct`` and ``verify --op lame`` and ``deq`` on the constructed
+document) and the document ``construct`` wrote.
 
 ``--base REV`` computes the same lines in a child process on the committed
 files of REV (``git archive``, unpacked in a temporary directory, as
@@ -41,6 +45,29 @@ SUITE = ["suite", "--max-n", "5", "--max-degree", "5"]
 TINY_SUITE = ["suite", "--max-n", "1", "--max-degree", "1", "--cases", "10"]
 APPELL = (range(2, 7), range(0, 9))  # m, k
 TINY_APPELL = (range(2, 4), range(0, 4))
+# x2 2e2 at m=4, harmonic, and a harmonic seed x2 x3 e2 + (x2^2 - x4^2)/2 e3
+_H = {"m": 4, "vars": [2, 3, 4], "terms": [
+    {"monomial": {"2": 1}, "coef": {"m": 4, "terms": [{"blades": [2], "coef": "2"}]}},
+]}
+_SEED = {"m": 4, "vars": [2, 3, 4], "terms": [
+    {"monomial": {"2": 1, "3": 1}, "coef": {"m": 4, "terms": [{"blades": [2], "coef": "1"}]}},
+    {"monomial": {"2": 2}, "coef": {"m": 4, "terms": [{"blades": [3], "coef": "1/2"}]}},
+    {"monomial": {"4": 2}, "coef": {"m": 4, "terms": [{"blades": [3], "coef": "-1/2"}]}},
+]}
+# the documents the subcommands read, by name; "{name}" in an argv is its path
+INPUTS = {
+    "spec": {"m": 4, "roots": [{"root": r, "harmonic_seed": _H} for r in ("1", "-2")]},
+    "seed": _SEED,
+}
+SUBCOMMANDS = [
+    ["coeffs", "--n", "6"],
+    ["basis", "--m", "5", "--degree", "4", "--n", "2"],
+    ["appell", "--k", "6", "--m", "4"],
+    ["dsolve", "--coeffs", "1,1,-2", "--spec-file", "{spec}"],
+    ["construct", "--family", "exp", "--seed-file", "{seed}", "--out", "{expr}"],
+    ["verify", "--op", "lame", "--mu", "1", "--lambda", "1", "--in", "{expr}"],
+    ["verify", "--op", "deq", "--coeffs", "1,1", "--in", "{expr}"],  # D f + f = 2f, exit 1
+]
 
 
 def load(tree: Path):
@@ -104,6 +131,29 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
     return lines
 
 
+def subcommand_outcomes(cs) -> list:
+    """``[argv, exit code, stdout]`` of each ``SUBCOMMANDS`` argv, then the
+    document ``construct`` wrote."""
+    parts = []
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = {name: str(Path(workdir) / f"{name}.json") for name in [*INPUTS, "expr"]}
+        for name, doc in INPUTS.items():
+            Path(paths[name]).write_text(json.dumps(doc), encoding="ascii")
+        for argv in SUBCOMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cs.cli.main([arg.format(**paths) for arg in argv])
+            parts.append([argv, code, out.getvalue()])
+        parts.append(Path(paths["expr"]).read_text(encoding="ascii"))
+    return parts
+
+
+def all_lines(tree: Path) -> list[str]:
+    """Every digest line of the tree: workloads, Appell, suite and subcommands."""
+    cs, workloads = load(tree)
+    return [*digest_lines(cs, workloads), f"subcommands {_digest(subcommand_outcomes(cs))}"]
+
+
 def compare(base: list[str], change: list[str]) -> int:
     """Name on stderr each line whose digest differs between the two sides, or
     that one side lacks; 1 if there is any, else 0."""
@@ -123,7 +173,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", type=Path, default=ROOT, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.base is None:
-        lines = digest_lines(*load(args.tree))
+        lines = all_lines(args.tree)
         print("\n".join(lines))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -132,7 +182,7 @@ def main(argv=None) -> int:
         done = subprocess.run(child, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"the digest of {args.base} exited {done.returncode}:\n{done.stderr}")
-    lines = digest_lines(*load(ROOT))
+    lines = all_lines(ROOT)
     print("\n".join(lines))
     return compare(done.stdout.splitlines(), lines)
 
