@@ -45,7 +45,8 @@ SUITE = ["suite", "--max-n", "5", "--max-degree", "5"]
 TINY_SUITE = ["suite", "--max-n", "1", "--max-degree", "1", "--cases", "10"]
 APPELL = (range(2, 7), range(0, 9))  # m, k
 TINY_APPELL = (range(2, 4), range(0, 4))
-# x2 2e2 at m=4, harmonic, and a harmonic seed x2 x3 e2 + (x2^2 - x4^2)/2 e3
+# at m=4, the criterion-10 harmonic seed 2 x2 e2, and the harmonic seed
+# x2 x3 e2 + (x2^2 - x4^2)/2 e3 that construct reads
 _H = {"m": 4, "vars": [2, 3, 4], "terms": [
     {"monomial": {"2": 1}, "coef": {"m": 4, "terms": [{"blades": [2], "coef": "2"}]}},
 ]}
