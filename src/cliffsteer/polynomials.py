@@ -381,8 +381,9 @@ class NumeratorForm:
             for sym, monos in form.terms.items():
                 if not monos:
                     continue
-                own = acc.setdefault(sym, {})
-                flipped = acc.setdefault(sym.conjugate(), {}) if sym is not None and left else own
+                # the symbol e_j d/dx_j lands on, without and with a bar flip; an
+                # entry is made on its first write, as many symbols get no term
+                flipped = sym.conjugate() if sym is not None and left else sym
                 # (out symbol's monomials, multiplier, flip bit, parity selector) of
                 # d/dx_0 and e_1 d/dx_1 on the symbol; the monomial stays
                 sym_actions = []
@@ -400,7 +401,7 @@ class NumeratorForm:
                     for j, (n, bit, sel, flips) in gens.items():
                         k = exps[j]
                         if k:
-                            out = (flipped if flips else own).setdefault(
+                            out = acc.setdefault(flipped if flips else sym, {}).setdefault(
                                 exps[:j] + (k - 1,) + exps[j + 1 :], {}
                             )
                             actions.append((out, k * n, bit, sel))

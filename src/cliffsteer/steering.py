@@ -14,6 +14,11 @@ of index >= 2; right multiplication never flips.  With that, applying the
 Cauchy-Riemann operator, its right-handed version, or the hypercomplex
 derivative keeps expressions inside the same closed symbol family.
 
+There is one ``SteeringSymbol`` object per symbol value (kind, bar, power,
+rate): the constructor hands back the live object of its value, so equality
+and hashing of symbols are identity, and a symbol's derivative and conjugate
+are worked out once and kept on it.
+
 This module also houses the constructors: exponential / trigonometric /
 power-steering polymonogenic solutions, two-sided monogenic solutions,
 hypercomplex-derivative eigenfunctions, and solutions of constant
@@ -36,6 +41,7 @@ seed has a zero tail and costs neither.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -67,35 +73,60 @@ _KIND_ORDER = {KIND_POWEXP: 0, KIND_COS: 1, KIND_SIN: 2}
 CoefficientLike = Union[CliffordPolynomial, Multivector, int, Fraction]
 
 
-@dataclass(frozen=True)
+# (kind, bar, power, rate) -> the one symbol of that value, while anything holds it
+_SYMBOLS = weakref.WeakValueDictionary()
+
+
 class SteeringSymbol:
     """Canonical token for z^j*exp(r*z), cos(r*z), sin(r*z) and conjugates.
 
     ``bar`` marks that the argument is z-bar.  The constant function 1 is
     the unique power/exp symbol with power 0 and rate 0; its bar flag is
     forced to False so that it has a single representation.
+
+    There is one object per symbol value: the constructor checks the fields,
+    then returns the live symbol with the same (kind, bar, power, rate), or
+    makes and keeps a new one.  Equality and hashing are therefore identity.
+    A symbol is immutable, and its derivative and its conjugate are worked
+    out once and kept on it.
     """
 
-    kind: str
-    bar: bool = False
-    power: int = 0
-    rate: Fraction = Fraction(0)
+    __slots__ = ("kind", "bar", "power", "rate", "_derivative", "_twin", "__weakref__")
 
-    def __post_init__(self):
-        if type(self.kind) is not str or self.kind not in _KIND_ORDER:  # a list has no hash
-            raise ValueError(f"unknown symbol kind {quoted(self.kind)}")
-        rate = coerce_fraction(self.rate)
-        object.__setattr__(self, "rate", rate)
-        integer_in(self.power, 0, None, "symbol power")
-        if type(self.bar) is not bool:
+    def __new__(
+        cls, kind: str, bar: bool = False, power: int = 0, rate: ScalarLike = 0
+    ) -> "SteeringSymbol":
+        if type(kind) is not str or kind not in _KIND_ORDER:  # a list has no hash
+            raise ValueError(f"unknown symbol kind {quoted(kind)}")
+        rate = coerce_fraction(rate)
+        integer_in(power, 0, None, "symbol power")
+        if type(bar) is not bool:
             raise ValueError("symbol bar flag must be true or false")
-        if self.kind != KIND_POWEXP:
-            if self.power:
+        if kind != KIND_POWEXP:
+            if power:
                 raise ValueError("trigonometric symbols carry no power")
             if rate.numerator <= 0:  # cos(-rz) = cos(rz), sin(-rz) = -sin(rz): one symbol each
                 raise ValueError("trigonometric symbols need a positive rate")
-        elif self.power == 0 and not rate and self.bar:
-            object.__setattr__(self, "bar", False)
+        elif power == 0 and not rate:
+            bar = False
+        key = (kind, bar, power, rate)
+        sym = _SYMBOLS.get(key)
+        if sym is None:
+            # the one place a symbol is made
+            sym = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key + (None, None)):
+                object.__setattr__(sym, name, value)
+            _SYMBOLS[key] = sym
+        return sym
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable symbol")
+
+    __delattr__ = __setattr__  # nor delete one
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, so they are this object
+        return SteeringSymbol, (self.kind, self.bar, self.power, self.rate)
 
     @classmethod
     def power_exp(
@@ -115,15 +146,12 @@ class SteeringSymbol:
     def constant(cls) -> "SteeringSymbol":
         return cls(KIND_POWEXP)
 
-    def is_constant(self) -> bool:
-        return self.kind == KIND_POWEXP and self.power == 0 and not self.rate
-
     def conjugate(self) -> "SteeringSymbol":
-        if self.is_constant():
-            return self
-        # a copy with the bar flipped; __post_init__ already checked every field
-        twin = object.__new__(SteeringSymbol)
-        twin.__dict__.update(self.__dict__, bar=not self.bar)
+        twin = self._twin
+        if twin is None:  # the constant is its own twin: the constructor drops its bar
+            twin = SteeringSymbol(self.kind, not self.bar, self.power, self.rate)
+            object.__setattr__(self, "_twin", twin)
+            object.__setattr__(twin, "_twin", self)
         return twin
 
     def value_at_origin(self) -> Fraction:
@@ -134,22 +162,21 @@ class SteeringSymbol:
         return Fraction(1) if self.power == 0 else Fraction(0)
 
     def _dz(self) -> Tuple[Tuple[Fraction, "SteeringSymbol"], ...]:
-        # derivative with respect to the complex-like argument (z or z-bar)
+        # derivative with respect to the complex-like argument (z or z-bar),
+        # worked out on the first call and kept
+        if self._derivative is not None:
+            return self._derivative
+        r, j, bar = self.rate, self.power, self.bar
         if self.kind == KIND_POWEXP:
-            out = []
-            if self.power:
-                out.append(
-                    (
-                        Fraction(self.power),
-                        SteeringSymbol.power_exp(self.power - 1, self.rate, self.bar),
-                    )
-                )
-            if self.rate:
-                out.append((self.rate, self))
-            return tuple(out)
-        if self.kind == KIND_COS:
-            return ((-self.rate, SteeringSymbol.sine(self.rate, self.bar)),)
-        return ((self.rate, SteeringSymbol.cosine(self.rate, self.bar)),)
+            out = ((Fraction(j), SteeringSymbol.power_exp(j - 1, r, bar)),) if j else ()
+            if r:
+                out += ((r, self),)
+        elif self.kind == KIND_COS:
+            out = ((-r, SteeringSymbol.sine(r, bar)),)
+        else:
+            out = ((r, SteeringSymbol.cosine(r, bar)),)
+        object.__setattr__(self, "_derivative", out)
+        return out
 
     def _antiderivative(self, times: int) -> Tuple[Tuple[Fraction, "SteeringSymbol"], ...]:
         # I^times in the argument, a right inverse of _dz^times on the family

@@ -10,12 +10,14 @@ defined in one class body, ``merge_terms`` (the one rule that sums like terms)
 is defined once, and no class assigns ``__hash__`` (defining ``__eq__``
 already makes a class unhashable).  In ``steering.py`` one function calls
 ``NumeratorForm.combine``: every constructor builds its conjugate side
-through that one rule.  Each rule a polynomial or expression constructor
-checks is written in one function body: the decoders build through the
-constructors; package-wide, one function checks the side of a Dirac-type
-operator, one names ``MIN_GENERATORS`` and one words an integer bound.  Every
-name the package root exports is used by the package, the benchmark or the
-tools, with one named exemption.
+through that one rule, and one line, in ``SteeringSymbol.__new__``, allocates
+a symbol: equal symbols are one object, which identity equality relies on.
+Each rule a polynomial or expression constructor checks is written in one
+function body: the decoders build through the constructors; package-wide,
+one function checks the side of a Dirac-type operator, one names
+``MIN_GENERATORS`` and one words an integer bound.  Every name the package
+root exports is used by the package, the benchmark or the tools, with one
+named exemption.
 """
 
 import ast
@@ -166,6 +168,35 @@ def test_steering_combines_forms_in_one_function():
             ):
                 callers.add(func.name)
     assert len(callers) == 1, callers
+
+
+def _allocations(tree, owner=""):
+    """(enclosing class.function, line) of each call of a ``__new__`` attribute
+    in ``tree``: ``object.__new__(cls)``, ``super().__new__(cls)`` and the like."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _allocations(node, f"{owner}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+            yield owner, node.lineno
+        yield from _allocations(node, owner)
+
+
+def test_steering_symbols_are_allocated_in_one_place():
+    # every symbol comes from SteeringSymbol.__new__, which returns the one
+    # object of its value; a second allocation would make equal symbols unequal
+    made = list(_allocations(_tree(PACKAGE / "steering.py")))
+    assert [owner for owner, _ in made] == ["SteeringSymbol.__new__"], made
+    elsewhere = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "steering.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "__new__"
+        and "SteeringSymbol" in ast.unparse(node)
+    ]
+    assert not elsewhere, f"SteeringSymbol allocated outside steering.py at {elsewhere}"
 
 
 # (module, rule) of each rule checked in one function body: a message text, or

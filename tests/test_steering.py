@@ -1,9 +1,13 @@
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from cliffsteer import steering
 from cliffsteer.algebra import Multivector
 from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
 from cliffsteer.steering import (
@@ -57,8 +61,8 @@ class TestSymbols:
         assert zk.conjugate().conjugate() == zk
 
     def test_conjugate_equals_the_constructed_twin(self):
-        # conjugate copies a checked symbol without re-running its checks, so it
-        # must give exactly what the checking constructor gives
+        # conjugate keeps its twin on the symbol, so it must give exactly what
+        # the checking constructor gives
         for kind in ("powexp", "cos", "sin"):
             for bar in (False, True):
                 for power in range(3) if kind == "powexp" else (0,):
@@ -134,6 +138,140 @@ class TestSymbols:
             SteeringSymbol.sine(Fraction(3, 2), bar=True),
         ):
             assert SteeringSymbol.from_obj(sym.to_obj()) == sym
+
+
+def _made_every_way(sym):
+    """``sym`` made again by each route that can make a symbol."""
+    again = [
+        SteeringSymbol(sym.kind, bar=sym.bar, power=sym.power, rate=sym.rate),
+        SteeringSymbol.from_obj(sym.to_obj()),
+        sym.conjugate().conjugate(),
+        copy.copy(sym),
+        copy.deepcopy(sym),
+        copy.deepcopy([sym, sym])[1],
+        pickle.loads(pickle.dumps(sym)),
+    ]
+    if sym.rate.denominator == 1:
+        again.append(SteeringSymbol(sym.kind, bar=sym.bar, power=sym.power, rate=int(sym.rate)))
+    if sym.kind == "powexp":
+        again.append(SteeringSymbol.power_exp(sym.power, sym.rate, bar=sym.bar))
+    else:
+        again.append((SteeringSymbol.cosine if sym.kind == "cos" else SteeringSymbol.sine)(
+            sym.rate, bar=sym.bar
+        ))
+    return again
+
+
+# (arguments, error type, text) in the order the constructor checks: kind,
+# rate, power, bar flag, then the trigonometric rules
+POWER = "symbol power must be an integer of at least 0, got "
+BAR = "symbol bar flag must be true or false"
+POSITIVE = "trigonometric symbols need a positive rate"
+REFUSALS = [
+    (("tan", "x", -1, 0.5), ValueError, "unknown symbol kind 'tan'"),
+    ((["cos"],), ValueError, "unknown symbol kind ['cos']"),
+    (("cos", "x", -1, 0.5), TypeError, "expected an exact rational (int or Fraction), got float"),
+    (("cos", "x", -1, -1), ValueError, POWER + "-1"),
+    (("powexp", False, True), ValueError, POWER + "True"),
+    (("cos", "x", 1, -1), ValueError, BAR),
+    (("powexp", 0), ValueError, BAR),
+    (("sin", False, 1, 1), ValueError, "trigonometric symbols carry no power"),
+    (("cos", True, 0, 0), ValueError, POSITIVE),
+    (("sin", False, 0, Fraction(-3, 2)), ValueError, POSITIVE),
+]
+REFUSAL_IDS = [
+    "kind", "kind-list", "rate-float", "power-negative", "power-bool", "bar-string", "bar-int",
+    "trig-power", "cos-zero-rate", "sin-negative-rate",
+]
+
+
+class TestOneObjectPerSymbol:
+    SYMBOLS = [
+        CONST,
+        EXP_Z,
+        EXP_ZBAR,
+        SteeringSymbol.power_exp(3),
+        SteeringSymbol.power_exp(2, Fraction(-3, 2), bar=True),
+        SteeringSymbol.power_exp(1, Fraction(1, 3)),
+        SteeringSymbol.cosine(2),
+        SteeringSymbol.sine(Fraction(3, 2), bar=True),
+    ]
+
+    @pytest.mark.parametrize("sym", SYMBOLS, ids=str)
+    def test_every_route_gives_the_one_object(self, sym):
+        for other in _made_every_way(sym):
+            assert other is sym
+
+    def test_the_constant_is_one_object_with_or_without_a_bar(self):
+        for other in (
+            SteeringSymbol("powexp"),
+            SteeringSymbol("powexp", bar=True),
+            SteeringSymbol("powexp", rate=Fraction(0)),
+            SteeringSymbol.power_exp(0, 0, bar=True),
+            SteeringSymbol.from_obj({"kind": "powexp", "bar": True, "power": 0, "rate": "0/1"}),
+            CONST.conjugate(),
+        ):
+            assert other is CONST
+        assert not CONST.bar
+
+    @pytest.mark.parametrize("sym", SYMBOLS, ids=str)
+    def test_derivative_and_antiderivative_targets_are_the_made_symbols(self, sym):
+        for q, target in sym._dz():
+            assert target is SteeringSymbol(
+                target.kind, bar=target.bar, power=target.power, rate=target.rate
+            )
+        if sym.rate or sym.kind != "powexp":
+            assert sym._dz()[-1][1] is (
+                sym if sym.kind == "powexp"
+                else SteeringSymbol("sin" if sym.kind == "cos" else "cos", sym.bar, 0, sym.rate)
+            )
+        if sym.power:
+            assert sym._dz()[0][1] is SteeringSymbol.power_exp(sym.power - 1, sym.rate, sym.bar)
+        for times in (1, 2, 3):
+            for q, target in sym._antiderivative(times):
+                assert target is SteeringSymbol(
+                    target.kind, bar=target.bar, power=target.power, rate=target.rate
+                )
+        # worked out once and kept
+        assert sym._dz() is sym._dz()
+        assert sym.conjugate() is sym.conjugate()
+
+    def test_equality_and_hashing_are_identity(self):
+        assert SteeringSymbol.__eq__ is object.__eq__
+        assert SteeringSymbol.__hash__ is object.__hash__
+        assert EXP_Z != EXP_ZBAR and EXP_Z != "exp(1*z)" and EXP_Z != None  # noqa: E711
+
+    @pytest.mark.parametrize("name", ["kind", "bar", "power", "rate", "_twin", "other"])
+    def test_no_field_can_be_assigned_or_deleted(self, name):
+        sym = SteeringSymbol.power_exp(2, Fraction(5, 7))
+        before = (sym.kind, sym.bar, sym.power, sym.rate)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(sym, name, True)
+        if name != "other":
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                delattr(sym, name)
+        assert (sym.kind, sym.bar, sym.power, sym.rate) == before
+
+    @pytest.mark.parametrize("args, error, text", REFUSALS, ids=REFUSAL_IDS)
+    def test_refusals_keep_their_text_and_enter_nothing(self, args, error, text):
+        before = set(steering._SYMBOLS.keys())
+        with pytest.raises(error) as caught:
+            SteeringSymbol(*args)
+        assert str(caught.value) == text
+        assert set(steering._SYMBOLS.keys()) <= before
+
+    def test_the_table_holds_only_live_symbols(self):
+        gc.collect()
+        before = len(steering._SYMBOLS)
+        made = []
+        for k in range(1, 10001):
+            sym = SteeringSymbol.power_exp(1, Fraction(k, 10007))
+            sym._dz()  # the kept derivative refers to the symbol itself
+            made.append(sym.conjugate())
+        assert len(steering._SYMBOLS) >= before + 20000
+        del made, sym
+        gc.collect()
+        assert len(steering._SYMBOLS) == before
 
 
 class TestBladeMultiplication:

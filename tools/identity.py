@@ -9,9 +9,14 @@ prefix>`` digests the workload's input fingerprint and its outcomes: each
 case's returned expressions, reports and polynomials as their documents, and
 for ``pipeline`` each case's exit codes and stderr plus every document the
 commands wrote.  One line digests the documents of ``appell_poly(k, m)`` for
-m 2..6 and k 0..8, a wider grid than the ``basis`` workload's.  One more line
-digests the output of ``cliffsteer suite --max-n 5 --max-degree 5`` with its
-ms column masked, and its exit status.  The ``subcommands`` line digests the
+m 2..6 and k 0..8, a wider grid than the ``basis`` workload's.  The
+``symbols`` line digests the constructions whose symbols have rates that are
+not integers, which the workloads reach only at integer rates:
+``construct_eigen`` at rates 3/2 and -1/3 for m 4 and 5, and a ``dsolve`` spec
+with the double root 1/2 (``symbol_outcomes``), each with its left and right
+``n_monogenic_residual`` reports.  One more line digests the output of
+``cliffsteer suite --max-n 5 --max-degree 5`` with its ms column masked, and
+its exit status.  The ``subcommands`` line digests the
 exit code and stdout bytes of each emitting subcommand on fixed arguments
 (``SUBCOMMANDS``: ``coeffs``, ``basis``, ``appell``, a criterion-10 ``dsolve``
 spec, ``construct`` and ``verify --op lame`` and ``deq`` on the constructed
@@ -35,6 +40,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -123,6 +129,7 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
     ms, ks = TINY_APPELL if tiny else APPELL
     appell = [cs.appell_poly(k, m).to_obj() for m in ms for k in ks]
     lines.append(f"appell m {ms[0]}..{ms[-1]} k {ks[0]}..{ks[-1]} {_digest(appell)}")
+    lines.append(f"symbols {_digest(symbol_outcomes(cs))}")
     argv = TINY_SUITE if tiny else SUITE
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -130,6 +137,28 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
     masked = re.sub(r" *\d+\.\d\d ms", " <ms>", out.getvalue())
     lines.append(f"{' '.join(argv)} {_digest([code, masked])}")
     return lines
+
+
+def symbol_outcomes(cs) -> list:
+    """``[document, left report, right report]`` of ``construct_eigen`` at rates
+    3/2 and -1/3 for m 4 and 5, then of ``dsolve`` on (2D - 1)^2 f = 0 with the
+    root 1/2 carrying the harmonic seed 2 x2 e2 and the monogenic seeds 1 and
+    x2 - x3 e2 e3; a left check reads zero, the right one does not."""
+    mono = cs.CliffordPolynomial.monomial
+    solutions = []
+    for m in (4, 5):
+        y, e2, e3 = range(2, m + 1), cs.Multivector.blade(m, (2,)), cs.Multivector.blade(m, (3,))
+        # x2 x3 e2 + (x2^2 - x4^2)/2 e3, harmonic in the y variables
+        seed = mono(m, {2: 1, 3: 1}, e2, y) + (mono(m, {2: 2}, e3, y) - mono(m, {4: 2}, e3, y)) / 2
+        solutions += [cs.construct_eigen(rate, seed) for rate in (Fraction(3, 2), Fraction(-1, 3))]
+    y, e23 = range(2, 5), cs.Multivector.blade(4, (2, 3))
+    monogenic = (mono(4, {}, 1, y), mono(4, {2: 1}, 1, y) - mono(4, {3: 1}, e23, y))
+    root = cs.RootSpec(Fraction(1, 2), 2, cs.CliffordPolynomial.from_obj(_H), monogenic)
+    solutions.append(cs.dsolve(cs.DSolveSpec(4, (4, -4, 1), (root,))))
+    return [
+        [f.to_obj()] + [cs.n_monogenic_residual(f, 1, side).to_obj() for side in ("left", "right")]
+        for f in solutions
+    ]
 
 
 def subcommand_outcomes(cs) -> list:
