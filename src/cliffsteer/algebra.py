@@ -168,10 +168,11 @@ def indices_from_mask(mask: int) -> Tuple[int, ...]:
 class TermMap:
     """Immutable map from keys to nonzero coefficients over R_{0,m}: the base of
     multivectors, polynomials and steering expressions, three rational vector
-    spaces whose ``+``, ``-``, ``==``, scaling by a rational and ``/`` are
-    defined here once.  A subclass checks its keys in ``__init__``, turns each
-    operand it accepts into its own type in ``_lift`` (None for any other),
-    carries its metadata into results in ``_like`` and defines its products."""
+    spaces whose ``+``, ``-``, ``==``, ``*`` and ``/`` by a rational and ``str``
+    are defined here once.  A subclass checks its keys in ``__init__``, turns
+    each operand it accepts into its own type in ``_lift`` (None for any other),
+    carries its metadata into results in ``_like``, multiplies by every other
+    operand it takes in ``_times`` and writes one term in ``_term_str``."""
 
     __slots__ = ("m", "_terms")
     _order = None  # sort key of the canonical key order; None sorts keys by value
@@ -236,6 +237,9 @@ class TermMap:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, {self})"
 
+    def __str__(self) -> str:
+        return " + ".join(self._term_str(k, c) for k, c in self._terms.items()) or "0"
+
     # -- linear structure ----------------------------------------------------
 
     def __eq__(self, other: object):
@@ -273,6 +277,21 @@ class TermMap:
         if not q:
             return self._like(self, {})
         return self._like(self, {k: v * q for k, v in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        return self._times(other, False)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        return self._times(other, True)
+
+    def _times(self, other, left: bool):
+        """``other * self`` if ``left``, else ``self * other``, for an ``other``
+        that is not a rational; NotImplemented for any the subclass does not take."""
+        return NotImplemented
 
     def __truediv__(self, other):
         q = coerce_fraction(other)
@@ -319,11 +338,6 @@ class Multivector(TermMap):
     def blade(cls, m: int, indices: Iterable[int], coef: ScalarLike = 1) -> "Multivector":
         return cls(m, {mask_from_indices(indices, m): coef})
 
-    # -- container-ish access ------------------------------------------------
-
-    def coefficient(self, mask: int) -> Fraction:
-        return self._terms.get(mask, _ZERO)
-
     def _lift(self, other):
         if isinstance(other, Multivector):
             return other
@@ -334,18 +348,12 @@ class Multivector(TermMap):
     # -- ring structure ------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
+        """The geometric product; every other operand is ``TermMap``'s."""
         if isinstance(other, Multivector):
             self._require_same_m(other)
             data = self.merge_terms({}, _blade_products(self._terms, other._terms))
             return Multivector._unsafe(self.m, data)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        return NotImplemented
+        return super().__mul__(other)
 
     # -- algebra operations ----------------------------------------------------
 
@@ -401,14 +409,9 @@ class Multivector(TermMap):
             pairs, lambda mask: f"blade {list(indices_from_mask(mask))}"
         )
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mask, q in self._terms.items():
-            blade = "*".join(f"e{j}" for j in indices_from_mask(mask))
-            parts.append(f"({format_fraction(q)}){'*' + blade if blade else ''}")
-        return " + ".join(parts)
+    def _term_str(self, mask: int, q: Fraction) -> str:
+        blade = "*".join(f"e{j}" for j in indices_from_mask(mask))
+        return f"({format_fraction(q)}){'*' + blade if blade else ''}"
 
 
 def e1_sandwich(a):

@@ -152,35 +152,24 @@ class CliffordPolynomial(DiracOperand):
 
     # -- ring structure ----------------------------------------------------------
 
-    def _times_coefficients(self, other: Multivector, left: bool) -> "CliffordPolynomial":
-        self._require_same_m(other)
-        data = {}
-        for exps, mv in self._terms.items():
-            prod = other * mv if left else mv * other
-            if prod:
-                data[exps] = prod
-        return CliffordPolynomial._unsafe(self.m, self.var_scope, data)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
+    def _times(self, other, left: bool):
         if isinstance(other, Multivector):
-            return self._times_coefficients(other, left=False)
+            self._require_same_m(other)
+            data = {}
+            for exps, mv in self._terms.items():
+                prod = other * mv if left else mv * other
+                if prod:
+                    data[exps] = prod
+            return CliffordPolynomial._unsafe(self.m, self.var_scope, data)
         if isinstance(other, CliffordPolynomial):
             self._require_same_m(other)
+            a, b = (other, self) if left else (self, other)
             products = (
                 (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-                for ea, ca in self._terms.items()
-                for eb, cb in other._terms.items()
+                for ea, ca in a._terms.items()
+                for eb, cb in b._terms.items()
             )
             return self._like(other, self.merge_terms({}, products))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        if isinstance(other, Multivector):
-            return self._times_coefficients(other, left=True)
         return NotImplemented
 
     # -- differential operators ----------------------------------------------------
@@ -245,16 +234,9 @@ class CliffordPolynomial(DiracOperand):
             pairs.append((tuple(exps), coef))
         return cls(m, pairs, scope)._decoded(pairs, lambda key: f"monomial {key!r}")
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exps, mv in self._terms.items():
-            mono = "*".join(
-                f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e
-            )
-            parts.append(f"[{mv}]{'*' + mono if mono else ''}")
-        return " + ".join(parts)
+    def _term_str(self, exps: Monomial, mv: Multivector) -> str:
+        mono = "*".join(f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
+        return f"[{mv}]{'*' + mono if mono else ''}"
 
 
 def _common_denominator(terms: Iterable[Mapping[Monomial, Multivector]]) -> int:

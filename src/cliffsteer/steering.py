@@ -124,6 +124,10 @@ class SteeringSymbol:
 
     __delattr__ = __setattr__  # nor delete one
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:4])
+        return f"SteeringSymbol({fields})"
+
     def __reduce__(self):
         # copies and pickles go through the constructor, so they are this object
         return SteeringSymbol, (self.kind, self.bar, self.power, self.rate)
@@ -268,23 +272,12 @@ class SteeringExpression(DiracOperand):
     def symbols(self) -> Tuple[SteeringSymbol, ...]:
         return tuple(self._terms)
 
-    # -- products -----------------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        if isinstance(other, Multivector):
-            return self.rmul(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        if isinstance(other, Multivector):
-            return self.lmul(other)
-        return NotImplemented
-
     # -- blade multiplication -------------------------------------------------------
+
+    def _times(self, other, left: bool):
+        if isinstance(other, Multivector):
+            return self.lmul(other) if left else self.rmul(other)
+        return NotImplemented
 
     def lmul(self, b: Multivector) -> "SteeringExpression":
         """Left multiplication by a multivector.
@@ -360,10 +353,8 @@ class SteeringExpression(DiracOperand):
             pairs.append((sym, CliffordPolynomial.from_obj(json_field(entry, "coef", what))))
         return cls(m, pairs)._decoded(pairs, lambda sym: f"symbol {sym}")
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"{sym}*({poly})" for sym, poly in self._terms.items())
+    def _term_str(self, sym: SteeringSymbol, poly: CliffordPolynomial) -> str:
+        return f"{sym}*({poly})"
 
 
 # ---------------------------------------------------------------------------

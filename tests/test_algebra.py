@@ -285,6 +285,39 @@ TERM_MAPS = [
 
 
 @pytest.mark.parametrize(
+    "build", [row[0] for row in TERM_MAPS], ids=["multivector", "polynomial", "expression"]
+)
+def test_zero_term_map_writes_0(build):
+    zero = type(build(4))(4)
+    assert (str(zero), repr(zero)) == ("0", f"{type(zero).__name__}(m=4, 0)")
+
+
+@pytest.mark.parametrize(
+    "build", [row[0] for row in TERM_MAPS], ids=["multivector", "polynomial", "expression"]
+)
+def test_rationals_scale_on_either_side_and_other_operands_are_refused(build):
+    value = build(4)
+    q = Fraction(-3, 7)
+    assert value * q == q * value == value / Fraction(-7, 3)
+    assert (value * 0, 0 * value) == (type(value)(4), type(value)(4))
+    assert value._times("x", False) is NotImplemented
+    for other in ("x", 1.5, [1]):
+        with pytest.raises(TypeError):
+            value * other
+        with pytest.raises(TypeError):
+            other * value
+
+
+def test_polynomial_products_keep_the_operand_order():
+    # the coefficients do not commute, so a reflected product must not swap them
+    p = CliffordPolynomial(4, {(0, 0, 1, 0, 0): e(4, 2), (0, 0, 0, 0, 0): 1})
+    q = CliffordPolynomial(4, {(0, 0, 0, 1, 0): e(4, 3)})
+    assert p * q != q * p
+    assert p.__rmul__(q) == q * p and q.__rmul__(p) == p * q
+    assert p.__rmul__(e(4, 3)) == e(4, 3) * p != p * e(4, 3)
+
+
+@pytest.mark.parametrize(
     "build, text, keys", TERM_MAPS, ids=["multivector", "polynomial", "expression"]
 )
 def test_term_map_container(build, text, keys):

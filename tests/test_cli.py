@@ -686,6 +686,24 @@ class TestSuite:
         assert code == 2 and not out
         assert err == f"error: {limit}\n"
 
+    def test_a_raising_criterion_is_a_failed_row(self, capsys, monkeypatch):
+        from cliffsteer import suite
+
+        def boom(args):
+            raise ArithmeticError("no such case")
+
+        criteria = [("01_passes", lambda args: (True, "fine")), ("02_raises", boom)]
+        monkeypatch.setattr(suite, "CRITERIA", criteria)
+        code, out, err = run(capsys, ["suite", "--max-n", "1", "--cases", "1"])
+        assert (code, err) == (1, "")
+        *lines, total = out.splitlines()
+        rows = [re.fullmatch(r"(\S+) +(\S+) +[0-9]+\.[0-9]+ ms  (.*)", line) for line in lines]
+        assert [row.groups() for row in rows] == [
+            ("01_passes", "pass", "fine"),
+            ("02_raises", "FAIL", "error: no such case"),
+        ]
+        assert total == "1/2 cases passed"
+
     def test_perturbation_is_caught_and_named(self, capsys):
         code, out, _ = run(
             capsys,

@@ -46,8 +46,13 @@ def test_subcommand_outcomes_repeat_with_their_exit_codes(identity):
     assert first == identity.subcommand_outcomes(cs)
     *runs, written = first
     assert [argv for argv, _, _ in runs] == identity.SUBCOMMANDS
-    # the D-equation of the last argv is D f + f = 2f, a nonzero residual
-    assert [code for _, code, _ in runs] == [0] * (len(runs) - 1) + [1]
+    # the constructed document is left monogenic, not right, and D f + f = 2f:
+    # deq, cr-right, alphabeta, infrapoly and cr on both sides read a residual
+    assert [code for _, code, _ in runs] == [0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1]
+    reports = [json.loads(out) for argv, _, out in runs if argv[0] == "verify"]
+    counts = [[r["term_count"] for r in report] if isinstance(report, list)
+              else report["term_count"] for report in reports]
+    assert counts == [0, 2, 2, 0, 2, 2, [0, 2]]
     for argv, _, out in runs:
         # construct writes its document to --out, not to stdout
         expected = "" if argv[0] == "construct" else json.dumps(json.loads(out), indent=2) + "\n"

@@ -4,11 +4,13 @@ The package is stdlib-only, and no module keeps an import it never uses;
 ``__init__.py`` is exempt from the second rule since it imports in order
 to re-export.  Only ``cli.py`` imports ``argparse`` and no module imports
 ``cli``, so the battery and the library stay free of the command line.
-No source line is longer than 99 columns.  The term-map container methods,
-the linear structure of the term maps and the Dirac-type methods are each
-defined in one class body, ``merge_terms`` (the one rule that sums like terms)
-is defined once, and no class assigns ``__hash__`` (defining ``__eq__``
-already makes a class unhashable).  In ``steering.py`` one function calls
+No source line is longer than 99 columns.  Among ``TermMap`` and its
+subclasses, the container methods, the linear structure, the text form and
+the Dirac-type methods are each defined in one class body, and ``__mul__`` in
+two: ``TermMap``'s dispatch and ``Multivector``'s geometric product.
+``merge_terms`` (the one rule that sums like terms) is defined once, and no
+class of the package assigns ``__hash__`` (defining ``__eq__`` already makes
+a class unhashable).  In ``steering.py`` one function calls
 ``NumeratorForm.combine``: every constructor builds its conjugate side
 through that one rule, and one line, in ``SteeringSymbol.__new__``, allocates
 a symbol: equal symbols are one object, which identity equality relies on.
@@ -99,12 +101,14 @@ SHARED_MEMBERS = (
     "__bool__",
     "_require_same_m",
     "__repr__",
+    "__str__",
     "__eq__",
     "__add__",
     "__radd__",
     "__neg__",
     "__sub__",
     "__rsub__",
+    "__rmul__",
     "__truediv__",
     "_scale",
     "cr_left",
@@ -123,22 +127,43 @@ def _bound_names(node):
     return names
 
 
+def _term_map_classes(classes):
+    """The (module name, class node) pairs of ``TermMap`` and its subclasses."""
+    names = {"TermMap"}
+    while True:
+        more = {
+            cls.name
+            for _, cls in classes
+            if any(isinstance(b, ast.Name) and b.id in names for b in cls.bases)
+        }
+        if more <= names:
+            return [(where, cls) for where, cls in classes if cls.name in names]
+        names |= more
+
+
 def test_shared_members_defined_once_and_no_hash_assigned():
-    owners = {name: [] for name in SHARED_MEMBERS}
-    hash_lines = []
-    for path in MODULES:
-        for cls in ast.walk(_tree(path)):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                names = _bound_names(node)
-                for name in names:
-                    if name in owners:
-                        owners[name].append(f"{path.name}:{cls.name}")
-                if "__hash__" in names:
-                    hash_lines.append(f"{path.name}:{node.lineno}")
+    classes = [
+        (path.name, cls)
+        for path in MODULES
+        for cls in ast.walk(_tree(path))
+        if isinstance(cls, ast.ClassDef)
+    ]
+    owners = {name: [] for name in SHARED_MEMBERS + ("__mul__",)}
+    for where, cls in _term_map_classes(classes):
+        for node in cls.body:
+            for name in _bound_names(node):
+                if name in owners:
+                    owners[name].append(f"{where}:{cls.name}")
+    products = owners.pop("__mul__")
     repeated = {name: where for name, where in owners.items() if len(where) != 1}
     assert not repeated, f"members not defined in exactly one class: {repeated}"
+    assert sorted(products) == ["algebra.py:Multivector", "algebra.py:TermMap"], products
+    hash_lines = [
+        f"{where}:{node.lineno}"
+        for where, cls in classes
+        for node in cls.body
+        if "__hash__" in _bound_names(node)
+    ]
     assert not hash_lines, f"classes assign __hash__ at {hash_lines}"
 
 

@@ -226,6 +226,26 @@ class TestOneObjectPerSymbol:
         assert sym._dz() is sym._dz()
         assert sym.conjugate() is sym.conjugate()
 
+    READABLE = [
+        CONST,
+        SteeringSymbol.power_exp(2, Fraction(-3, 2)),
+        SteeringSymbol.power_exp(2, Fraction(-3, 2), bar=True),
+        SteeringSymbol.cosine(2),
+        SteeringSymbol.cosine(2, bar=True),
+        SteeringSymbol.sine(Fraction(1, 3)),
+        SteeringSymbol.sine(Fraction(1, 3), bar=True),
+    ]
+
+    @pytest.mark.parametrize("sym", READABLE, ids=str)
+    def test_repr_is_the_call_that_gives_the_symbol(self, sym):
+        names = {"SteeringSymbol": SteeringSymbol, "Fraction": Fraction}
+        assert eval(repr(sym), names) is sym
+
+    def test_repr_names_every_field(self):
+        assert repr(EXP_Z) == (
+            "SteeringSymbol(kind='powexp', bar=False, power=0, rate=Fraction(1, 1))"
+        )
+
     def test_equality_and_hashing_are_identity(self):
         assert SteeringSymbol.__eq__ is object.__eq__
         assert SteeringSymbol.__hash__ is object.__hash__
@@ -1019,6 +1039,23 @@ class TestExpressionJson:
         a = SteeringExpression(M, [(EXP_ZBAR, 1), (EXP_Z, x(M, 2, yonly=True))])
         b = SteeringExpression(M, [(EXP_Z, x(M, 2, yonly=True)), (EXP_ZBAR, 1)])
         assert a.to_obj() == b.to_obj()
+
+
+def test_at_origin_reads_each_symbol_at_zero():
+    # cos(0) = 1, sin(0) = 0, z^0 exp(0) = 1 and z^1 exp(z) = 0, with or without a bar;
+    # only a coefficient's constant term survives X = 0
+    a, b, c = e(M, 2) + 3, e(M, 1, 3), Fraction(-2, 5)
+    y2 = x(M, 2, yonly=True)
+    expr = SteeringExpression(M, [
+        (SteeringSymbol.cosine(2), y2 + a),
+        (SteeringSymbol.cosine(Fraction(1, 2), bar=True), y2 * e(M, 4) + b),
+        (SteeringSymbol.sine(3), y2 + 7),
+        (SteeringSymbol.sine(1, bar=True), e(M, 2)),
+        (CONST, c),
+        (SteeringSymbol.power_exp(1, 1), 5),
+    ])
+    assert expr.at_origin() == a + b + c
+    assert SteeringExpression(M, [(SteeringSymbol.sine(2), 1)]).at_origin() == 0
 
 
 class TestLinearStructure:

@@ -19,7 +19,7 @@ with the double root 1/2 (``symbol_outcomes``), each with its left and right
 its exit status.  The ``subcommands`` line digests the
 exit code and stdout bytes of each emitting subcommand on fixed arguments
 (``SUBCOMMANDS``: ``coeffs``, ``basis``, ``appell``, a criterion-10 ``dsolve``
-spec, ``construct`` and ``verify --op lame`` and ``deq`` on the constructed
+spec, ``construct``, and ``verify`` with every operator on the constructed
 document) and the document ``construct`` wrote.
 
 ``--base REV`` computes the same lines in a child process on the committed
@@ -74,6 +74,13 @@ SUBCOMMANDS = [
     ["construct", "--family", "exp", "--seed-file", "{seed}", "--out", "{expr}"],
     ["verify", "--op", "lame", "--mu", "1", "--lambda", "1", "--in", "{expr}"],
     ["verify", "--op", "deq", "--coeffs", "1,1", "--in", "{expr}"],  # D f + f = 2f, exit 1
+    # the document is left monogenic, not right: each check with a right
+    # Cauchy-Riemann factor and no left one before it exits 1
+    ["verify", "--op", "cr-right", "--in", "{expr}"],
+    ["verify", "--op", "infra", "--in", "{expr}"],
+    ["verify", "--op", "alphabeta", "--alpha", "2", "--beta", "-3", "--in", "{expr}"],
+    ["verify", "--op", "infrapoly", "--p", "0", "--q", "2", "--in", "{expr}"],
+    ["verify", "--op", "cr", "--side", "both", "--in", "{expr}"],
 ]
 
 
