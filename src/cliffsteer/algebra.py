@@ -172,7 +172,10 @@ class TermMap:
     are defined here once.  A subclass checks its keys in ``__init__``, turns
     each operand it accepts into its own type in ``_lift`` (None for any other),
     carries its metadata into results in ``_like``, multiplies by every other
-    operand it takes in ``_times`` and writes one term in ``_term_str``."""
+    operand it takes in ``_times`` and writes one term in ``_term_str``.
+    ``len`` and ``bool`` read ``_keys``, which has the keys of ``_terms``, so a
+    subclass that makes its coefficients only when they are read answers both
+    without making them."""
 
     __slots__ = ("m", "_terms")
     _order = None  # sort key of the canonical key order; None sorts keys by value
@@ -225,10 +228,10 @@ class TermMap:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._keys)
 
     def _require_same_m(self, other) -> None:
         if self.m != other.m:
@@ -298,6 +301,10 @@ class TermMap:
         if not q:
             raise ZeroDivisionError(f"division of a {type(self).__name__} by zero")
         return self._scale(Fraction(1) / q)
+
+
+# the _terms slot itself, read as fast as _terms is
+TermMap._keys = TermMap._terms
 
 
 def _blade_products(a: dict, b: dict) -> Iterator[Tuple[int, Fraction]]:

@@ -58,9 +58,15 @@ class CliffordPolynomial(DiracOperand):
     No zero coefficient is stored and every monomial uses only variables
     from ``var_scope``.  A multivector or rational operand is the constant
     polynomial of full scope.
+
+    A polynomial that ``NumeratorForm.build`` makes holds integer numerators
+    (monomial -> blade -> nonzero numerator) over the one denominator
+    ``_den``; its Fractions are made when its terms are first read, and kept.
+    ``len`` and ``bool`` read only its monomials.  ``_den`` is None for a
+    polynomial made from Fractions.
     """
 
-    __slots__ = ("var_scope",)
+    __slots__ = ("var_scope", "_numerators", "_den")
     _order = staticmethod(_monomial_key)
 
     def __init__(
@@ -87,7 +93,7 @@ class CliffordPolynomial(DiracOperand):
             if mv.m != m:
                 raise ValueError(f"coefficient dimension mismatch: m={mv.m} vs m={m}")
             pairs.append((key, mv))
-        self.var_scope = scope
+        self.var_scope, self._den = scope, None
         super().__init__(m, pairs)
 
     @classmethod
@@ -95,8 +101,48 @@ class CliffordPolynomial(DiracOperand):
         cls, m: int, scope: frozenset, data: dict[Monomial, Multivector]
     ) -> "CliffordPolynomial":
         poly = super()._unsafe(m, data)
-        poly.var_scope = scope
+        poly.var_scope, poly._den = scope, None
         return poly
+
+    @classmethod
+    def _built(
+        cls, m: int, scope: frozenset, numerators: dict[Monomial, dict[int, int]], den: int
+    ) -> "CliffordPolynomial":
+        # numerators over den, as a form holds them; zeros are dropped, no Fraction is made
+        poly = object.__new__(cls)
+        poly.m, poly.var_scope, poly._den = m, scope, den
+        kept = {}
+        for exps, blades in numerators.items():
+            # a form is never changed once made, so a blade map without zeros is shared
+            if 0 in blades.values():
+                blades = {mask: v for mask, v in blades.items() if v}
+            if blades:
+                kept[exps] = blades
+        poly._numerators = kept
+        return poly
+
+    def __getattr__(self, name: str):
+        # only a built polynomial's _terms is ever missing: its Fractions are
+        # made here, on the first read, and kept
+        if name != "_terms" or self._den is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m, den, numerators = self.m, self._den, self._numerators
+        made: dict[int, Fraction] = {}  # a polynomial repeats few numerators: one Fraction each
+        terms = {}
+        for exps in sorted(numerators, key=_monomial_key):
+            coef = {}
+            for mask, v in numerators[exps].items():
+                q = made.get(v)
+                if q is None:
+                    q = made[v] = Fraction(v, den)
+                coef[mask] = q
+            terms[exps] = Multivector._unsafe(m, coef)
+        self._terms = terms
+        return terms
+
+    @property
+    def _keys(self):
+        return self._terms if self._den is None else self._numerators
 
     def _like(self, other, data):
         return CliffordPolynomial._unsafe(self.m, self.var_scope | other.var_scope, data)
@@ -239,10 +285,13 @@ class CliffordPolynomial(DiracOperand):
         return f"[{mv}]{'*' + mono if mono else ''}"
 
 
-def _common_denominator(terms: Iterable[Mapping[Monomial, Multivector]]) -> int:
+def _common_denominator(polys: Iterable[CliffordPolynomial]) -> int:
     den = 1
-    for monos in terms:
-        for mv in monos.values():
+    for poly in polys:
+        if poly._den is not None:
+            den = lcm(den, poly._den)
+            continue
+        for mv in poly._terms.values():
             for q in mv._terms.values():
                 d = q.denominator
                 if den % d:
@@ -250,47 +299,53 @@ def _common_denominator(terms: Iterable[Mapping[Monomial, Multivector]]) -> int:
     return den
 
 
-def _poly_from_ints(
-    m: int, scope: frozenset, acc: dict[Monomial, dict[int, int]], den: int
-) -> CliffordPolynomial:
-    # acc holds numerators over ``den``; each Fraction is made once, zeros dropped
-    data = {}
-    for key, masks in acc.items():
-        coef = {mask: Fraction(v, den) for mask, v in masks.items() if v}
-        if coef:
-            data[key] = Multivector._unsafe(m, coef)
-    return CliffordPolynomial._unsafe(m, scope, data)
+def _numerators_over(poly: CliffordPolynomial, den: int) -> dict[Monomial, dict[int, int]]:
+    # poly's terms as integer numerators over den, a multiple of its own denominators
+    if poly._den == den:  # a built polynomial over den: its form, as it is
+        return poly._numerators
+    if poly._den is not None:
+        k = den // poly._den
+        return {
+            exps: {mask: v * k for mask, v in blades.items()}
+            for exps, blades in poly._numerators.items()
+        }
+    return {
+        exps: {mask: q.numerator * (den // q.denominator) for mask, q in mv._terms.items()}
+        for exps, mv in poly._terms.items()
+    }
 
 
 class NumeratorForm:
     """``f``'s terms as symbol (None for a polynomial) -> monomial -> blade ->
-    integer numerator over the integer ``den``.  The first link reads ``f``'s
-    Fractions once, over their common denominator, so there is one format from
-    seed to residual; operators chain forms and ``build`` makes each Fraction."""
+    integer numerator over the integer ``den``.  The first link reads ``f``
+    over one common denominator: a built polynomial's numerators as they are,
+    and Fractions only of a polynomial made from them; so there is one format
+    from seed to residual.  Operators chain forms, and ``build`` makes no
+    Fraction: a built value makes its Fractions only when its terms are read."""
 
     __slots__ = ("f", "terms", "den")
 
     def __init__(self, f, terms: dict | None = None, den: int = 1):
         if terms is None:
-            own = ((None, f),) if isinstance(f, CliffordPolynomial) else f.items()
-            polys = {sym: poly._terms for sym, poly in own}
-            den = _common_denominator(polys.values())
-            terms = {
-                sym: {
-                    exps: {m: q.numerator * (den // q.denominator) for m, q in mv._terms.items()}
-                    for exps, mv in monos.items()
-                }
-                for sym, monos in polys.items()
-            }
+            own = [(None, f)] if isinstance(f, CliffordPolynomial) else list(f.items())
+            den = _common_denominator(poly for _, poly in own)
+            terms = {sym: _numerators_over(poly, den) for sym, poly in own}
         self.f, self.terms, self.den = f, terms, den
+
+    def is_zero(self) -> bool:
+        """Whether every numerator of the form is zero: the built value is zero."""
+        return not any(any(b.values()) for s in self.terms.values() for b in s.values())
 
     def build(self):
         """The object of ``f``'s type and scope holding this form."""
         f, den = self.f, self.den
         if isinstance(f, CliffordPolynomial):
-            return _poly_from_ints(f.m, f.var_scope, self.terms.get(None, {}), den)
+            return CliffordPolynomial._built(f.m, f.var_scope, self.terms.get(None, {}), den)
         y = frozenset(range(2, f.m + 1))
-        polys = {sym: _poly_from_ints(f.m, y, monos, den) for sym, monos in self.terms.items()}
+        polys = {
+            sym: CliffordPolynomial._built(f.m, y, monos, den)
+            for sym, monos in self.terms.items()
+        }
         return type(f)._unsafe(f.m, {sym: poly for sym, poly in polys.items() if poly})
 
     @classmethod
@@ -348,7 +403,7 @@ class NumeratorForm:
         form = self
         for step in range(times):
             # a pass that reads no nonzero numerator writes none, nor does any later one
-            if step and not any(any(b.values()) for s in form.terms.values() for b in s.values()):
+            if step and form.is_zero():
                 break
             rates = () if y_only else (s.rate.denominator for s in form.terms if s is not None)
             rate_den = lcm(*rates)
@@ -379,6 +434,8 @@ class NumeratorForm:
                         elif x1_sign > 0:  # one action, 2 d/dz-bar, or none at all
                             sym_actions.append((acc.setdefault(dsym, {}), 2 * n, 0, 0))
                 for exps, blades in monos.items():
+                    if not any(blades.values()):  # a zero monomial gets no output entries
+                        continue
                     actions = [(out.setdefault(exps, {}), n, b, s) for out, n, b, s in sym_actions]
                     for j, (n, bit, sel, flips) in gens.items():
                         k = exps[j]
@@ -404,7 +461,7 @@ class NumeratorForm:
 
 def dirac(f, side: str, sign: int = 1, y_only: bool = False):
     """``NumeratorForm.dirac`` as a chain of one link on a CliffordPolynomial
-    or SteeringExpression ``f``; it builds each output Fraction once."""
+    or SteeringExpression ``f``; the output makes its Fractions when read."""
     return NumeratorForm(f).dirac(side, sign, y_only).build()
 
 

@@ -452,13 +452,13 @@ def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str) -> li
     chain = [NumeratorForm(seed)]
     for _ in range(order):
         chain.append(chain[-1].laplacian())
-    if chain.pop().build():  # makes Fractions only for the numerators that are not zero
+    if not chain.pop().is_zero():
         raise ValueError(f"{what} is not annihilated by laplacian^{order}")
     return chain
 
 
 def _require_monogenic(seed: CliffordPolynomial, side: str, what: str) -> None:
-    if seed.dirac_y(side):
+    if not NumeratorForm(seed).dirac(side, y_only=True).is_zero():
         raise ValueError(f"{what} is not {side} monogenic in the y variables")
 
 

@@ -8,10 +8,10 @@ Clifford polynomials alike.  A residual is a chain of applications, each
 a single pass in which e_j acts as a signed bit flip on the blade: the
 chain keeps the coefficients as integer numerators over one denominator
 from link to link, sums a weighted chain (the powers of D in a D-equation)
-as integers too, and makes each Fraction once, at its end.  So a residual
-is zero exactly when every integer sum is.  On the left, d/dx_0 + e_1 d/dx_1
-acts on a symbol as 2 d/dz-bar: it leaves phi(z) out and doubles the
-derivative of phi(z-bar)."""
+as integers too, and its residual keeps them: Fractions are made only when
+the residual's terms are read.  So a residual is zero exactly when every
+integer sum is.  On the left, d/dx_0 + e_1 d/dx_1 acts on a symbol as
+2 d/dz-bar: it leaves phi(z) out and doubles the derivative of phi(z-bar)."""
 
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ def d_equation_residual(f: Verifiable, coeffs: Sequence[ScalarLike]) -> Residual
     if not coeffs:
         raise ValueError("at least one coefficient is required")
     powers = [NumeratorForm(f)]
-    if powers[0].dirac("left").build():
+    if not powers[0].dirac("left").is_zero():
         raise ValueError(
             "input is not left monogenic; the hypercomplex derivative is undefined"
         )

@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -836,3 +838,14 @@ class TestParserReuse:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert done.stdout == "0\n"
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "cliffsteer", "--help"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: cliffsteer ")

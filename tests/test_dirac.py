@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 import pytest
 
+from cliffsteer import polynomials
 from cliffsteer.algebra import Multivector
 from cliffsteer.appell import appell_poly
 from cliffsteer.polynomials import (
@@ -447,3 +448,125 @@ def test_a_fresh_form_holds_integers_over_one_denominator():
         numerators = [q for b in blades for q in b.values()]
         assert numerators and all(type(q) is int for q in numerators)
         check(form.build(), f, f)
+
+
+# -- built values ----------------------------------------------------------------
+
+
+def random_numerators(rng, m, scope):
+    # monomial -> blade -> numerator, with zero numerators, zero monomials,
+    # negative numerators and numerators sharing a factor with the denominator
+    out = {}
+    for _ in range(rng.randint(0, 4)):
+        exps = tuple(rng.randint(0, 2) if i in scope else 0 for i in range(m + 1))
+        out[exps] = {
+            rng.randrange(1 << m): rng.choice((0, 0, 1, -1, 2, -3, 4, 6, -12))
+            for _ in range(rng.randint(1, 3))
+        }
+    return out
+
+
+def from_fractions(numerators, den, m, scope):
+    terms = [
+        (exps, Multivector(m, {mask: Fraction(v, den) for mask, v in blades.items()}))
+        for exps, blades in numerators.items()
+    ]
+    return CliffordPolynomial(m, terms, scope)
+
+
+def count_fractions(monkeypatch):
+    # every Fraction the polynomials module makes, as its arguments
+    made = []
+    real = polynomials.Fraction
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polynomials, "Fraction", counted)
+    return made
+
+
+def read_back(value):
+    # symbol -> monomial -> blade -> rational of a fresh form, zeros left out
+    form = NumeratorForm(value)
+    return {
+        sym: {
+            exps: {mask: Fraction(v, form.den) for mask, v in blades.items() if v}
+            for exps, blades in monos.items()
+            if any(blades.values())
+        }
+        for sym, monos in form.terms.items()
+    }
+
+
+def rationals(value):
+    own = [(None, value)] if isinstance(value, CliffordPolynomial) else value.items()
+    return {sym: {exps: dict(mv.items()) for exps, mv in poly.items()} for sym, poly in own}
+
+
+def coefficients(value):
+    return [value] if isinstance(value, CliffordPolynomial) else [p for _, p in value.items()]
+
+
+def test_a_built_value_reads_like_one_made_from_its_fractions(monkeypatch):
+    # the same ==, to_obj(), str and len as the value made from the same Fractions;
+    # len, bool and a fresh form make no Fraction, and the form reads the same rationals
+    rng = random.Random(2210)
+    cases = []
+    for m in (3, 4):
+        y = range(2, m + 1)
+        for den in (1, 2, 6, 12):
+            for scope in (range(m + 1), y):
+                nums = random_numerators(rng, m, scope)
+                f = CliffordPolynomial.zero(m, scope)
+                cases.append((f, {None: nums}, den, from_fractions(nums, den, m, scope)))
+            terms = {symbol(rng): random_numerators(rng, m, y) for _ in range(3)}
+            expected = SteeringExpression(
+                m, [(sym, from_fractions(nums, den, m, y)) for sym, nums in terms.items()]
+            )
+            cases.append((SteeringExpression(m), terms, den, expected))
+    assert not all(expected for *_, expected in cases) and any(expected for *_, expected in cases)
+    for f, terms, den, expected in cases:
+        made = count_fractions(monkeypatch)
+        built = NumeratorForm(f, terms, den).build()
+        assert (len(built), bool(built)) == (len(expected), bool(expected))
+        sizes = [len(p) for p in coefficients(built)]
+        assert read_back(built) == rationals(expected)
+        assert made == []
+        monkeypatch.undo()
+        assert built == expected and expected == built
+        assert built.to_obj() == expected.to_obj()
+        assert str(built) == str(expected)
+        assert sizes == [len(p) for p in coefficients(expected)]
+
+
+def test_a_zero_residual_makes_no_fraction(monkeypatch):
+    # a construction builds its conjugate side, and a verify its residual, as
+    # integer numerators; Fractions are made only once the terms are read
+    m = 4
+    seed = polyharmonic_basis(3, 2, m)[1] * Multivector.blade(m, (2,), 3)
+    seed = seed + polyharmonic_basis(2, 2, m)[0] * Fraction(1, 3)
+    harmonic = polyharmonic_basis(2, 1, m)[0]
+    made = count_fractions(monkeypatch)
+    f = construct_exp_left(seed, 2)
+    eigen = construct_eigen(Fraction(-3, 2), harmonic)
+    assert made == []
+    report = n_monogenic_residual(f, 2, "left")
+    assert report.is_zero and report.term_count == 0
+    assert d_equation_residual(eigen, [1, Fraction(3, 2)]).is_zero
+    assert made == []
+    f.to_obj()
+    assert made
+
+
+def test_a_zero_monomial_gets_no_output_entries():
+    # a monomial whose numerators are all zero writes nothing, not even empty entries
+    m = 4
+    for f in (CliffordPolynomial.zero(m), cancelling_expression(m)):
+        sym = None if isinstance(f, CliffordPolynomial) else next(iter(f.symbols()))
+        form = NumeratorForm(f, {sym: {(0, 1, 1, 2, 0): {0: 0, 3: 0}}}, 5)
+        assert form.is_zero()
+        for side in ("left", "right"):
+            for out in (form.dirac(side), form.dirac(side, y_only=True)):
+                assert not any(out.terms.values())
