@@ -59,11 +59,11 @@ class CliffordPolynomial(DiracOperand):
     from ``var_scope``.  A multivector or rational operand is the constant
     polynomial of full scope.
 
-    A polynomial that ``NumeratorForm.build`` makes holds integer numerators
-    (monomial -> blade -> nonzero numerator) over the one denominator
-    ``_den``; its Fractions are made when its terms are first read, and kept.
-    ``len`` and ``bool`` read only its monomials.  ``_den`` is None for a
-    polynomial made from Fractions.
+    Every polynomial has one integer form, its nonzero numerators (monomial ->
+    blade -> numerator) over its own denominator ``_den``: a built one from the
+    start, making its Fractions on their first read; one made from Fractions on
+    its first read through ``NumeratorForm``.  Either keeps what it makes, so
+    ``_den`` is None only until that read.  ``len`` and ``bool`` read monomials.
     """
 
     __slots__ = ("var_scope", "_numerators", "_den")
@@ -124,7 +124,7 @@ class CliffordPolynomial(DiracOperand):
     def __getattr__(self, name: str):
         # only a built polynomial's _terms is ever missing: its Fractions are
         # made here, on the first read, and kept
-        if name != "_terms" or self._den is None:
+        if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         m, den, numerators = self.m, self._den, self._numerators
         made: dict[int, Fraction] = {}  # a polynomial repeats few numerators: one Fraction each
@@ -285,51 +285,45 @@ class CliffordPolynomial(DiracOperand):
         return f"[{mv}]{'*' + mono if mono else ''}"
 
 
-def _common_denominator(polys: Iterable[CliffordPolynomial]) -> int:
-    den = 1
-    for poly in polys:
-        if poly._den is not None:
-            den = lcm(den, poly._den)
-            continue
+def _form(poly: CliffordPolynomial) -> tuple[dict[Monomial, dict[int, int]], int]:
+    """``poly``'s one integer form, (numerators, denominator): the one rule that
+    reads a polynomial.  One made from Fractions works it out on its first read
+    and keeps it; a kept form is never changed."""
+    if poly._den is None:
+        den = 1
         for mv in poly._terms.values():
             for q in mv._terms.values():
-                d = q.denominator
-                if den % d:
-                    den = lcm(den, d)
-    return den
-
-
-def _numerators_over(poly: CliffordPolynomial, den: int) -> dict[Monomial, dict[int, int]]:
-    # poly's terms as integer numerators over den, a multiple of its own denominators
-    if poly._den == den:  # a built polynomial over den: its form, as it is
-        return poly._numerators
-    if poly._den is not None:
-        k = den // poly._den
-        return {
-            exps: {mask: v * k for mask, v in blades.items()}
-            for exps, blades in poly._numerators.items()
+                if den % q.denominator:
+                    den = lcm(den, q.denominator)
+        poly._numerators = {
+            exps: {mask: q.numerator * (den // q.denominator) for mask, q in mv._terms.items()}
+            for exps, mv in poly._terms.items()
         }
-    return {
-        exps: {mask: q.numerator * (den // q.denominator) for mask, q in mv._terms.items()}
-        for exps, mv in poly._terms.items()
-    }
+        poly._den = den  # last: it marks the form as present, to another thread too
+    return poly._numerators, poly._den
 
 
 class NumeratorForm:
     """``f``'s terms as symbol (None for a polynomial) -> monomial -> blade ->
-    integer numerator over the integer ``den``.  The first link reads ``f``
-    over one common denominator: a built polynomial's numerators as they are,
-    and Fractions only of a polynomial made from them; so there is one format
-    from seed to residual.  Operators chain forms, and ``build`` makes no
-    Fraction: a built value makes its Fractions only when its terms are read."""
+    integer numerator over the integer ``den``.  The first link reads each
+    polynomial of ``f`` by one rule, ``_form``, and rescales only the forms not
+    over the lcm of their denominators, sharing the others: one format from seed
+    to residual.  Operators chain forms; ``build`` makes no Fraction."""
 
     __slots__ = ("f", "terms", "den")
 
     def __init__(self, f, terms: dict | None = None, den: int = 1):
         if terms is None:
-            own = [(None, f)] if isinstance(f, CliffordPolynomial) else list(f.items())
-            den = _common_denominator(poly for _, poly in own)
-            terms = {sym: _numerators_over(poly, den) for sym, poly in own}
+            own = [(None, f)] if isinstance(f, CliffordPolynomial) else f.items()
+            forms = {sym: _form(poly) for sym, poly in own}
+            den = lcm(*(d for _, d in forms.values()))
+            terms = {}
+            for sym, (nums, d) in forms.items():
+                k = den // d
+                terms[sym] = nums if k == 1 else {
+                    exps: {mask: v * k for mask, v in blades.items()}
+                    for exps, blades in nums.items()
+                }
         self.f, self.terms, self.den = f, terms, den
 
     def is_zero(self) -> bool:

@@ -364,16 +364,11 @@ class SteeringExpression(DiracOperand):
 
 @lru_cache(maxsize=None)
 def _c(k: int) -> Fraction:
-    # c_1 = -1/2;  c_k = -(1/2^k) sum_{j=1..k//2} sum_{i=1..j} C(k+1,2j+1) C(j,i) c_{k-i};
+    # the paper's recursion c_1 = -1/2, c_k = -(1/2^k) sum_{j=1..k//2} sum_{i=1..j}
+    # C(k+1,2j+1) C(j,i) c_{k-i} has the closed form c_k = -C(1/2, k), the Taylor
+    # coefficients of 1 - sqrt(1+t): c_k = (-1)^k C(2k-2, k-1) / (k 2^(2k-1));
     # every caller checks that k >= 1
-    if k == 1:
-        return Fraction(-1, 2)
-    acc = Fraction(0)
-    for j in range(1, k // 2 + 1):
-        top = comb(k + 1, 2 * j + 1)
-        for i in range(1, j + 1):
-            acc += top * comb(j, i) * _c(k - i)
-    return -acc / (1 << k)
+    return Fraction((-1) ** k * comb(2 * k - 2, k - 1), k << (2 * k - 1))
 
 
 @dataclass(frozen=True)

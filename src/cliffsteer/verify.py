@@ -45,14 +45,32 @@ class ResidualReport:
         }
 
 
+# the most passes a Cauchy-Riemann chain runs on a symbol of nonzero rate, whose
+# derivatives never vanish: cr_right^30000 of construct_exp_left(x2^3, 2) at m=4
+# takes 0.93 s on a 2-core Xeon VM, cr_right^1000 0.016 s
+MAX_ORDER = 1000
+
+
 def _report(description: str, residual: Verifiable) -> ResidualReport:
     return ResidualReport(description, residual, not residual, len(residual))
+
+
+def _chain(form: NumeratorForm, side: str, n: int, what: str) -> NumeratorForm:
+    """``form`` after ``n`` passes of cr on ``side``; past MAX_ORDER passes on a
+    symbol of nonzero rate, a form not zero by then refuses the order."""
+    f = form.f
+    if n > MAX_ORDER and isinstance(f, SteeringExpression) and any(s.rate for s, _ in f.items()):
+        form = form.dirac(side, times=MAX_ORDER)
+        if not form.is_zero():  # later passes of a zero form are zero
+            integer_in(n, 0, MAX_ORDER, f"{what} of a nonvanishing chain")
+        return form
+    return form.dirac(side, times=n)
 
 
 def n_monogenic_residual(f: Verifiable, n: int, side: str = "left") -> ResidualReport:
     """Residual of the n-fold Cauchy-Riemann operator; n = 0 returns f."""
     integer_in(n, 0, None, "order")
-    return _report(f"cr_{side}^{n}", NumeratorForm(f).dirac(side, times=n).build())
+    return _report(f"cr_{side}^{n}", _chain(NumeratorForm(f), side, n, "order").build())
 
 
 def inframonogenic_residual(f: Verifiable) -> ResidualReport:
@@ -94,7 +112,8 @@ def infrapoly_residual(f: Verifiable, p: int, q: int) -> ResidualReport:
     one-sided operators commute."""
     integer_in(p, 0, None, "order p")
     integer_in(q, 0, None, "order q")
-    out = NumeratorForm(f).dirac("left", times=p).dirac("right", times=q).build()
+    left = _chain(NumeratorForm(f), "left", p, "order p")
+    out = _chain(left, "right", q, "order q").build()
     return _report(f"cr_left^{p} then cr_right^{q}", out)
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import cliffsteer.cli as cli
 from cliffsteer.cli import main
-from cliffsteer.polynomials import CliffordPolynomial
+from cliffsteer import verify
+from cliffsteer.polynomials import CliffordPolynomial, NumeratorForm
 from cliffsteer.steering import SteeringExpression, construct_exp_left, construct_two_sided
 from cliffsteer.verify import inframonogenic_residual, n_monogenic_residual
 from helpers import e, x, ymono
@@ -143,6 +144,38 @@ class TestVerifyOperators:
         )
         assert code == 0
         assert json.loads(out)["operator"] == "cr_left^1000000000"
+
+    def test_order_past_the_limit_of_a_nonvanishing_chain_exit_two(self, capsys, monkeypatch):
+        # a left construction is not right monogenic, and exp(z) never reads zero on
+        # the right; a chain of more than the limit's passes fails here at once
+        limit = verify.MAX_ORDER
+        real = NumeratorForm.dirac
+
+        def bounded(form, side, sign=1, y_only=False, times=1):
+            assert times <= limit, f"a chain of {times} passes"
+            return real(form, side, sign, y_only, times)
+
+        monkeypatch.setattr(NumeratorForm, "dirac", bounded)
+        constructed = json.dumps(construct_exp_left(ymono(M, {2: 3}), 2).to_obj())
+        code, out, err = run(
+            capsys,
+            ["verify", "--op", "cr-right", "--n", "1000000"],
+            stdin_text=constructed,
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: order of a nonvanishing chain must be an integer in 0..{limit}, "
+            "got 1000000\n"
+        )
+        # at the limit itself the residual is answered
+        code, out, _ = run(
+            capsys,
+            ["verify", "--op", "cr-right", "--n", str(limit)],
+            stdin_text=constructed,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1 and json.loads(out)["operator"] == f"cr_right^{limit}"
 
     def test_nonzero_residual_exit_one(self, capsys, monkeypatch):
         doc = json.dumps(

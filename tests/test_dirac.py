@@ -570,3 +570,36 @@ def test_a_zero_monomial_gets_no_output_entries():
         for side in ("left", "right"):
             for out in (form.dirac(side), form.dirac(side, y_only=True)):
                 assert not any(out.terms.values())
+
+
+# -- the one form ----------------------------------------------------------------
+
+
+def test_a_form_made_from_fractions_is_worked_out_once_and_shared():
+    # two first links on one polynomial made from Fractions share one numerator map
+    m = 4
+    p = polyharmonic_basis(2, 1, m)[0] * Fraction(2, 3) + Multivector.blade(m, (2,), 5)
+    first, second = NumeratorForm(p), NumeratorForm(p)
+    assert first.terms[None] is second.terms[None]
+    assert first.den == second.den == 3
+    check(second.build(), p, p)
+
+
+def test_a_construction_and_its_check_work_the_seed_form_out_once(monkeypatch):
+    # every read of the seed (the precondition, the conjugate side, the seed term of
+    # the constructed expression and the residual) returns the one numerator map
+    m = 4
+    seed = polyharmonic_basis(2, 2, m)[1] * Fraction(1, 3) + polyharmonic_basis(1, 2, m)[0]
+    maps = []
+    real = getattr(polynomials, "_form", None)
+
+    def counted(poly):
+        nums, den = real(poly)
+        if poly is seed:
+            maps.append(nums)
+        return nums, den
+
+    monkeypatch.setattr(polynomials, "_form", counted, raising=False)
+    f = construct_exp_left(seed, 2)
+    assert n_monogenic_residual(f, 2, "left").is_zero
+    assert len(maps) >= 2 and all(nums is maps[0] for nums in maps)

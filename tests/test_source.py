@@ -19,7 +19,8 @@ function body: the decoders build through the constructors; package-wide,
 one function checks the side of a Dirac-type operator, one names
 ``MIN_GENERATORS`` and one words an integer bound.  Every name the package
 root exports is used by the package, the benchmark or the tools, with one
-named exemption.
+named exemption.  No module but ``polynomials.py`` names ``_numerators`` or
+``_den``, so the layout of a polynomial's integer form stays in one module.
 """
 
 import ast
@@ -287,3 +288,17 @@ def test_every_export_has_a_caller():
                 used.add(node.attr)
     uncalled = sorted(set(exported) - used - UNCALLED_EXPORTS)
     assert not uncalled, f"exports nothing in the package, perfbench or tools uses: {uncalled}"
+
+
+def test_only_polynomials_names_the_integer_form():
+    names = {"_numerators", "_den"}
+    where = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "polynomials.py"
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Constant) and node.value in names)
+    ]
+    assert not where, f"the integer form is named outside polynomials.py at {where}"

@@ -457,6 +457,18 @@ class TestCoefficientTable:
                     acc += comb(k + 1, 2 * j + 1) * comb(j, i) * table[k - i - 1]
             assert table[k - 1] == -acc / 2**k
 
+    def test_closed_form_is_the_papers_recursion(self):
+        # c_1 = -1/2, c_k = -(1/2^k) sum_j sum_i C(k+1,2j+1) C(j,i) c_{k-i}, run forward
+        c = [None, Fraction(-1, 2)]
+        for k in range(2, 61):
+            acc = sum(
+                comb(k + 1, 2 * j + 1) * comb(j, i) * c[k - i]
+                for j in range(1, k // 2 + 1)
+                for i in range(1, j + 1)
+            )
+            c.append(-acc / 2**k)
+        assert ck_table(60).c == tuple(c[1:])
+
     def test_json(self):
         obj = ck_table(5).to_obj()
         assert obj["c"][-1] == "-7/256"
