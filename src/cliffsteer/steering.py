@@ -35,8 +35,9 @@ z^j exp(rz) -> exp(rz) sum_i (-1)^i j!/(j-i)! z^(j-i) / r^(i+1).
 
 In R_{0,m}, dirac_y^2 = -laplacian_y, so the tail a target symbol collects,
 sum_k w_k dirac_y^(2k-1) A, is dirac_y(sum_k (-1)^(k-1) w_k laplacian_y^(k-1) A):
-one Laplacian chain per seed, and one Dirac pass per target symbol; a zero
-seed has a zero tail and costs neither.
+one Laplacian chain per seed, and one Dirac pass per target symbol.  The series
+stops with the seed's own chain, at its first zero power, so its work follows A's
+degree, not n; a zero seed has a zero tail and costs neither.
 """
 
 from __future__ import annotations
@@ -440,15 +441,14 @@ def _as_steering_seed(poly: CliffordPolynomial, what: str) -> CliffordPolynomial
 
 
 def _require_polyharmonic(seed: CliffordPolynomial, order: int, what: str) -> list:
-    # the chain seed .. laplacian^(order-1) seed the conjugate side is built from,
-    # once laplacian^order seed is seen to vanish; a zero seed has none, and no pass
-    if not seed:
-        return []
-    chain = [NumeratorForm(seed)]
-    for _ in range(order):
-        chain.append(chain[-1].laplacian())
-    if not chain.pop().is_zero():
-        raise ValueError(f"{what} is not annihilated by laplacian^{order}")
+    # the nonzero powers seed, laplacian seed, .. the conjugate side is built from:
+    # the chain ends at its first zero power, which must come by laplacian^order,
+    # so its work follows the seed's degree; a zero seed has no power, and no pass
+    chain = [NumeratorForm(seed)] if seed else []
+    while chain and not (power := chain[-1].laplacian()).is_zero():
+        if len(chain) == order:
+            raise ValueError(f"{what} is not annihilated by laplacian^{order}")
+        chain.append(power)
     return chain
 
 
@@ -470,8 +470,8 @@ def _conjugate_side(sym: SteeringSymbol, order: int) -> tuple:
 
 
 def _steering_terms(pairs: Sequence[tuple]) -> list:
-    # (symbol, A) and the conjugate side of each (symbol, chain A .. laplacian_y^(n-1) A)
-    # pair: chain[k-1] at link k, one sum over one denominator per target and one
+    # (symbol, A) and the conjugate side of each (symbol, nonzero powers A, laplacian_y A,
+    # ..) pair: chain[k-1] at link k, one sum over one denominator per target and one
     # Dirac pass on it; a zero seed's chain is empty, and it costs nothing
     terms, parts = [], {}
     for sym, chain in pairs:
@@ -545,8 +545,8 @@ def construct_power_left(
     """A0 + sum_k (z^k A_k + zb^k B_k) with
     B_k = sum_j c_j / ((2j-1)! C(k, k-2j+1)) dirac^(2j-1) A_{k-2j+1}.
 
-    The conjugate series terminates on its own: seeds beyond the supplied
-    list are zero, so every B_k with k > K + 2n - 1 vanishes.
+    The conjugate series stops with each seed's own Laplacian chain, and
+    seeds past the list are zero: no B_k with k > K + 2n - 1 is built.
     """
     return _construct(_family("power", seeds), order)
 

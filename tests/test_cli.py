@@ -145,6 +145,30 @@ class TestVerifyOperators:
         assert code == 0
         assert json.loads(out)["operator"] == "cr_left^1000000000"
 
+    def test_order_past_the_seeds_chain_writes_the_order_one_document(self, capsys, monkeypatch):
+        # x2 is harmonic, so its Laplacian chain is x2 alone: at any order the
+        # construction makes one pass and writes the --n 1 document, which is
+        # left monogenic of every order
+        code, expected, _ = run(capsys, ["construct", "--family", "exp", "--n", "1", "--seed", seed_doc()])
+        assert code == 0
+        real = NumeratorForm.laplacian
+        passes = []
+
+        def bounded(form):
+            passes.append(form)
+            assert len(passes) <= 1, f"Laplacian pass {len(passes)} on a harmonic seed"
+            return real(form)
+
+        monkeypatch.setattr(NumeratorForm, "laplacian", bounded)
+        big = ["--n", "1000000000"]
+        code, out, err = run(capsys, ["construct", "--family", "exp", *big, "--seed", seed_doc()])
+        assert (code, out, err) == (0, expected, "")
+        code, report, err = run(
+            capsys, ["verify", "--op", "cr-left", *big], stdin_text=out, monkeypatch=monkeypatch
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(report)["operator"] == "cr_left^1000000000"
+
     def test_order_past_the_limit_of_a_nonvanishing_chain_exit_two(self, capsys, monkeypatch):
         # a left construction is not right monogenic, and exp(z) never reads zero on
         # the right; a chain of more than the limit's passes fails here at once

@@ -10,6 +10,7 @@ import pytest
 from cliffsteer import steering
 from cliffsteer.algebra import Multivector
 from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
+from cliffsteer.polynomials import NumeratorForm
 from cliffsteer.steering import (
     DSolveSpec,
     RootSpec,
@@ -689,6 +690,49 @@ class TestPowerConstructor:
         expr = construct_power_left(seeds, 2)
         powers = [s.power for s in expr.symbols() if s.bar]
         assert powers and max(powers) <= 1 + 2 * 2 - 1
+
+
+def _laplacian_passes_at_most(monkeypatch, passes):
+    # a seed of degree d has at most d // 2 + 1 powers to read, down to its first
+    # zero one; a construction that asks for more fails here at once
+    real = NumeratorForm.laplacian
+    calls = []
+
+    def bounded(form):
+        calls.append(form)
+        assert len(calls) <= passes, f"Laplacian pass {len(calls)}, over {passes}"
+        return real(form)
+
+    monkeypatch.setattr(NumeratorForm, "laplacian", bounded)
+
+
+class TestChainEnd:
+    # the conjugate side stops with each seed's own Laplacian chain, so the order
+    # bounds the chain and no more: past it, the construction is the same document
+    BIG = polyharmonic_basis(5, 3, M)[0]  # degree 5 in ker laplacian^3, not ker^2
+
+    def test_the_seed_needs_its_whole_chain(self):
+        with pytest.raises(ValueError, match="not annihilated by laplacian\\^2"):
+            construct_exp_left(self.BIG, 2)
+
+    def test_exp_at_any_order_is_order_one_on_a_harmonic_seed(self, monkeypatch):
+        seed = x(M, 2, yonly=True)
+        expected = construct_exp_left(seed, 1).to_obj()
+        _laplacian_passes_at_most(monkeypatch, 1)
+        assert construct_exp_left(seed, 10**9).to_obj() == expected
+
+    def test_trig_past_the_chain_is_the_chains_order(self, monkeypatch):
+        expected = construct_trig_left(self.BIG, self.BIG, 3).to_obj()
+        _laplacian_passes_at_most(monkeypatch, 2 * (5 // 2 + 1))
+        assert construct_trig_left(self.BIG, self.BIG, 10**6).to_obj() == expected
+
+    def test_power_past_the_chain_is_the_chains_order(self, monkeypatch):
+        seeds = [x(M, 2, yonly=True), self.BIG]
+        expected = construct_power_left(seeds, 3)
+        _laplacian_passes_at_most(monkeypatch, (1 // 2 + 1) + (5 // 2 + 1))
+        got = construct_power_left(seeds, 10**6)
+        assert got.to_obj() == expected.to_obj()
+        assert n_monogenic_residual(got, 3, "left").is_zero
 
 
 def _dy(p):
