@@ -36,10 +36,11 @@ def appell_poly(k: int, m: int) -> CliffordPolynomial:
     weights = [t_coeff(k, s, m) for s in range(k + 1)]
     data = {}
     for i in range(k + 1):
-        # the weight of x_0^(k-i) w^i in (x_0 + w)^(k-s) (x_0 - w)^s, summed over s
+        # the weight of x_0^(k-i) w^i in (x_0 + w)^(k-s) (x_0 - w)^s, summed over s;
+        # the inner sum over q is an integer, so each s makes one Fraction product
         c = sum(
-            t * (-1) ** q * comb(k - s, i - q) * comb(s, q)
-            for s, t in enumerate(weights) for q in range(i + 1)
+            t * sum((-1) ** q * comb(k - s, i - q) * comb(s, q) for q in range(i + 1))
+            for s, t in enumerate(weights)
         )
         half, odd = divmod(i, 2)
         for alpha in homogeneous_exponents(m, half):  # (-R)^half, expanded multinomially

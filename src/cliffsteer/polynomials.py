@@ -460,13 +460,21 @@ def dirac(f, side: str, sign: int = 1, y_only: bool = False):
 
 
 def homogeneous_exponents(count: int, degree: int) -> Iterator[Tuple[int, ...]]:
-    # graded-lex listing: the earliest variable takes the largest exponent first
-    if count == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in homogeneous_exponents(count - 1, degree - first):
-            yield (first,) + rest
+    # graded-lex listing: the earliest variable takes the largest exponent first.
+    # Each successor moves one unit from the last nonzero place before the end
+    # to the place after it, which also takes everything the end held.
+    exps = [degree] + [0] * (count - 1)
+    end = count - 1
+    while True:
+        yield tuple(exps)
+        i = end - 1
+        while i >= 0 and not exps[i]:
+            i -= 1
+        if i < 0:
+            return
+        exps[i] -= 1
+        held, exps[end] = exps[end], 0
+        exps[i + 1] = held + 1
 
 
 def _scalar_laplacian(poly: Mapping[Tuple[int, ...], int]) -> dict[Tuple[int, ...], int]:
@@ -494,7 +502,9 @@ def polyharmonic_basis(degree: int, order: int, m: int) -> list[CliffordPolynomi
     below 2*order, listed in graded-lex order; the element's part of
     x_2-degree below 2*order is exactly that monomial with coefficient 1.
     This is the reduced-echelon kernel basis of the iterated-Laplacian
-    matrix in the graded-lex monomial basis.  Every coefficient is a scalar.
+    matrix in the graded-lex monomial basis.  Every coefficient is a scalar,
+    and one call makes one coefficient object per value: the terms and
+    elements with that value share it, as term maps are immutable.
     """
     integer_in(degree, 0, None, "degree")
     integer_in(order, 1, None, "Laplacian order")
@@ -503,16 +513,18 @@ def polyharmonic_basis(degree: int, order: int, m: int) -> list[CliffordPolynomi
     # over the integers; step[(rest, i)] caches C(k,i) L^(k-i) of one monomial
     step: dict[Tuple[Tuple[int, ...], int], dict[Tuple[int, ...], int]] = {}
     fact = [factorial(j) for j in range(degree + 1)]
+    # one scalar c / j! per numerator c of a_j, keyed (c, j): the terms share it
+    coefs: dict[Tuple[int, int], Multivector] = {}
     out = []
     for free in homogeneous_exponents(m - 1, degree):
         if free[0] >= 2 * order:
             continue
-        a: list[dict[Tuple[int, ...], int]] = [{} for _ in range(degree + 1)]
-        a[free[0]] = {free[1:]: fact[free[0]]}
+        # a[j] holds only the populated powers x_2^j: rest -> numerator
+        a: dict[int, dict[Tuple[int, ...], int]] = {free[0]: {free[1:]: fact[free[0]]}}
         for j in range(free[0] % 2, degree - 2 * order + 1, 2):
             acc: dict[Tuple[int, ...], int] = {}
             for i in range(order):
-                for rest, c in a[j + 2 * i].items():
+                for rest, c in a.get(j + 2 * i, {}).items():
                     image = step.get((rest, i))
                     if image is None:
                         image = {rest: comb(order, i)}
@@ -521,11 +533,15 @@ def polyharmonic_basis(degree: int, order: int, m: int) -> list[CliffordPolynomi
                         step[rest, i] = image
                     for t, w in image.items():
                         acc[t] = acc.get(t, 0) - c * w
-            a[j + 2 * order] = {t: c for t, c in acc.items() if c}
-        terms = {
-            (0, 0, j) + rest: Multivector._unsafe(m, {0: Fraction(c, fact[j])})
-            for j, aj in enumerate(a)
-            for rest, c in aj.items()
-        }
+            row = {t: c for t, c in acc.items() if c}
+            if row:
+                a[j + 2 * order] = row
+        terms = {}
+        for j, aj in a.items():
+            for rest, c in aj.items():
+                coef = coefs.get((c, j))
+                if coef is None:
+                    coef = coefs[c, j] = Multivector._unsafe(m, {0: Fraction(c, fact[j])})
+                terms[(0, 0, j) + rest] = coef
         out.append(CliffordPolynomial._unsafe(m, scope, terms))
     return out

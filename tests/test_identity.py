@@ -26,7 +26,8 @@ def test_digest_lines_repeat_and_a_differing_line_exits_one(identity, capsys):
     assert first == identity.digest_lines(cs, workloads, tiny=True)
     names = [line.rsplit(" ", 1)[0] for line in first]
     expected = [f"{w} seed {s}" for w in workloads.WORKLOADS for s in identity.SEEDS]
-    assert names == expected + ["appell m 2..3 k 0..3", "symbols", " ".join(identity.TINY_SUITE)]
+    assert names == expected + ["appell m 2..3 k 0..3", "symbols", " ".join(identity.TINY_SUITE),
+                                "basis m 2..3 d 0..3 o 1..2"]
     assert identity.compare(first, first) == 0
     assert capsys.readouterr().err == ""
 

@@ -6,8 +6,10 @@ import pytest
 import sympy
 
 from cliffsteer.algebra import Multivector
-from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
-from cliffsteer.steering import SteeringExpression
+from cliffsteer.polynomials import (
+    CliffordPolynomial, NumeratorForm, homogeneous_exponents, polyharmonic_basis
+)
+from cliffsteer.steering import SteeringExpression, construct_exp_left, construct_trig_left
 from helpers import e, random_multivector, random_poly, scalar, x, ymono
 
 
@@ -258,6 +260,34 @@ class TestPolyharmonicBasis:
     def test_homogeneous(self):
         for b in polyharmonic_basis(3, 1, 4):
             assert {sum(e) for e, _ in b.items()} == {3}
+
+    def test_listing_is_graded_lex(self):
+        # the earliest variable takes the largest exponent first
+        for count in range(1, 7):
+            for degree in range(8):
+                every = itertools.product(range(degree + 1), repeat=count)
+                expected = sorted((e for e in every if sum(e) == degree), reverse=True)
+                assert list(homogeneous_exponents(count, degree)) == expected
+
+    def test_shared_coefficients_survive_every_use(self):
+        # the elements share one coefficient object per value; no use of one
+        # element may change another one's terms
+        m = 5
+        basis = polyharmonic_basis(6, 2, m)
+        coefs = [mv for b in basis for _, mv in b.items()]
+        assert len({id(mv) for mv in coefs}) < len(coefs)
+        before = [b.to_obj() for b in basis]
+        e2 = Multivector.blade(m, (2,))
+        for b in basis:
+            construct_exp_left(b, 2)
+            construct_trig_left(b, b, 2)
+            NumeratorForm(b).laplacian().build()
+            (b * Fraction(3, 7) + b - b / 2) * e2
+            e2 * b
+            b.dirac_y()
+            b.laplacian()
+            b.to_obj()
+        assert [b.to_obj() for b in basis] == before
 
 
 class TestJson:

@@ -16,7 +16,10 @@ not integers, which the workloads reach only at integer rates:
 with the double root 1/2 (``symbol_outcomes``), each with its left and right
 ``n_monogenic_residual`` reports.  One more line digests the output of
 ``cliffsteer suite --max-n 5 --max-degree 5`` with its ms column masked, and
-its exit status.  The ``subcommands`` line digests the
+its exit status.  The kernel-basis line digests the documents of
+``polyharmonic_basis(d, o, m)`` for m 2..6, d 0..9 and o 1..5, which reach
+m = 2 (a listing over one variable) and degree 0, unlike any workload.  The
+``subcommands`` line digests the
 exit code and stdout bytes of each emitting subcommand on fixed arguments
 (``SUBCOMMANDS``: ``coeffs``, ``basis``, ``appell``, a criterion-10 ``dsolve``
 spec, ``construct``, and ``verify`` with every operator on the constructed
@@ -51,6 +54,8 @@ SUITE = ["suite", "--max-n", "5", "--max-degree", "5"]
 TINY_SUITE = ["suite", "--max-n", "1", "--max-degree", "1", "--cases", "10"]
 APPELL = (range(2, 7), range(0, 9))  # m, k
 TINY_APPELL = (range(2, 4), range(0, 4))
+BASIS = (range(2, 7), range(0, 10), range(1, 6))  # m, degree, order
+TINY_BASIS = (range(2, 4), range(0, 4), range(1, 3))
 # at m=4, the criterion-10 harmonic seed 2 x2 e2, and the harmonic seed
 # x2 x3 e2 + (x2^2 - x4^2)/2 e3 that construct reads
 _H = {"m": 4, "vars": [2, 3, 4], "terms": [
@@ -114,8 +119,9 @@ def _digest(parts) -> str:
 
 
 def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
-    """One line per workload and seed, and one for the suite; ``tiny`` shrinks
-    every workload and the suite, for a quick self-test."""
+    """One line per workload and seed, one each for Appell, symbols, the suite
+    and the kernel bases; ``tiny`` shrinks every workload, both grids and the
+    suite, for a quick self-test."""
     lines = []
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -143,6 +149,10 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
         code = cs.cli.main(argv)
     masked = re.sub(r" *\d+\.\d\d ms", " <ms>", out.getvalue())
     lines.append(f"{' '.join(argv)} {_digest([code, masked])}")
+    ms, degrees, orders = TINY_BASIS if tiny else BASIS
+    basis = [_plain(cs.polyharmonic_basis(d, o, m)) for m in ms for d in degrees for o in orders]
+    span = f"m {ms[0]}..{ms[-1]} d {degrees[0]}..{degrees[-1]} o {orders[0]}..{orders[-1]}"
+    lines.append(f"basis {span} {_digest(basis)}")
     return lines
 
 
@@ -186,7 +196,8 @@ def subcommand_outcomes(cs) -> list:
 
 
 def all_lines(tree: Path) -> list[str]:
-    """Every digest line of the tree: workloads, Appell, suite and subcommands."""
+    """Every digest line of the tree: workloads, Appell, symbols, suite, kernel
+    bases and subcommands."""
     cs, workloads = load(tree)
     return [*digest_lines(cs, workloads), f"subcommands {_digest(subcommand_outcomes(cs))}"]
 
