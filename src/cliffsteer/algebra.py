@@ -172,27 +172,27 @@ class TermMap:
     are defined here once.  A subclass checks its keys in ``__init__``, turns
     each operand it accepts into its own type in ``_lift`` (None for any other),
     carries its metadata into results in ``_like``, multiplies by every other
-    operand it takes in ``_times`` and writes one term in ``_term_str``.
-    ``len`` and ``bool`` read ``_keys``, which has the keys of ``_terms``, so a
-    subclass that makes its coefficients only when they are read answers both
-    without making them."""
+    operand it takes in ``_times`` and writes one term in ``_term_str``.  Terms
+    stay in merge order: the writers sort them, through ``_ordered``.  ``len``
+    and ``bool`` read ``_keys``, the keys of ``_terms``, so a subclass making its
+    coefficients on their first read answers both without making them."""
 
     __slots__ = ("m", "_terms")
-    _order = None  # sort key of the canonical key order; None sorts keys by value
+    _order = None  # sort key of the canonical order, read by _ordered; None sorts by value
 
     def __init__(self, m: int, pairs: Iterable):
         # pairs must hold checked keys and coefficients of the subclass's type
-        data = self.merge_terms({}, pairs)
-        self.m = m
-        self._terms = {k: data[k] for k in sorted(data, key=self._order)}
+        self.m, self._terms = m, self.merge_terms({}, pairs)
 
     @classmethod
     def _unsafe(cls, m: int, data: dict):
-        # data must already be validated and free of zero coefficients
-        out = object.__new__(cls)
-        out.m = m
-        out._terms = {k: data[k] for k in sorted(data, key=cls._order)}
+        out = object.__new__(cls)  # data: validated, free of zeros, and kept as it is
+        out.m, out._terms = m, data
         return out
+
+    def _ordered(self) -> list:
+        """The (key, coefficient) terms in canonical order, as ``str`` and ``to_obj`` write."""
+        return [(k, self._terms[k]) for k in sorted(self._terms, key=self._order)]
 
     @staticmethod
     def merge_terms(data: dict, pairs: Iterable) -> dict:
@@ -241,7 +241,7 @@ class TermMap:
         return f"{type(self).__name__}(m={self.m}, {self})"
 
     def __str__(self) -> str:
-        return " + ".join(self._term_str(k, c) for k, c in self._terms.items()) or "0"
+        return " + ".join(self._term_str(k, c) for k, c in self._ordered()) or "0"
 
     # -- linear structure ----------------------------------------------------
 
@@ -398,7 +398,7 @@ class Multivector(TermMap):
             "m": self.m,
             "terms": [
                 {"blades": list(indices_from_mask(mask)), "coef": format_fraction(q)}
-                for mask, q in self._terms.items()
+                for mask, q in self._ordered()
             ],
         }
 

@@ -129,9 +129,9 @@ class CliffordPolynomial(DiracOperand):
         m, den, numerators = self.m, self._den, self._numerators
         made: dict[int, Fraction] = {}  # a polynomial repeats few numerators: one Fraction each
         terms = {}
-        for exps in sorted(numerators, key=_monomial_key):
+        for exps, blades in numerators.items():
             coef = {}
-            for mask, v in numerators[exps].items():
+            for mask, v in blades.items():
                 q = made.get(v)
                 if q is None:
                     q = made[v] = Fraction(v, den)
@@ -249,7 +249,7 @@ class CliffordPolynomial(DiracOperand):
                     "monomial": {str(i): e for i, e in enumerate(exps) if e},
                     "coef": mv.to_obj(),
                 }
-                for exps, mv in self._terms.items()
+                for exps, mv in self._ordered()
             ],
         }
 

@@ -271,7 +271,7 @@ class SteeringExpression(DiracOperand):
         return self._terms.get(sym, CliffordPolynomial.zero(self.m, range(2, self.m + 1)))
 
     def symbols(self) -> Tuple[SteeringSymbol, ...]:
-        return tuple(self._terms)
+        return tuple(sym for sym, _ in self._ordered())
 
     # -- blade multiplication -------------------------------------------------------
 
@@ -338,7 +338,7 @@ class SteeringExpression(DiracOperand):
             "m": self.m,
             "terms": [
                 {"symbol": sym.to_obj(), "coef": poly.to_obj()}
-                for sym, poly in self._terms.items()
+                for sym, poly in self._ordered()
             ],
         }
 

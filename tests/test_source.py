@@ -21,6 +21,8 @@ one function checks the side of a Dirac-type operator, one names
 root exports is used by the package, the benchmark or the tools, with one
 named exemption.  No module but ``polynomials.py`` names ``_numerators`` or
 ``_den``, so the layout of a polynomial's integer form stays in one module.
+Only ``TermMap._ordered`` reads ``_order``, the canonical key order: terms are
+stored in merge order, and only the writers sort them.
 """
 
 import ast
@@ -196,16 +198,22 @@ def test_steering_combines_forms_in_one_function():
     assert len(callers) == 1, callers
 
 
-def _allocations(tree, owner=""):
-    """(enclosing class.function, line) of each call of a ``__new__`` attribute
-    in ``tree``: ``object.__new__(cls)``, ``super().__new__(cls)`` and the like."""
+def _owned(tree, owner=""):
+    """(enclosing class.function, node) of each node inside ``tree``."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _allocations(node, f"{owner}.{node.name}".lstrip("."))
+            yield from _owned(node, f"{owner}.{node.name}".lstrip("."))
             continue
+        yield owner, node
+        yield from _owned(node, owner)
+
+
+def _allocations(tree):
+    """(enclosing class.function, line) of each call of a ``__new__`` attribute
+    in ``tree``: ``object.__new__(cls)``, ``super().__new__(cls)`` and the like."""
+    for owner, node in _owned(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
             yield owner, node.lineno
-        yield from _allocations(node, owner)
 
 
 def test_steering_symbols_are_allocated_in_one_place():
@@ -223,6 +231,20 @@ def test_steering_symbols_are_allocated_in_one_place():
         and "SteeringSymbol" in ast.unparse(node)
     ]
     assert not elsewhere, f"SteeringSymbol allocated outside steering.py at {elsewhere}"
+
+
+def test_only_the_writer_helper_reads_the_canonical_order():
+    # terms stay in merge order, and TermMap._ordered sorts them for str and
+    # to_obj; a second reader of _order would be a sort on another path
+    readers = [
+        (f"{path.name}:{owner}", node.lineno)
+        for path in MODULES
+        for owner, node in _owned(_tree(path))
+        if isinstance(node, (ast.Attribute, ast.Name))
+        and "_order" in (getattr(node, "attr", None), getattr(node, "id", None))
+        and isinstance(node.ctx, ast.Load)
+    ]
+    assert [where for where, _ in readers] == ["algebra.py:TermMap._ordered"], readers
 
 
 # (module, rule) of each rule checked in one function body: a message text, or
