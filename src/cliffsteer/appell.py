@@ -33,7 +33,13 @@ def t_coeff(k: int, s: int, m: int) -> Fraction:
 def appell_poly(k: int, m: int) -> CliffordPolynomial:
     """The k-th Appell polynomial in R_{0,m}, expanded exactly."""
     integer_in(k, 0, None, "Appell index k")
-    weights = [t_coeff(k, s, m) for s in range(k + 1)]
+    generator_count(m)
+    # T_0 = ((m+1)/2)_k / (m)_k and T_(s+1) / T_s = (k-s)(m-1+2s) / ((s+1)(m-1+2(k-s))),
+    # so a call makes two rising factorials and one Fraction product per s
+    weights = [pochhammer(Fraction(m + 1, 2), k) / pochhammer(m, k)]
+    for s in range(k):
+        ratio = Fraction((k - s) * (m - 1 + 2 * s), (s + 1) * (m - 1 + 2 * (k - s)))
+        weights.append(weights[-1] * ratio)
     data = {}
     for i in range(k + 1):
         # the weight of x_0^(k-i) w^i in (x_0 + w)^(k-s) (x_0 - w)^s, summed over s;

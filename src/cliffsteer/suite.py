@@ -250,7 +250,8 @@ def _further_systems(args):
     for mu, lam in ((1, 1), (2, 5), (3, 1)):
         if not lame_navier_residual(universal, mu, lam).is_zero:
             return False, f"universal solution fails at (mu, lambda) = ({mu}, {lam})"
-    if universal.cr_left().cr_right() or universal.cr_left().cr_left():
+    sandwich, second = inframonogenic_residual(universal), n_monogenic_residual(universal, 2)
+    if not (sandwich.is_zero and second.is_zero):
         return False, "universal solution components are not individually zero"
     two_sided = construct_two_sided("exp", mono)
     for alpha, beta in ((1, 1), (2, -3)):

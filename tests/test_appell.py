@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliffsteer import appell
 from cliffsteer.algebra import Multivector
 from cliffsteer.appell import appell_poly, pochhammer, t_coeff
 from cliffsteer.polynomials import CliffordPolynomial
@@ -74,6 +75,22 @@ class TestAppellSequence:
                 current = appell_poly(k, m)
                 assert current.hypercomplex_d() == previous * k
                 previous = current
+
+    def test_weights_make_two_rising_factorials(self, monkeypatch):
+        # the weights follow T_0 by their exact running ratio: computing T_s
+        # afresh for each s would make 3 (k + 1) rising factorials
+        calls = []
+        real = appell.pochhammer
+
+        def counted(a, k):
+            calls.append((a, k))
+            return real(a, k)
+
+        monkeypatch.setattr(appell, "pochhammer", counted)
+        for k in (0, 5, 12):
+            calls.clear()
+            appell_poly(k, 4)
+            assert len(calls) == 2, (k, calls)
 
     def test_alternative_sequence_over_monogenic_seed(self):
         # z^k M(y) with a left monogenic M obeys the same derivative recursion

@@ -14,7 +14,12 @@ import cliffsteer.cli as cli
 from cliffsteer.cli import main
 from cliffsteer import verify
 from cliffsteer.polynomials import CliffordPolynomial, NumeratorForm
-from cliffsteer.steering import SteeringExpression, construct_exp_left, construct_two_sided
+from cliffsteer.steering import (
+    SteeringExpression,
+    construct_eigen,
+    construct_exp_left,
+    construct_two_sided,
+)
 from cliffsteer.verify import inframonogenic_residual, n_monogenic_residual
 from helpers import e, x, ymono
 
@@ -200,6 +205,24 @@ class TestVerifyOperators:
             monkeypatch=monkeypatch,
         )
         assert code == 1 and json.loads(out)["operator"] == f"cr_right^{limit}"
+
+    def test_degree_past_the_limit_of_a_nonvanishing_chain_exit_two(self, capsys, monkeypatch):
+        # an eigenfunction of D at rate 1/3: no power of D reads zero on it, so a
+        # D-equation of degree past the limit is refused, not run pass by pass
+        limit = verify.MAX_ORDER
+        eigen = construct_eigen(Fraction(1, 3), x(M, 2, yonly=True) * e(M, 2) * 2)
+        coeffs = ",".join(["1"] * (limit + 6))
+        code, out, err = run(
+            capsys,
+            ["verify", "--op", "deq", "--coeffs", coeffs],
+            stdin_text=json.dumps(eigen.to_obj()),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: degree of a nonvanishing chain must be an integer in 0..{limit}, "
+            f"got {limit + 5}\n"
+        )
 
     def test_nonzero_residual_exit_one(self, capsys, monkeypatch):
         doc = json.dumps(

@@ -14,12 +14,14 @@ a class unhashable).  In ``steering.py`` one function calls
 ``NumeratorForm.combine``: every constructor builds its conjugate side
 through that one rule, and one line, in ``SteeringSymbol.__new__``, allocates
 a symbol: equal symbols are one object, which identity equality relies on.
+In ``verify.py`` one function, ``residual``, makes every Dirac pass and every
+combine: each operator is a preset of its terms.
 Each rule a polynomial or expression constructor checks is written in one
 function body: the decoders build through the constructors; package-wide,
 one function checks the side of a Dirac-type operator, one names
 ``MIN_GENERATORS`` and one words an integer bound.  Every name the package
-root exports is used by the package, the benchmark or the tools, with one
-named exemption.  No module but ``polynomials.py`` names ``_numerators`` or
+root exports is used by the package, the benchmark or the tools, with two
+named exemptions.  No module but ``polynomials.py`` names ``_numerators`` or
 ``_den``, so the layout of a polynomial's integer form stays in one module.
 Only ``TermMap._ordered`` reads ``_order``, the canonical key order: terms are
 stored in merge order, and only the writers sort them.
@@ -198,6 +200,22 @@ def test_steering_combines_forms_in_one_function():
     assert len(callers) == 1, callers
 
 
+def test_verify_makes_every_residual_in_one_function():
+    # each operator is a preset of terms for verify.residual, the one function
+    # that applies a Dirac pass or sums the terms
+    callers = set()
+    for func in ast.walk(_tree(PACKAGE / "verify.py")):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr == "dirac"
+                or node.func.attr == "combine" and ast.unparse(node.func.value) == "NumeratorForm"
+            ):
+                callers.add(func.name)
+    assert callers == {"residual"}, callers
+
+
 def _owned(tree, owner=""):
     """(enclosing class.function, node) of each node inside ``tree``."""
     for node in ast.iter_child_nodes(tree):
@@ -289,8 +307,9 @@ def test_each_rule_is_checked_in_one_function(module, rule):
 
 
 # exports kept although nothing calls them: power_coefficient is the reference
-# the power-family tests compare the construction rule against
-UNCALLED_EXPORTS = {"power_coefficient"}
+# the power-family tests compare the construction rule against, and t_coeff the
+# one the Appell tests compare appell_poly's running-ratio weights against
+UNCALLED_EXPORTS = {"power_coefficient", "t_coeff"}
 
 
 def test_every_export_has_a_caller():

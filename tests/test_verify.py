@@ -5,14 +5,17 @@ from fractions import Fraction
 import pytest
 
 from cliffsteer.algebra import Multivector
-from cliffsteer.polynomials import CliffordPolynomial
+from cliffsteer.appell import appell_poly
+from cliffsteer.polynomials import CliffordPolynomial, NumeratorForm
 from cliffsteer.steering import (
     SteeringExpression,
     SteeringSymbol,
+    construct_eigen,
     construct_exp_left,
     construct_two_sided,
 )
 from cliffsteer.verify import (
+    MAX_ORDER,
     ResidualReport,
     alpha_beta_residual,
     d_equation_residual,
@@ -20,6 +23,7 @@ from cliffsteer.verify import (
     infrapoly_residual,
     lame_navier_residual,
     n_monogenic_residual,
+    residual,
 )
 from helpers import dirac_y_power, e, random_y_poly, x, ymono
 
@@ -210,6 +214,73 @@ class TestDEquation:
         z = x(M, 0) + x(M, 1) * e(M, 1)
         assert d_equation_residual(z, (1, 0, 0)).is_zero
 
+    def test_degree_past_the_limit_of_a_nonvanishing_chain_refused(self):
+        # D f = f/3, so no power of D reads zero on f: past the limit the
+        # degree is refused, and at the limit itself the residual is answered
+        f = construct_eigen(Fraction(1, 3), x(M, 2, yonly=True) * e(M, 2) * 2)
+        refusal = (
+            f"^degree of a nonvanishing chain must be an integer in 0..{MAX_ORDER}, "
+            f"got {MAX_ORDER + 5}$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            d_equation_residual(f, [1] * (MAX_ORDER + 6))
+        assert not d_equation_residual(f, [1] * (MAX_ORDER + 1)).is_zero
+
+    def test_a_chain_that_vanishes_has_no_limit(self):
+        # D^j P_k = k!/(k-j)! P_(k-j), and every power past k reads zero
+        k = 3
+        got = d_equation_residual(appell_poly(k, M), [1] * 1500).residual
+        assert got == sum(appell_poly(k - j, M) * (6 // (1, 1, 2, 6)[k - j]) for j in range(k + 1))
+
+
+def count_passes(monkeypatch, run):
+    """The Dirac passes ``run`` makes: each pass makes one form, inside ``dirac``."""
+    dirac, init = NumeratorForm.dirac, NumeratorForm.__init__
+    inside, passes = [], []
+
+    def counted_dirac(self, *args, **kwargs):
+        inside.append(self)
+        try:
+            return dirac(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_init(self, f, terms=None, den=1):
+        passes.extend(inside[-1:])
+        init(self, f, terms, den)
+
+    monkeypatch.setattr(NumeratorForm, "dirac", counted_dirac)
+    monkeypatch.setattr(NumeratorForm, "__init__", counted_init)
+    run()
+    monkeypatch.undo()
+    return len(passes)
+
+
+# exp(z-bar) A reads zero under no power of D on either side, and an
+# eigenfunction of D under no power of Dbar: one pass per factor of each system
+NONVANISHING = SteeringExpression(M, [(EXP_ZBAR, random_y_poly(random.Random(44), M))])
+EIGEN = construct_eigen(Fraction(-1, 3), ymono(M, {2: 1, 3: 1}, e(M, 2)))
+PASSES = [
+    ("cr-left-3", lambda: n_monogenic_residual(NONVANISHING, 3, "left"), 3),
+    ("cr-right-4", lambda: n_monogenic_residual(NONVANISHING, 4, "right"), 4),
+    ("cr-0", lambda: n_monogenic_residual(NONVANISHING, 0, "left"), 0),
+    # x2 -> e2 -> 0: the chain stops at its first zero form
+    ("cr-vanishing", lambda: n_monogenic_residual(x(M, 2, yonly=True), 10, "left"), 2),
+    ("infra", lambda: inframonogenic_residual(NONVANISHING), 2),
+    ("lame", lambda: lame_navier_residual(NONVANISHING, 2, 5), 3),
+    ("alphabeta", lambda: alpha_beta_residual(NONVANISHING, 2, -3), 2),
+    ("infrapoly-2-3", lambda: infrapoly_residual(NONVANISHING, 2, 3), 5),
+    ("infrapoly-0-2", lambda: infrapoly_residual(NONVANISHING, 0, 2), 2),
+    ("deq-1", lambda: d_equation_residual(EIGEN, (3, 1)), 2),
+    ("deq-4", lambda: d_equation_residual(EIGEN, (1, 0, -2, 0, 5)), 5),
+]
+
+
+@pytest.mark.parametrize("run, passes", [case[1:] for case in PASSES], ids=[c[0] for c in PASSES])
+def test_each_operator_makes_one_pass_per_factor(monkeypatch, run, passes):
+    # shared prefixes are made once: lame's first D, a D-equation's Dbar powers
+    assert count_passes(monkeypatch, run) == passes
+
 
 class TestReports:
     def test_json_shape(self):
@@ -225,3 +296,11 @@ class TestReports:
         expr = construct_exp_left(x(M, 2, yonly=True), 1)
         report = n_monogenic_residual(expr, 1, "left")
         assert report.is_zero and report.term_count == 0
+
+
+def test_a_run_read_at_a_lower_power_starts_again(monkeypatch):
+    # rising powers of one run go on from power to power; a falling one
+    # starts the run again, so the order of the terms never changes the sum
+    up = [(Fraction(1, k + 1), (("left", -1, k, "degree"),)) for k in range(4)]
+    assert count_passes(monkeypatch, lambda: residual(EIGEN, up)) == 3
+    assert residual(EIGEN, up[::-1]).build() == residual(EIGEN, up).build()

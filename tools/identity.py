@@ -13,8 +13,8 @@ m 2..6 and k 0..8, a wider grid than the ``basis`` workload's.  The
 ``symbols`` line digests the constructions whose symbols have rates that are
 not integers, which the workloads reach only at integer rates:
 ``construct_eigen`` at rates 3/2 and -1/3 for m 4 and 5, and a ``dsolve`` spec
-with the double root 1/2 (``symbol_outcomes``), each with its left and right
-``n_monogenic_residual`` reports.  One more line digests the output of
+with the double root 1/2 (``symbol_outcomes``), each with its report from every
+``verify`` operator.  One more line digests the output of
 ``cliffsteer suite --max-n 5 --max-degree 5`` with its ms column masked, and
 its exit status.  The kernel-basis line digests the documents of
 ``polyharmonic_basis(d, o, m)`` for m 2..6, d 0..9 and o 1..5, which reach
@@ -157,24 +157,41 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
 
 
 def symbol_outcomes(cs) -> list:
-    """``[document, left report, right report]`` of ``construct_eigen`` at rates
-    3/2 and -1/3 for m 4 and 5, then of ``dsolve`` on (2D - 1)^2 f = 0 with the
-    root 1/2 carrying the harmonic seed 2 x2 e2 and the monogenic seeds 1 and
-    x2 - x3 e2 e3; a left check reads zero, the right one does not."""
+    """The document and the reports of ``construct_eigen`` at rates 3/2 and -1/3
+    for m 4 and 5, then of ``dsolve`` on (2D - 1)^2 f = 0 with the root 1/2
+    carrying the harmonic seed 2 x2 e2 and the monogenic seeds 1 and
+    x2 - x3 e2 e3.  The reports are the left and right ``n_monogenic_residual``,
+    ``inframonogenic_residual``, ``lame_navier_residual`` at (2, 5),
+    ``alpha_beta_residual`` at (2, -3), ``infrapoly_residual`` at (0, 2) and
+    (2, 1), and ``d_equation_residual`` of the equation each solves; a left
+    check reads zero, a check with a right factor and no left one does not."""
     mono = cs.CliffordPolynomial.monomial
-    solutions = []
+    solutions = []  # (solution, the coefficients of its D-equation)
     for m in (4, 5):
         y, e2, e3 = range(2, m + 1), cs.Multivector.blade(m, (2,)), cs.Multivector.blade(m, (3,))
         # x2 x3 e2 + (x2^2 - x4^2)/2 e3, harmonic in the y variables
         seed = mono(m, {2: 1, 3: 1}, e2, y) + (mono(m, {2: 2}, e3, y) - mono(m, {4: 2}, e3, y)) / 2
-        solutions += [cs.construct_eigen(rate, seed) for rate in (Fraction(3, 2), Fraction(-1, 3))]
+        for rate in (Fraction(3, 2), Fraction(-1, 3)):
+            solutions.append((cs.construct_eigen(rate, seed), (1, -rate)))
     y, e23 = range(2, 5), cs.Multivector.blade(4, (2, 3))
     monogenic = (mono(4, {}, 1, y), mono(4, {2: 1}, 1, y) - mono(4, {3: 1}, e23, y))
     root = cs.RootSpec(Fraction(1, 2), 2, cs.CliffordPolynomial.from_obj(_H), monogenic)
-    solutions.append(cs.dsolve(cs.DSolveSpec(4, (4, -4, 1), (root,))))
+    solutions.append((cs.dsolve(cs.DSolveSpec(4, (4, -4, 1), (root,))), (4, -4, 1)))
     return [
-        [f.to_obj()] + [cs.n_monogenic_residual(f, 1, side).to_obj() for side in ("left", "right")]
-        for f in solutions
+        [f.to_obj()]
+        + [cs.n_monogenic_residual(f, 1, side).to_obj() for side in ("left", "right")]
+        + [
+            report.to_obj()
+            for report in (
+                cs.inframonogenic_residual(f),
+                cs.lame_navier_residual(f, 2, 5),
+                cs.alpha_beta_residual(f, 2, -3),
+                cs.infrapoly_residual(f, 0, 2),
+                cs.infrapoly_residual(f, 2, 1),
+                cs.d_equation_residual(f, coeffs),
+            )
+        ]
+        for f, coeffs in solutions
     ]
 
 
