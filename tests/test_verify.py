@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -230,7 +231,8 @@ class TestDEquation:
         # D^j P_k = k!/(k-j)! P_(k-j), and every power past k reads zero
         k = 3
         got = d_equation_residual(appell_poly(k, M), [1] * 1500).residual
-        assert got == sum(appell_poly(k - j, M) * (6 // (1, 1, 2, 6)[k - j]) for j in range(k + 1))
+        weights = [factorial(k) // factorial(k - j) for j in range(k + 1)]
+        assert got == sum(appell_poly(k - j, M) * w for j, w in enumerate(weights))
 
 
 def count_passes(monkeypatch, run):
@@ -282,6 +284,14 @@ def test_each_operator_makes_one_pass_per_factor(monkeypatch, run, passes):
     assert count_passes(monkeypatch, run) == passes
 
 
+def test_a_run_read_at_a_lower_power_starts_again(monkeypatch):
+    # rising powers of one run go on from power to power; a falling one
+    # starts the run again, so the order of the terms never changes the sum
+    up = [(Fraction(1, k + 1), (("left", -1, k, "degree"),)) for k in range(4)]
+    assert count_passes(monkeypatch, lambda: residual(EIGEN, up)) == 3
+    assert residual(EIGEN, up[::-1]).build() == residual(EIGEN, up).build()
+
+
 class TestReports:
     def test_json_shape(self):
         expr = SteeringExpression(M, [(EXP_ZBAR, 1)])
@@ -296,11 +306,3 @@ class TestReports:
         expr = construct_exp_left(x(M, 2, yonly=True), 1)
         report = n_monogenic_residual(expr, 1, "left")
         assert report.is_zero and report.term_count == 0
-
-
-def test_a_run_read_at_a_lower_power_starts_again(monkeypatch):
-    # rising powers of one run go on from power to power; a falling one
-    # starts the run again, so the order of the terms never changes the sum
-    up = [(Fraction(1, k + 1), (("left", -1, k, "degree"),)) for k in range(4)]
-    assert count_passes(monkeypatch, lambda: residual(EIGEN, up)) == 3
-    assert residual(EIGEN, up[::-1]).build() == residual(EIGEN, up).build()
