@@ -463,6 +463,11 @@ def homogeneous_exponents(count: int, degree: int) -> Iterator[Tuple[int, ...]]:
     # graded-lex listing: the earliest variable takes the largest exponent first.
     # Each successor moves one unit from the last nonzero place before the end
     # to the place after it, which also takes everything the end held.
+    # No variables make one monomial, (), of degree 0 and none of any other.
+    if not count:
+        if not degree:
+            yield ()
+        return
     exps = [degree] + [0] * (count - 1)
     end = count - 1
     while True:
@@ -477,30 +482,29 @@ def homogeneous_exponents(count: int, degree: int) -> Iterator[Tuple[int, ...]]:
         exps[i + 1] = held + 1
 
 
-def _scalar_laplacian(poly: Mapping[Tuple[int, ...], int]) -> dict[Tuple[int, ...], int]:
-    out: dict[Tuple[int, ...], int] = {}
-    for exps, q in poly.items():
-        for pos, e in enumerate(exps):
-            if e >= 2:
-                key = exps[:pos] + (e - 2,) + exps[pos + 1 :]
-                out[key] = out.get(key, 0) + q * e * (e - 1)
-    return {key: q for key, q in out.items() if q}
-
-
 def polyharmonic_basis(degree: int, order: int, m: int) -> list[CliffordPolynomial]:
     """Basis of homogeneous degree-``degree`` polynomials in the y variables
     x_2..x_m killed by laplacian^order.
 
-    Write p = sum_j x_2^j b_j, every b_j free of x_2, and L for the Laplacian
-    in x_3..x_m.  Expanding laplacian^k = sum_i C(k,i) d_2^(2i) L^(k-i) shows
-    that p lies in the kernel of laplacian^k exactly when, for every j >= 0,
+    Write p = sum_j x_2^j a_j / j!, every a_j free of x_2, L for the Laplacian
+    in x_3..x_m and k = order.  Expanding laplacian^k = sum_i C(k,i) d_2^(2i)
+    L^(k-i) shows that p lies in the kernel of laplacian^k exactly when, for
+    every j >= 0,
 
-        (j+2k)!/j! b_(j+2k) = -sum_(i<k) C(k,i) (j+2i)!/j! L^(k-i) b_(j+2i),
+        a_(j+2k) = -sum_(i<k) C(k,i) L^(k-i) a_(j+2i),
 
-    the Cauchy-Kovalevskaya recurrence in x_2; b_0..b_(2k-1) are free.  There
-    is one element per free monomial, i.e. per monomial whose x_2-exponent is
-    below 2*order, listed in graded-lex order; the element's part of
-    x_2-degree below 2*order is exactly that monomial with coefficient 1.
+    the Cauchy-Kovalevskaya recurrence in x_2; a_0..a_(2k-1) are free.  There
+    is one element per free monomial x_2^f0 r, f0 < 2k and r in x_3..x_m,
+    whose free slices are a_f0 = f0! r and a_j = 0 for the other j < 2k.  By
+    induction its every slice is a_(f0+2s) = c_s L^s r: if the slices below
+    f0+2s are, the recurrence's term i for it is C(k,i) c_(s-k+i) L^s r.  So
+    the integers c_s depend only on (k, f0), with c_s = 0 for s < 0:
+
+        c_0 = f0!,  c_s = 0 while f0+2s < 2k,  else c_s = -sum_(i<k) C(k,i) c_(s-k+i),
+
+    and the element is sum_s c_s/(f0+2s)! x_2^(f0+2s) L^s r.
+    Only the free monomials are listed, in graded-lex order; the element's
+    part of x_2-degree below 2k is exactly its monomial with coefficient 1.
     This is the reduced-echelon kernel basis of the iterated-Laplacian
     matrix in the graded-lex monomial basis.  Every coefficient is a scalar,
     and one call makes one coefficient object per value: the terms and
@@ -509,39 +513,49 @@ def polyharmonic_basis(degree: int, order: int, m: int) -> list[CliffordPolynomi
     integer_in(degree, 0, None, "degree")
     integer_in(order, 1, None, "Laplacian order")
     scope = frozenset(range(2, generator_count(m) + 1))
-    # a_j = j! b_j turns the recurrence into a_(j+2k) = -sum_i C(k,i) L^(k-i) a_(j+2i)
-    # over the integers; step[(rest, i)] caches C(k,i) L^(k-i) of one monomial
-    step: dict[Tuple[Tuple[int, ...], int], dict[Tuple[int, ...], int]] = {}
     fact = [factorial(j) for j in range(degree + 1)]
-    # one scalar c / j! per numerator c of a_j, keyed (c, j): the terms share it
+    # L on one monomial of x_3..x_m, as (monomial, weight) pairs, made once a call
+    lap: dict[Tuple[int, ...], list[Tuple[Tuple[int, ...], int]]] = {}
+    # one scalar c / j! per numerator c of x_2^j, keyed (c, j): the terms share it
     coefs: dict[Tuple[int, int], Multivector] = {}
     out = []
-    for free in homogeneous_exponents(m - 1, degree):
-        if free[0] >= 2 * order:
-            continue
-        # a[j] holds only the populated powers x_2^j: rest -> numerator
-        a: dict[int, dict[Tuple[int, ...], int]] = {free[0]: {free[1:]: fact[free[0]]}}
-        for j in range(free[0] % 2, degree - 2 * order + 1, 2):
-            acc: dict[Tuple[int, ...], int] = {}
-            for i in range(order):
-                for rest, c in a.get(j + 2 * i, {}).items():
-                    image = step.get((rest, i))
-                    if image is None:
-                        image = {rest: comb(order, i)}
-                        for _ in range(order - i):
-                            image = _scalar_laplacian(image)
-                        step[rest, i] = image
-                    for t, w in image.items():
-                        acc[t] = acc.get(t, 0) - c * w
-            row = {t: c for t, c in acc.items() if c}
-            if row:
-                a[j + 2 * order] = row
-        terms = {}
-        for j, aj in a.items():
-            for rest, c in aj.items():
-                coef = coefs.get((c, j))
-                if coef is None:
-                    coef = coefs[c, j] = Multivector._unsafe(m, {0: Fraction(c, fact[j])})
-                terms[(0, 0, j) + rest] = coef
-        out.append(CliffordPolynomial._unsafe(m, scope, terms))
+    for f0 in range(min(2 * order - 1, degree), -1, -1):
+        c = [fact[f0]]
+        for s in range(1, (degree - f0) // 2 + 1):
+            free = f0 + 2 * s < 2 * order
+            c.append(0 if free else -sum(
+                comb(order, i) * c[s - order + i] for i in range(max(order - s, 0), order)
+            ))
+        while not c[-1]:  # L^s r is not needed past the last nonzero c_s
+            c.pop()
+        for rest in homogeneous_exponents(m - 2, degree - f0):
+            # chain holds L^s r; its numerators are positive, so none cancels
+            chain: dict[Tuple[int, ...], int] = {rest: 1}
+            terms = {}
+            for s, cs in enumerate(c):
+                if s:
+                    after: dict[Tuple[int, ...], int] = {}
+                    for t, v in chain.items():
+                        image = lap.get(t)
+                        if image is None:
+                            image = lap[t] = [
+                                (t[:pos] + (e - 2,) + t[pos + 1 :], e * (e - 1))
+                                for pos, e in enumerate(t) if e >= 2
+                            ]
+                        for u, w in image:
+                            after[u] = after.get(u, 0) + v * w
+                    chain = after
+                    if not chain:
+                        break
+                if not cs:
+                    continue
+                j = f0 + 2 * s
+                for t, v in chain.items():
+                    coef = coefs.get((cs * v, j))
+                    if coef is None:
+                        coef = coefs[cs * v, j] = Multivector._unsafe(
+                            m, {0: Fraction(cs * v, fact[j])}
+                        )
+                    terms[(0, 0, j) + t] = coef
+            out.append(CliffordPolynomial._unsafe(m, scope, terms))
     return out

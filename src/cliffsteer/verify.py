@@ -55,8 +55,9 @@ def _report(description: str, residual: NumeratorForm) -> ResidualReport:
     return ResidualReport(description, built, not built, len(built))
 
 
-def residual(f: Verifiable, terms) -> NumeratorForm:
-    """sum of weight * (links applied to f in turn) over the (weight, links) terms.
+def residual(f: Verifiable | NumeratorForm, terms) -> NumeratorForm:
+    """sum of weight * (links applied to f in turn) over the (weight, links) terms;
+    ``f`` may be given as its ready form, which two calls on one input then share.
 
     A link (side, sign, n, what) is n passes of ``NumeratorForm.dirac(side, sign)``,
     and ``what`` names n in a refusal.  A run of passes after a given prefix goes
@@ -64,7 +65,7 @@ def residual(f: Verifiable, terms) -> NumeratorForm:
     D), and a run read at rising powers (a D-equation's Dbar) is made once.  Past
     MAX_ORDER passes on a symbol of nonzero rate, whose derivatives never vanish,
     a run not zero by then refuses the highest power it is read at."""
-    base = NumeratorForm(f)
+    base = f if isinstance(f, NumeratorForm) else NumeratorForm(f)
     runs: dict = {}  # (links so far, side, sign) -> (passes made, the form after them)
     parts = []
     for weight, links in terms:
@@ -86,7 +87,7 @@ def residual(f: Verifiable, terms) -> NumeratorForm:
         parts.append((form, weight))
     if len(parts) == 1 and parts[0][1] == 1:
         return parts[0][0]
-    return NumeratorForm.combine(f, parts)
+    return NumeratorForm.combine(base.f, parts)
 
 
 def n_monogenic_residual(f: Verifiable, n: int, side: str = "left") -> ResidualReport:
@@ -134,9 +135,10 @@ def d_equation_residual(f: Verifiable, coeffs: Sequence[ScalarLike]) -> Residual
     coeffs = tuple(coerce_fraction(c) for c in coeffs)
     if not coeffs:
         raise ValueError("at least one coefficient is required")
-    if not residual(f, [(1, (_LEFT,))]).is_zero():
+    form = NumeratorForm(f)  # read once, for the precondition and the sum
+    if not residual(form, [(1, (_LEFT,))]).is_zero():
         raise ValueError("input is not left monogenic; the hypercomplex derivative is undefined")
     # D^k = (1/2^k) Dbar^k on this input: unscaled Dbar links from D^0 up, weighted in the sum
     terms = [(a / 2**k, (("left", -1, k, "degree"),)) for k, a in enumerate(reversed(coeffs))]
     label = ",".join(format_fraction(c) for c in coeffs)
-    return _report(f"d_equation({label})", residual(f, terms))
+    return _report(f"d_equation({label})", residual(form, terms))

@@ -27,7 +27,7 @@ def test_digest_lines_repeat_and_a_differing_line_exits_one(identity, capsys):
     names = [line.rsplit(" ", 1)[0] for line in first]
     expected = [f"{w} seed {s}" for w in workloads.WORKLOADS for s in identity.SEEDS]
     assert names == expected + ["appell m 2..3 k 0..3", "symbols", " ".join(identity.TINY_SUITE),
-                                "basis m 2..3 d 0..3 o 1..2"]
+                                "basis m 2..3 d 0..3 o 1..2", "basis m 3..3 d 6..7 o 1..2"]
     assert identity.compare(first, first) == 0
     assert capsys.readouterr().err == ""
 

@@ -202,7 +202,9 @@ class TestPolyharmonicBasis:
 
     def test_elements_match_sympy_nullspace(self):
         points = ((3, 1, 4), (4, 1, 4), (4, 2, 4), (5, 2, 4), (3, 1, 3), (6, 2, 5), (5, 1, 5))
-        for degree, order, m in points + ((3, 2, 4),):  # the last has no Laplacian rows
+        # x2 chains of three or more steps, and y = x2, x3 or x2 alone
+        points += ((8, 1, 3), (9, 2, 3), (10, 3, 4), (7, 3, 3))
+        for degree, order, m in points + ((3, 2, 4), (5, 3, 2)):  # these have no Laplacian rows
             ours = polyharmonic_basis(degree, order, m)
             exponents, vectors = _sympy_kernel_basis(degree, order, m - 1)
             assert len(ours) == len(vectors)
@@ -213,6 +215,33 @@ class TestPolyharmonicBasis:
                     got[mono[2:]] = mv.scalar_part()
                 expected = {e: Fraction(int(q.p), int(q.q)) for e, q in zip(exponents, vec) if q}
                 assert got == expected
+
+    def test_harmonic_elements_are_the_classical_series(self):
+        # at order 1 the element of x2^f0 r is sum_s (-1)^s f0!/(f0+2s)! x2^(f0+2s) L^s r,
+        # L the Laplacian in x3..x5, written out in sympy
+        degree, m = 7, 5
+        t = sympy.symbols("t2:6")
+        lap = lambda f: sum(sympy.diff(f, v, 2) for v in t[1:])
+        free = sorted(
+            (ys for ys in itertools.product(range(degree + 1), repeat=m - 1)
+             if sum(ys) == degree and ys[0] < 2),
+            reverse=True,
+        )
+        ours = polyharmonic_basis(degree, 1, m)
+        assert len(ours) == len(free)
+        for poly, (f0, *rest) in zip(ours, free):
+            r = sympy.prod(v**k for v, k in zip(t[1:], rest))
+            expected, s = 0, 0
+            while r != 0:
+                weight = (-1) ** s * sympy.factorial(f0) / sympy.factorial(f0 + 2 * s)
+                expected += weight * t[0] ** (f0 + 2 * s) * r
+                r, s = sympy.expand(lap(r)), s + 1
+            got = sum(
+                sympy.Rational(mv.scalar_part().numerator, mv.scalar_part().denominator)
+                * sympy.prod(v**k for v, k in zip(t, mono[2:]))
+                for mono, mv in poly.items()
+            )
+            assert sympy.expand(got - expected) == 0
 
     def test_low_part_is_one_free_monomial(self):
         # the part of x2-degree below 2*order is a single monomial with
@@ -263,7 +292,8 @@ class TestPolyharmonicBasis:
 
     def test_listing_is_graded_lex(self):
         # the earliest variable takes the largest exponent first
-        for count in range(1, 7):
+        # no variables: one empty monomial of degree 0, none of any other degree
+        for count in range(0, 7):
             for degree in range(8):
                 every = itertools.product(range(degree + 1), repeat=count)
                 expected = sorted((e for e in every if sum(e) == degree), reverse=True)

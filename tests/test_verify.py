@@ -292,6 +292,25 @@ def test_a_run_read_at_a_lower_power_starts_again(monkeypatch):
     assert residual(EIGEN, up[::-1]).build() == residual(EIGEN, up).build()
 
 
+def test_a_d_equation_reads_its_input_once(monkeypatch):
+    # the precondition and the sum start from one form of f; a ready form
+    # gives the residual f gives
+    init, reads = NumeratorForm.__init__, []
+
+    def counted_init(self, f, terms=None, den=1):
+        if terms is None:
+            reads.append(f)
+        init(self, f, terms, den)
+
+    monkeypatch.setattr(NumeratorForm, "__init__", counted_init)
+    report = d_equation_residual(EIGEN, (1, 0, -2, 0, 5))
+    assert reads == [EIGEN]
+    monkeypatch.undo()
+    up = [(Fraction(1, k + 1), (("left", -1, k, "degree"),)) for k in range(4)]
+    assert residual(NumeratorForm(EIGEN), up).build() == residual(EIGEN, up).build()
+    assert report.residual == d_equation_residual(EIGEN, (1, 0, -2, 0, 5)).residual
+
+
 class TestReports:
     def test_json_shape(self):
         expr = SteeringExpression(M, [(EXP_ZBAR, 1)])

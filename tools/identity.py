@@ -16,9 +16,11 @@ not integers, which the workloads reach only at integer rates:
 with the double root 1/2 (``symbol_outcomes``), each with its report from every
 ``verify`` operator.  One more line digests the output of
 ``cliffsteer suite --max-n 5 --max-degree 5`` with its ms column masked, and
-its exit status.  The kernel-basis line digests the documents of
+its exit status.  The first kernel-basis line digests the documents of
 ``polyharmonic_basis(d, o, m)`` for m 2..6, d 0..9 and o 1..5, which reach
-m = 2 (a listing over one variable) and degree 0, unlike any workload.  The
+m = 2 (a listing over one variable) and degree 0, unlike any workload; the
+second, for m 3..5, d 10..12 and o 1..5, reaches x_2 chains that run past
+the free slots 0..2o-1 for up to six steps, where the first stops at four.  The
 ``subcommands`` line digests the
 exit code and stdout bytes of each emitting subcommand on fixed arguments
 (``SUBCOMMANDS``: ``coeffs``, ``basis``, ``appell``, a criterion-10 ``dsolve``
@@ -54,8 +56,16 @@ SUITE = ["suite", "--max-n", "5", "--max-degree", "5"]
 TINY_SUITE = ["suite", "--max-n", "1", "--max-degree", "1", "--cases", "10"]
 APPELL = (range(2, 7), range(0, 9))  # m, k
 TINY_APPELL = (range(2, 4), range(0, 4))
-BASIS = (range(2, 7), range(0, 10), range(1, 6))  # m, degree, order
-TINY_BASIS = (range(2, 4), range(0, 4), range(1, 3))
+# m, degree, order: every order's free slots at degree 0..9, then x2 chains of
+# up to six steps past them at degree 10..12
+BASES = (
+    (range(2, 7), range(0, 10), range(1, 6)),
+    (range(3, 6), range(10, 13), range(1, 6)),
+)
+TINY_BASES = (
+    (range(2, 4), range(0, 4), range(1, 3)),
+    (range(3, 4), range(6, 8), range(1, 3)),
+)
 # at m=4, the criterion-10 harmonic seed 2 x2 e2, and the harmonic seed
 # x2 x3 e2 + (x2^2 - x4^2)/2 e3 that construct reads
 _H = {"m": 4, "vars": [2, 3, 4], "terms": [
@@ -119,9 +129,9 @@ def _digest(parts) -> str:
 
 
 def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
-    """One line per workload and seed, one each for Appell, symbols, the suite
-    and the kernel bases; ``tiny`` shrinks every workload, both grids and the
-    suite, for a quick self-test."""
+    """One line per workload and seed, one each for Appell, symbols and the
+    suite, and two for the kernel bases; ``tiny`` shrinks every workload, each
+    grid and the suite, for a quick self-test."""
     lines = []
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -149,10 +159,11 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
         code = cs.cli.main(argv)
     masked = re.sub(r" *\d+\.\d\d ms", " <ms>", out.getvalue())
     lines.append(f"{' '.join(argv)} {_digest([code, masked])}")
-    ms, degrees, orders = TINY_BASIS if tiny else BASIS
-    basis = [_plain(cs.polyharmonic_basis(d, o, m)) for m in ms for d in degrees for o in orders]
-    span = f"m {ms[0]}..{ms[-1]} d {degrees[0]}..{degrees[-1]} o {orders[0]}..{orders[-1]}"
-    lines.append(f"basis {span} {_digest(basis)}")
+    for ms, degrees, orders in TINY_BASES if tiny else BASES:
+        basis = [_plain(cs.polyharmonic_basis(d, o, m))
+                 for m in ms for d in degrees for o in orders]
+        span = f"m {ms[0]}..{ms[-1]} d {degrees[0]}..{degrees[-1]} o {orders[0]}..{orders[-1]}"
+        lines.append(f"basis {span} {_digest(basis)}")
     return lines
 
 
