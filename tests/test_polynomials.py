@@ -202,7 +202,8 @@ class TestPolyharmonicBasis:
 
     def test_elements_match_sympy_nullspace(self):
         points = ((3, 1, 4), (4, 1, 4), (4, 2, 4), (5, 2, 4), (3, 1, 3), (6, 2, 5), (5, 1, 5))
-        # x2 chains of three or more steps, and y = x2, x3 or x2 alone
+        # x2 chains of three or more steps past the free slots, at m = 3 (y is x2, x3)
+        # and at m = 2 (y is x2 alone)
         points += ((8, 1, 3), (9, 2, 3), (10, 3, 4), (7, 3, 3))
         for degree, order, m in points + ((3, 2, 4), (5, 3, 2)):  # these have no Laplacian rows
             ours = polyharmonic_basis(degree, order, m)
