@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 MIN_GENERATORS = 2
@@ -74,6 +75,25 @@ def parse_fraction(raw: object, what: str = "fraction") -> Fraction:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     raise TypeError(f"fractions must be encoded as strings, got {type(raw).__name__}")
+
+
+def parse_ratio(raw: object, what: str = "fraction") -> Tuple[int, int]:
+    """``parse_fraction(raw, what)`` as (numerator, denominator) in lowest terms.
+    The spelling ``format_fraction`` writes, ASCII ``-?digits/digits``, is read
+    with two ``int`` calls and no Fraction; every other spelling, and every
+    refusal, is ``parse_fraction``'s."""
+    if type(raw) is str and len(raw) <= MAX_DIGITS and raw.isascii():
+        num, slash, den = raw.partition("/")
+        if slash and den.isdigit() and (num[1:] if num[:1] == "-" else num).isdigit():
+            try:  # int refuses fewer digits than MAX_DIGITS if the process limit is lower
+                n, d = int(num), int(den)
+            except ValueError:
+                n = d = 0
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
+    q = parse_fraction(raw, what)
+    return q.numerator, q.denominator
 
 
 def blade_product(a: int, b: int) -> Tuple[int, int]:
@@ -190,9 +210,11 @@ class TermMap:
         out.m, out._terms = m, data
         return out
 
-    def _ordered(self) -> list:
-        """The (key, coefficient) terms in canonical order, as ``str`` and ``to_obj`` write."""
-        return [(k, self._terms[k]) for k in sorted(self._terms, key=self._order)]
+    @classmethod
+    def _ordered(cls, terms: dict) -> list:
+        """The (key, value) items of ``terms``, keyed as this class's terms are, in
+        canonical order, as ``str`` and ``to_obj`` write them."""
+        return [(k, terms[k]) for k in sorted(terms, key=cls._order)]
 
     @staticmethod
     def merge_terms(data: dict, pairs: Iterable) -> dict:
@@ -207,18 +229,19 @@ class TermMap:
                 del data[key]
         return data
 
-    def _decoded(self, pairs: list, name):
-        """This term map, built from a document's (key, coefficient) ``pairs``, or
-        an error if the document listed a key twice or with a zero coefficient,
-        which the constructor summed or dropped; ``name`` writes a key."""
-        if len(self) < len(pairs):
+    @staticmethod
+    def _decoded(data: dict, pairs: list, name) -> dict:
+        """``data``, the terms built from a document's (key, coefficient) ``pairs``,
+        or an error if the document listed a key twice or with a zero coefficient,
+        which the build overwrote, summed or dropped; ``name`` writes a key."""
+        if len(data) < len(pairs):
             seen = set()
             for key, c in pairs:
                 if not c or key in seen:
                     problem = "is listed more than once" if c else "has a zero coefficient"
                     raise ValueError(f"{name(key)} {problem}")
                 seen.add(key)
-        return self
+        return data
 
     def _like(self, other, data: dict):
         """A value of this type and ``m`` holding ``data``, made from ``self`` and ``other``."""
@@ -241,7 +264,7 @@ class TermMap:
         return f"{type(self).__name__}(m={self.m}, {self})"
 
     def __str__(self) -> str:
-        return " + ".join(self._term_str(k, c) for k, c in self._ordered()) or "0"
+        return " + ".join(self._term_str(k, c) for k, c in self._ordered(self._terms)) or "0"
 
     # -- linear structure ----------------------------------------------------
 
@@ -394,31 +417,55 @@ class Multivector(TermMap):
     # -- serialization ---------------------------------------------------------
 
     def to_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "terms": [
-                {"blades": list(indices_from_mask(mask)), "coef": format_fraction(q)}
-                for mask, q in self._ordered()
-            ],
-        }
+        terms = [(mask, q.numerator, q.denominator) for mask, q in self._ordered(self._terms)]
+        return blades_obj(self.m, terms)
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "Multivector":
-        """Decode a document; ``_decoded`` refuses its repeated or zero terms."""
-        m = document_m(obj, "multivector")
-        pairs = []
-        for entry in json_list(obj.get("terms", []), "multivector field 'terms'"):
-            blades = json_field(entry, "blades", "multivector term")
-            mask = mask_from_indices(json_list(blades, "multivector term field 'blades'"), m)
-            coef = json_field(entry, "coef", "multivector term")
-            pairs.append((mask, parse_fraction(coef, "blade coefficient")))
-        return cls._unsafe(m, {mask: q for mask, q in pairs if q})._decoded(
-            pairs, lambda mask: f"blade {list(indices_from_mask(mask))}"
-        )
+        """Decode a document through ``blade_terms``."""
+        m, numerators, den = blade_terms(obj)
+        return cls._unsafe(m, {mask: Fraction(v, den) for mask, v in numerators.items()})
 
     def _term_str(self, mask: int, q: Fraction) -> str:
         blade = "*".join(f"e{j}" for j in indices_from_mask(mask))
         return f"({format_fraction(q)}){'*' + blade if blade else ''}"
+
+
+def blades_obj(m: int, terms: Iterable[Tuple[int, int, int]]) -> dict:
+    """The document of a multivector: its (mask, numerator, denominator) terms, in
+    canonical order, each written in lowest terms as ``format_fraction`` writes it.
+    The one writer of blade terms, for multivectors and polynomial coefficients."""
+    out = []
+    for mask, v, den in terms:
+        g = gcd(v, den)
+        out.append({"blades": list(indices_from_mask(mask)), "coef": f"{v // g}/{den // g}"})
+    return {"m": m, "terms": out}
+
+
+def blade_terms(obj) -> Tuple[int, dict, int]:
+    """(m, {mask: numerator}, denominator) of a multivector document: its
+    coefficients as integer numerators over the lcm of their denominators, read
+    by ``parse_ratio``, so no Fraction is made.  The one reader of blade terms,
+    for multivectors and polynomial coefficients; ``TermMap._decoded`` refuses
+    a blade listed twice or with a zero coefficient."""
+    m = document_m(obj, "multivector")
+    pairs, numerators, den = [], {}, 1
+    for entry in json_list(obj.get("terms", []), "multivector field 'terms'"):
+        blades = json_field(entry, "blades", "multivector term")
+        mask = mask_from_indices(json_list(blades, "multivector term field 'blades'"), m)
+        n, d = parse_ratio(json_field(entry, "coef", "multivector term"), "blade coefficient")
+        pairs.append((mask, n))
+        if den % d:  # the numerators so far, over the new lcm
+            k = lcm(den, d) // den
+            numerators = {key: v * k for key, v in numerators.items()}
+            den *= k
+        if n:
+            numerators[mask] = n * (den // d)
+    return m, TermMap._decoded(numerators, pairs, _blade_name), den
+
+
+def _blade_name(mask: int) -> str:
+    return f"blade {list(indices_from_mask(mask))}"
 
 
 def e1_sandwich(a):

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable, Iterator, Mapping, Tuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, Tuple, Union
 
 from .algebra import (
-    Multivector, TermMap, document_m, generator_count, integer_in, json_field, json_list,
-    json_object, quoted
+    Multivector, TermMap, blade_terms, blades_obj, document_m, generator_count, integer_in,
+    json_field, json_list, json_object, quoted
 )
 
 Monomial = Tuple[int, ...]
@@ -60,9 +60,10 @@ class CliffordPolynomial(DiracOperand):
     polynomial of full scope.
 
     Every polynomial has one integer form, its nonzero numerators (monomial ->
-    blade -> numerator) over its own denominator ``_den``: a built one from the
-    start, making its Fractions on their first read; one made from Fractions on
-    its first read through ``NumeratorForm``.  Either keeps what it makes, so
+    blade -> numerator) over its own denominator ``_den``: a built one (an
+    operator's output or a decoded document) from the start, making its
+    Fractions on their first read; one made from Fractions on its first read
+    through ``NumeratorForm`` or ``to_obj``.  Either keeps what it makes, so
     ``_den`` is None only until that read.  ``len`` and ``bool`` read monomials.
     """
 
@@ -76,25 +77,43 @@ class CliffordPolynomial(DiracOperand):
         var_scope: Iterable[int] | None = None,
     ):
         generator_count(m)
+
+        def lift(coef):
+            mv = coef if isinstance(coef, Multivector) else Multivector.scalar(m, coef)
+            return mv, mv.m
+
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        self.var_scope, pairs = self._checked(m, var_scope, pairs, lift)
+        self._den = None
+        super().__init__(m, pairs)
+
+    @staticmethod
+    def _checked(
+        m: int, var_scope: Iterable[int] | None, terms: Iterable, lift: Callable
+    ) -> tuple[frozenset, list]:
+        """(scope, [(monomial, coefficient)]) of ``var_scope`` (None for every
+        variable) and the (exponents, coefficient) ``terms``, each rule of a
+        polynomial checked in turn: the one check of each, for the constructor
+        and the decoder.  ``lift`` gives a coefficient as (value kept, its m)."""
         scope = frozenset(range(m + 1)) if var_scope is None else frozenset(var_scope)
         if not all(type(i) is int and 0 <= i <= m for i in scope):
             raise ValueError(f"var_scope must be a subset of x0..x{m}")
+        outside = [i for i in range(m + 1) if i not in scope]
         pairs = []
-        for exps, coef in terms.items() if isinstance(terms, Mapping) else terms:
+        for exps, coef in terms:
             key = tuple(exps)
             if len(key) != m + 1 or any(type(x) is not int or x < 0 for x in key):
                 raise ValueError(
                     f"monomial {quoted(exps)} must give {m + 1} nonnegative exponents"
                 )
-            for i, x in enumerate(key):
-                if x and i not in scope:
+            for i in outside:
+                if key[i]:
                     raise ValueError(f"monomial uses x{i} outside the declared variable scope")
-            mv = coef if isinstance(coef, Multivector) else Multivector.scalar(m, coef)
-            if mv.m != m:
-                raise ValueError(f"coefficient dimension mismatch: m={mv.m} vs m={m}")
-            pairs.append((key, mv))
-        self.var_scope, self._den = scope, None
-        super().__init__(m, pairs)
+            value, coef_m = lift(coef)
+            if coef_m != m:
+                raise ValueError(f"coefficient dimension mismatch: m={coef_m} vs m={m}")
+            pairs.append((key, value))
+        return scope, pairs
 
     @classmethod
     def _unsafe(
@@ -241,27 +260,36 @@ class CliffordPolynomial(DiracOperand):
     # -- serialization ----------------------------------------------------------
 
     def to_obj(self) -> dict:
+        """The document, written from the integer form: no Fraction is made."""
+        m = self.m
+        numerators, den = _form(self)
         return {
-            "m": self.m,
+            "m": m,
             "vars": sorted(self.var_scope),
             "terms": [
                 {
                     "monomial": {str(i): e for i, e in enumerate(exps) if e},
-                    "coef": mv.to_obj(),
+                    "coef": blades_obj(
+                        m, [(mask, v, den) for mask, v in Multivector._ordered(blades)]
+                    ),
                 }
-                for exps, mv in self._ordered()
+                for exps, blades in self._ordered(numerators)
             ],
         }
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "CliffordPolynomial":
         """Decode a document: the JSON shapes and canonical monomial keys are
-        checked here, every rule of a polynomial once, by the constructor."""
+        checked here, every rule of a polynomial by ``_checked``, as the
+        constructor checks them.  Each coefficient is read by ``blade_terms`` as
+        integers, and the polynomial is built over the lcm of their
+        denominators: decoding makes no Fraction."""
         m = document_m(obj, "polynomial")
         scope = obj.get("vars")
         if scope is not None:
             json_list(scope, "polynomial field 'vars'")
-        pairs = []
+        terms = []
+        den = 1
         for entry in json_list(obj.get("terms", []), "polynomial field 'terms'"):
             monomial = json_field(entry, "monomial", "polynomial term")
             json_object(monomial, "polynomial term field 'monomial'")
@@ -276,9 +304,21 @@ class CliffordPolynomial(DiracOperand):
                 if raw_i != str(i):
                     raise ValueError(f"monomial key {quoted(raw_i)} must be written {str(i)!r}")
                 exps[i] = e
-            coef = Multivector.from_obj(json_field(entry, "coef", "polynomial term"))
-            pairs.append((tuple(exps), coef))
-        return cls(m, pairs, scope)._decoded(pairs, lambda key: f"monomial {key!r}")
+            coef = blade_terms(json_field(entry, "coef", "polynomial term"))
+            terms.append((tuple(exps), coef))
+            if den % coef[2]:
+                den = lcm(den, coef[2])
+
+        def lift(coef):
+            # (numerators over den, m) of a coefficient read as (m, numerators, denominator)
+            coef_m, blades, d = coef
+            k = den // d
+            return (blades if k == 1 else {mask: v * k for mask, v in blades.items()}), coef_m
+
+        scope, pairs = cls._checked(m, scope, terms, lift)
+        poly = cls._built(m, scope, dict(pairs), den)
+        cls._decoded(poly._numerators, pairs, lambda key: f"monomial {key!r}")
+        return poly
 
     def _term_str(self, exps: Monomial, mv: Multivector) -> str:
         mono = "*".join(f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)

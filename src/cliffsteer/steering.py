@@ -271,7 +271,7 @@ class SteeringExpression(DiracOperand):
         return self._terms.get(sym, CliffordPolynomial.zero(self.m, range(2, self.m + 1)))
 
     def symbols(self) -> Tuple[SteeringSymbol, ...]:
-        return tuple(sym for sym, _ in self._ordered())
+        return tuple(sym for sym, _ in self._ordered(self._terms))
 
     # -- blade multiplication -------------------------------------------------------
 
@@ -338,21 +338,24 @@ class SteeringExpression(DiracOperand):
             "m": self.m,
             "terms": [
                 {"symbol": sym.to_obj(), "coef": poly.to_obj()}
-                for sym, poly in self._ordered()
+                for sym, poly in self._ordered(self._terms)
             ],
         }
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "SteeringExpression":
         """Decode a document: the JSON shapes are checked here, every rule of
-        an expression once, by the constructor."""
+        an expression once, by the constructor; each coefficient is decoded as
+        ``CliffordPolynomial.from_obj`` decodes it, as integers."""
         m = document_m(obj, "steering expression")
         pairs = []
         what = "steering expression term"
         for entry in json_list(obj.get("terms", []), "steering expression field 'terms'"):
             sym = SteeringSymbol.from_obj(json_field(entry, "symbol", what))
             pairs.append((sym, CliffordPolynomial.from_obj(json_field(entry, "coef", what))))
-        return cls(m, pairs)._decoded(pairs, lambda sym: f"symbol {sym}")
+        expr = cls(m, pairs)
+        cls._decoded(expr._terms, pairs, lambda sym: f"symbol {sym}")
+        return expr
 
     def _term_str(self, sym: SteeringSymbol, poly: CliffordPolynomial) -> str:
         return f"{sym}*({poly})"

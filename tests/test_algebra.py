@@ -1,8 +1,9 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cliffsteer.algebra import (
     Multivector,
@@ -10,6 +11,7 @@ from cliffsteer.algebra import (
     e1_sandwich,
     format_fraction,
     parse_fraction,
+    parse_ratio,
 )
 from cliffsteer.polynomials import CliffordPolynomial
 from cliffsteer.steering import SteeringExpression, SteeringSymbol
@@ -245,6 +247,62 @@ class TestConstructionAndJson:
         for text in ("1e5000", "2E3", "1.5e-2"):
             with pytest.raises(ValueError, match=f"'{text}' uses exponent notation"):
                 parse_fraction(text)
+
+
+def read_with(reader, raw):
+    """``reader(raw, "blade coefficient")`` as (numerator, denominator), or its
+    refusal as (exception type, message)."""
+    try:
+        value = reader(raw, "blade coefficient")
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return (value.numerator, value.denominator) if isinstance(value, Fraction) else value
+
+
+# the canonical spelling, anything drawn from the characters of the other
+# spellings, and the bare integers a JSON document may hold
+SPELLINGS = (
+    st.from_regex(r"-?[0-9]{1,8}/[0-9]{1,8}", fullmatch=True)
+    | st.text(alphabet="0123456789-+/._ eE\u0663", max_size=10)
+    | st.integers(min_value=-10**40, max_value=10**40)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(SPELLINGS)
+@example("2/4")
+@example("-0/1")
+@example("-6/0015")
+@example("+1/2")
+@example(" 1/2")
+@example("1_0/3")
+@example("1.5")
+@example("1/0")
+@example("0/0")
+@example("1e3")
+@example("\u0663/4")
+@example("1/2/3")
+@example("-/3")
+@example(True)
+@example(0.5)
+@example("9" * 4300 + "/1")
+@example("9" * 4301 + "/1")
+def test_the_integer_reader_agrees_with_parse_fraction(raw):
+    assert read_with(parse_ratio, raw) == read_with(parse_fraction, raw)
+
+
+def test_the_integer_reader_agrees_under_a_lower_digit_limit():
+    # a process may convert fewer digits than the default (PYTHONINTMAXSTRDIGITS)
+    raw = "7" * 700 + "/3"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        refused = read_with(parse_ratio, raw)
+        assert refused == read_with(parse_fraction, raw)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert refused[0] is ValueError
+    assert read_with(parse_ratio, raw) == (int("7" * 700), 3)
 
 
 # -- the shared term-map behaviour of all three value types ---------------------

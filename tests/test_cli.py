@@ -915,17 +915,24 @@ class TestParserReuse:
     def test_importing_the_cli_builds_no_parser(self):
         probe = "import cliffsteer.cli as c; print(c._parser.cache_info().currsize)"
         done = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=child_env(),
         )
         assert done.stdout == "0\n"
 
 
-def test_python_dash_m_runs_the_command_line():
+def child_env():
+    """This environment, with the package's source directory first on PYTHONPATH,
+    so that a child process imports the package whatever the caller set."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_python_dash_m_runs_the_command_line():
     done = subprocess.run(
         [sys.executable, "-m", "cliffsteer", "--help"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=child_env(),
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: cliffsteer ")

@@ -7,14 +7,16 @@ and one named stderr line.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliffsteer import algebra as algebra_module, polynomials as polynomials_module
 from cliffsteer.algebra import Multivector
 from cliffsteer.cli import main
-from cliffsteer.polynomials import CliffordPolynomial
-from cliffsteer.steering import SteeringExpression, SteeringSymbol
+from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
+from cliffsteer.steering import SteeringExpression, SteeringSymbol, construct_exp_left
 
 M = 4
 
@@ -86,6 +88,42 @@ def test_polynomial_round_trip(value):
 @given(dimensions(expressions))
 def test_expression_round_trip(value):
     assert_round_trip(value)
+
+
+def counted(calls: list, real):
+    """``real``, recording the arguments of each call in ``calls``."""
+
+    def call(*args):
+        calls.append(args)
+        return real(*args)
+
+    return call
+
+
+def test_a_document_through_construct_and_verify_makes_no_coefficient_fraction(
+    monkeypatch, tmp_path
+):
+    # coefficients are read as integers and written from the integer form: no
+    # coefficient goes through parse_fraction, and the polynomials module makes
+    # no Fraction; a symbol still reads its rate through parse_fraction, in steering
+    m = 4
+    seed = polyharmonic_basis(3, 2, m)[1] * Multivector.blade(m, (2, 3), Fraction(-3, 4))
+    seed = seed + polyharmonic_basis(2, 2, m)[0] * Fraction(5, 3)
+    paths = {name: tmp_path / f"{name}.json" for name in ("seed", "expr", "report")}
+    paths["seed"].write_text(json.dumps(seed.to_obj()))
+    made, parsed = [], []
+    monkeypatch.setattr(polynomials_module, "Fraction", counted(made, Fraction))
+    parse = counted(parsed, algebra_module.parse_fraction)
+    monkeypatch.setattr(algebra_module, "parse_fraction", parse)
+    construct = ["construct", "--family", "exp", "--n", "2", "--seed-file", str(paths["seed"])]
+    assert main([*construct, "--out", str(paths["expr"])]) == 0
+    verify = ["verify", "--op", "cr-left", "--n", "2", "--in", str(paths["expr"])]
+    assert main([*verify, "--out", str(paths["report"])]) == 0
+    assert (made, parsed) == ([], [])
+    monkeypatch.undo()
+    assert json.loads(paths["expr"].read_text()) == construct_exp_left(seed, 2).to_obj()
+    report = json.loads(paths["report"].read_text())
+    assert report["is_zero"] and report["term_count"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -556,7 +556,9 @@ def test_a_zero_residual_makes_no_fraction(monkeypatch):
     assert report.is_zero and report.term_count == 0
     assert d_equation_residual(eigen, [1, Fraction(3, 2)]).is_zero
     assert made == []
-    f.to_obj()
+    f.to_obj()  # written from the integer form
+    assert made == []
+    str(f)
     assert made
 
 

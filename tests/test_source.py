@@ -17,7 +17,8 @@ a symbol: equal symbols are one object, which identity equality relies on.
 In ``verify.py`` one function, ``residual``, makes every Dirac pass and every
 combine: each operator is a preset of its terms.
 Each rule a polynomial or expression constructor checks is written in one
-function body: the decoders build through the constructors; package-wide,
+function body: the polynomial decoder checks through the constructor's
+``_checked`` and the expression decoder builds through its constructor; package-wide,
 one function checks the side of a Dirac-type operator, one names
 ``MIN_GENERATORS`` and one words an integer bound.  Every name the package
 root exports is used by the package, the benchmark or the tools, with two

@@ -25,7 +25,13 @@ the free slots 0..2o-1 for up to six steps, where the first stops at four.  The
 exit code and stdout bytes of each emitting subcommand on fixed arguments
 (``SUBCOMMANDS``: ``coeffs``, ``basis``, ``appell``, a criterion-10 ``dsolve``
 spec, ``construct``, and ``verify`` with every operator on the constructed
-document) and the document ``construct`` wrote.
+document) and the document ``construct`` wrote.  The ``refusals`` line digests
+the exit code, stdout and stderr of ``construct``, of ``verify`` and of
+``verify`` on an expression with the document as its one coefficient, for
+each document of ``refusal_documents``: the ``construct`` seed with one
+coefficient spelled in each way a reader may meet (accepted or refused), or
+with one fault of a polynomial's terms, or with three faults, which pins the
+refusal that comes first.
 
 ``--base REV`` computes the same lines in a child process on the committed
 files of REV (``git archive``, unpacked in a temporary directory, as
@@ -99,6 +105,65 @@ SUBCOMMANDS = [
 ]
 
 
+_EXP = {"bar": False, "kind": "powexp", "power": 0, "rate": "1/1"}
+# the spellings of _SEED's first coefficient, 1, in the refusals line: the one the
+# writers use, others a reader accepts, and each refused kind
+_SPELLINGS = ["1/1", "2/4", "-0/1", "+1/2", " 1/2", "1_0/3", "1.5", "1/0", "1e3", "\u0663/4", 7,
+              "9" * 4301 + "/1"]
+
+
+def _blades(*terms, m: int = 4) -> dict:
+    return {"m": m, "terms": [{"blades": blades, "coef": coef} for blades, coef in terms]}
+
+
+def refusal_documents(tiny: bool = False) -> list:
+    """(name, polynomial document) pairs: ``_SEED`` with its first coefficient
+    spelled each way of ``_SPELLINGS``, then with one fault of its terms each,
+    then with three faults, where the zero blade is refused first, as every
+    coefficient is read before a rule of the polynomial is checked and the
+    repeated monomial last; ``tiny`` keeps the first four."""
+    first, *rest = _SEED["terms"]
+    docs = [(f"coef {str(spelling)[:12]}", {**_SEED, "terms": [
+        {"monomial": first["monomial"], "coef": _blades(([2], spelling))}, *rest
+    ]}) for spelling in _SPELLINGS]
+    faults = {
+        "repeated blade": [{**first, "coef": _blades(([2], "1"), ([2], "1"))}],
+        "zero blade": [{**first, "coef": _blades(([2], "1"), ([3], "0/5"))}],
+        "repeated monomial": [first, first],
+        "empty coefficient": [{**first, "coef": _blades()}],
+        "exponent outside vars": [first, {"monomial": {"0": 1}, "coef": _blades(([2], "1"))}],
+        "negative exponent": [first, {"monomial": {"3": -1}, "coef": _blades(([2], "1"))}],
+        "coefficient m": [{**first, "coef": _blades(([2], "1"), m=5)}],
+        "three faults": [
+            first, first, {"monomial": {"0": 1}, "coef": _blades(([2], "1"))},
+            {"monomial": {"4": 1}, "coef": _blades(([2], "1"), ([3], "0/1"))},
+        ],
+    }
+    docs += [(name, {**_SEED, "terms": terms + rest}) for name, terms in faults.items()]
+    return docs[:4] if tiny else docs
+
+
+def refusal_outcomes(cs, documents: list) -> list:
+    """``[name, command, input, exit code, stdout, stderr]`` of ``construct --family exp``
+    on each document, of ``verify --op cr-left`` on it, and of the same verify
+    on the expression exp(z) times it."""
+    parts = []
+    with tempfile.TemporaryDirectory() as workdir:
+        seed, expr = Path(workdir) / "seed.json", Path(workdir) / "expr.json"
+        for name, doc in documents:
+            seed.write_text(json.dumps(doc), encoding="ascii")
+            expr_doc = {"m": doc["m"], "terms": [{"symbol": _EXP, "coef": doc}]}
+            expr.write_text(json.dumps(expr_doc), encoding="ascii")
+            for command, path in (("construct", seed), ("verify", seed), ("verify", expr)):
+                flags = ["--family", "exp", "--seed-file"] if command == "construct" else [
+                    "--op", "cr-left", "--in"]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cs.cli.main([command, *flags, str(path)])
+                parts.append([name, command, path.stem, code, out.getvalue(), err.getvalue()])
+    return parts
+
+
 def load(tree: Path):
     """``cliffsteer`` from ``tree/src`` and ``perfbench.workloads`` from ``tree``."""
     sys.path[:0] = [str(tree / "src"), str(tree)]
@@ -130,8 +195,9 @@ def _digest(parts) -> str:
 
 def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
     """One line per workload and seed, one each for Appell, symbols and the
-    suite, and two for the kernel bases; ``tiny`` shrinks every workload, each
-    grid and the suite, for a quick self-test."""
+    suite, two for the kernel bases and one for the refusals; ``tiny`` shrinks
+    every workload, each grid, the suite and the refusals, for a quick
+    self-test."""
     lines = []
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -164,6 +230,9 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
                  for m in ms for d in degrees for o in orders]
         span = f"m {ms[0]}..{ms[-1]} d {degrees[0]}..{degrees[-1]} o {orders[0]}..{orders[-1]}"
         lines.append(f"basis {span} {_digest(basis)}")
+    documents = refusal_documents(tiny)
+    lines.append(f"refusals {len(documents)} documents "
+                 f"{_digest(refusal_outcomes(cs, documents))}")
     return lines
 
 
@@ -225,7 +294,7 @@ def subcommand_outcomes(cs) -> list:
 
 def all_lines(tree: Path) -> list[str]:
     """Every digest line of the tree: workloads, Appell, symbols, suite, kernel
-    bases and subcommands."""
+    bases, refusals and subcommands."""
     cs, workloads = load(tree)
     return [*digest_lines(cs, workloads), f"subcommands {_digest(subcommand_outcomes(cs))}"]
 
