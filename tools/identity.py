@@ -112,6 +112,14 @@ _SPELLINGS = ["1/1", "2/4", "-0/1", "+1/2", " 1/2", "1_0/3", "1.5", "1/0", "1e3"
               "9" * 4301 + "/1"]
 
 
+# the commands of the refusals line, each with the input it reads
+_REFUSAL_RUNS = (
+    (["construct", "--family", "exp", "--seed-file"], "seed"),
+    (["verify", "--op", "cr-left", "--in"], "seed"),
+    (["verify", "--op", "cr-left", "--in"], "expr"),
+)
+
+
 def _blades(*terms, m: int = 4) -> dict:
     return {"m": m, "terms": [{"blades": blades, "coef": coef} for blades, coef in terms]}
 
@@ -119,9 +127,10 @@ def _blades(*terms, m: int = 4) -> dict:
 def refusal_documents(tiny: bool = False) -> list:
     """(name, polynomial document) pairs: ``_SEED`` with its first coefficient
     spelled each way of ``_SPELLINGS``, then with one fault of its terms each,
-    then with three faults, where the zero blade is refused first, as every
-    coefficient is read before a rule of the polynomial is checked and the
-    repeated monomial last; ``tiny`` keeps the first four."""
+    then with three: a repeated monomial, x0 outside ``vars`` and a zero blade
+    in the last term.  Every term is read before the polynomial's rules are
+    checked and repeats are refused last, so the zero blade is named; ``tiny``
+    keeps the first four documents."""
     first, *rest = _SEED["terms"]
     docs = [(f"coef {str(spelling)[:12]}", {**_SEED, "terms": [
         {"monomial": first["monomial"], "coef": _blades(([2], spelling))}, *rest
@@ -144,23 +153,21 @@ def refusal_documents(tiny: bool = False) -> list:
 
 
 def refusal_outcomes(cs, documents: list) -> list:
-    """``[name, command, input, exit code, stdout, stderr]`` of ``construct --family exp``
-    on each document, of ``verify --op cr-left`` on it, and of the same verify
-    on the expression exp(z) times it."""
+    """``[name, command, input, exit code, stdout, stderr]`` of each
+    ``_REFUSAL_RUNS`` command on each document (``seed``) and on the expression
+    exp(z) times it (``expr``)."""
     parts = []
     with tempfile.TemporaryDirectory() as workdir:
-        seed, expr = Path(workdir) / "seed.json", Path(workdir) / "expr.json"
+        paths = {stem: Path(workdir) / f"{stem}.json" for stem in ("seed", "expr")}
         for name, doc in documents:
-            seed.write_text(json.dumps(doc), encoding="ascii")
-            expr_doc = {"m": doc["m"], "terms": [{"symbol": _EXP, "coef": doc}]}
-            expr.write_text(json.dumps(expr_doc), encoding="ascii")
-            for command, path in (("construct", seed), ("verify", seed), ("verify", expr)):
-                flags = ["--family", "exp", "--seed-file"] if command == "construct" else [
-                    "--op", "cr-left", "--in"]
+            expr = {"m": doc["m"], "terms": [{"symbol": _EXP, "coef": doc}]}
+            for stem, written in (("seed", doc), ("expr", expr)):
+                paths[stem].write_text(json.dumps(written), encoding="ascii")
+            for argv, stem in _REFUSAL_RUNS:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cs.cli.main([command, *flags, str(path)])
-                parts.append([name, command, path.stem, code, out.getvalue(), err.getvalue()])
+                    code = cs.cli.main([*argv, str(paths[stem])])
+                parts.append([name, argv[0], stem, code, out.getvalue(), err.getvalue()])
     return parts
 
 
