@@ -208,12 +208,14 @@ class CliffordPolynomial(DiracOperand):
         return self._terms.get((0,) * (self.m + 1), Multivector.zero(self.m))
 
     def restrict_scope(self, scope: Iterable[int]) -> "CliffordPolynomial":
-        """Re-declare the variable scope, failing if the content does not fit."""
+        """Re-declare the scope on the integer form, failing if the content does not fit."""
         scope = frozenset(scope)
         if scope == self.var_scope:
             # every constructor keeps the monomials inside var_scope
             return self
-        return CliffordPolynomial(self.m, self._terms, var_scope=scope)
+        numerators, den = _form(self)
+        scope, pairs = self._checked(self.m, scope, numerators.items(), lambda b: (b, self.m))
+        return CliffordPolynomial._built(self.m, scope, dict(pairs), den)
 
     # -- ring structure ----------------------------------------------------------
 
@@ -373,12 +375,13 @@ class NumeratorForm:
     def build(self):
         """The object of ``f``'s type and scope holding this form."""
         f, den = self.f, self.den
+        terms = {} if self.is_zero() else self.terms  # a zero form builds at once
         if isinstance(f, CliffordPolynomial):
-            return CliffordPolynomial._built(f.m, f.var_scope, self.terms.get(None, {}), den)
+            return CliffordPolynomial._built(f.m, f.var_scope, terms.get(None, {}), den)
         y = frozenset(range(2, f.m + 1))
         polys = {
             sym: CliffordPolynomial._built(f.m, y, monos, den)
-            for sym, monos in self.terms.items()
+            for sym, monos in terms.items()
         }
         return type(f)._unsafe(f.m, {sym: poly for sym, poly in polys.items() if poly})
 
@@ -441,22 +444,24 @@ class NumeratorForm:
                 break
             rates = () if y_only else (s.rate.denominator for s in form.terms if s is not None)
             rate_den = lcm(*rates)
-            # e_j d/dx_j as (multiplier, flip bit, parity selector, lands on the
-            # flipped symbol); d/dx_0 flips nothing
-            gens = {} if y_only else {0: (rate_den, 0, 0, False)}
+            # e_j d/dx_j as (j, multiplier, flip bit, parity selector, 1 if it lands
+            # on the bar-flipped symbol); d/dx_0 flips nothing
+            gens = [] if y_only else [(0, rate_den, 0, 0, 0)]
             for j in range(2 if y_only else 1, m + 1):
                 bit = 1 << (j - 1)
-                gens[j] = (sign * rate_den, bit, bit * 2 - 1 if left else full ^ (bit - 1), j > 1)
+                sel = bit * 2 - 1 if left else full ^ (bit - 1)
+                gens.append((j, sign * rate_den, bit, sel, int(j > 1)))
             # out symbol -> lowered monomial -> blade -> numerator over the denominator
             acc: dict = {}
             for sym, monos in form.terms.items():
                 if not monos:
                     continue
-                # the symbol e_j d/dx_j lands on, without and with a bar flip; an
-                # entry is made on its first write, as many symbols get no term
-                flipped = sym.conjugate() if sym is not None and left else sym
-                # (out symbol's monomials, multiplier, flip bit, parity selector) of
-                # d/dx_0 and e_1 d/dx_1 on the symbol; the monomial stays
+                # the symbols e_j d/dx_j lands on, without and with a bar flip, and
+                # their output maps, each made on its first write, as many get no term
+                keys = (sym, sym.conjugate() if sym is not None and left else sym)
+                maps = [None, None]
+                # (out symbol's monomials, multiplier, parity selector) of d/dx_0 and
+                # e_1 d/dx_1 on the symbol; the monomial and the blade stay
                 sym_actions = []
                 if sym is not None and not y_only:
                     x1_sign = sign if sym.bar else -sign
@@ -464,31 +469,37 @@ class NumeratorForm:
                         n = q.numerator * (rate_den // q.denominator)
                         if not left:
                             out = acc.setdefault(dsym, {})
-                            sym_actions += [(out, n, 0, 0), (out, x1_sign * n, 0, full ^ 1)]
+                            sym_actions += [(out, n, 0), (out, x1_sign * n, full ^ 1)]
                         elif x1_sign > 0:  # one action, 2 d/dz-bar, or none at all
-                            sym_actions.append((acc.setdefault(dsym, {}), 2 * n, 0, 0))
+                            sym_actions.append((acc.setdefault(dsym, {}), 2 * n, 0))
                 for exps, blades in monos.items():
-                    if not any(blades.values()):  # a zero monomial gets no output entries
+                    nonzero = blades.items()
+                    if 0 in blades.values():
+                        nonzero = [(mask, c) for mask, c in nonzero if c]
+                    if not nonzero:  # a zero monomial gets no output entries
                         continue
-                    actions = [(out.setdefault(exps, {}), n, b, s) for out, n, b, s in sym_actions]
-                    for j, (n, bit, sel, flips) in gens.items():
-                        k = exps[j]
-                        if k:
-                            out = acc.setdefault(flipped if flips else sym, {}).setdefault(
-                                exps[:j] + (k - 1,) + exps[j + 1 :], {}
-                            )
-                            actions.append((out, k * n, bit, sel))
-                    if not actions:
-                        continue
-                    for mask, c in blades.items():
-                        if not c:
-                            continue
-                        for target, n, bit, sel in actions:
+                    for out, n, sel in sym_actions:
+                        target = out.setdefault(exps, {})
+                        for mask, c in nonzero:
                             v = c * n
                             if (mask & sel).bit_count() & 1:
                                 v = -v
-                            out_mask = mask ^ bit
-                            target[out_mask] = target.get(out_mask, 0) + v
+                            target[mask] = target.get(mask, 0) + v
+                    for j, n, bit, sel, flips in gens:
+                        k = exps[j]
+                        if not k:
+                            continue
+                        out = maps[flips]
+                        if out is None:
+                            out = maps[flips] = acc.setdefault(keys[flips], {})
+                        target = out.setdefault(exps[:j] + (k - 1,) + exps[j + 1 :], {})
+                        n *= k
+                        for mask, c in nonzero:
+                            v = c * n
+                            if (mask & sel).bit_count() & 1:
+                                v = -v
+                            mask ^= bit
+                            target[mask] = target.get(mask, 0) + v
             form = NumeratorForm(self.f, acc, form.den * rate_den)
         return form
 

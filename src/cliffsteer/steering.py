@@ -60,7 +60,7 @@ from .algebra import (
     integer_in,
     json_field,
     json_list,
-    parse_fraction,
+    parse_ratio,
     quoted,
 )
 from .polynomials import CliffordPolynomial, DiracOperand, NumeratorForm
@@ -217,7 +217,7 @@ class SteeringSymbol:
             json_field(obj, "kind", "steering symbol document"),
             bar=obj.get("bar", False),
             power=obj.get("power", 0),
-            rate=parse_fraction(obj.get("rate", 0), "symbol rate"),
+            rate=Fraction(*parse_ratio(obj.get("rate", 0), "symbol rate")),
         )
 
     def __str__(self) -> str:
@@ -472,12 +472,17 @@ def _conjugate_side(sym: SteeringSymbol, order: int) -> tuple:
     return tuple((target, tuple(parts)) for target, parts in out.items())
 
 
-def _steering_terms(pairs: Sequence[tuple]) -> list:
+def _steering_terms(pairs: Sequence[tuple], two_sided: bool = False) -> list:
     # (symbol, A) and the conjugate side of each (symbol, nonzero powers A, laplacian_y A,
     # ..) pair: chain[k-1] at link k, one sum over one denominator per target and one
-    # Dirac pass on it; a zero seed's chain is empty, and it costs nothing
+    # Dirac pass on it; a zero seed's chain is empty, and it costs nothing.  A two-sided
+    # pair holds the forms of M and e1 M e1 instead: A = M - e1 M e1 is summed by the
+    # same rule and built once, and its form is the chain
     terms, parts = [], {}
     for sym, chain in pairs:
+        if two_sided:
+            power = NumeratorForm.combine(chain[0].f, [(chain[0], 1), (chain[1], -1)])
+            chain = [] if power.is_zero() else [NumeratorForm(power.build())]
         if not chain:
             continue
         terms.append((sym, chain[0].f))
@@ -522,9 +527,8 @@ def _construct(z_side: Sequence[tuple], order: int = 1, side: str = "left") -> S
             pairs.append((sym, _require_polyharmonic(seed, order, what)))
         else:
             _require_monogenic(seed, "right", what)
-            seed = seed - e1_sandwich(seed)
-            pairs.append((sym, [NumeratorForm(seed)] if seed else []))
-    return SteeringExpression(m, _steering_terms(pairs))
+            pairs.append((sym, [NumeratorForm(seed), NumeratorForm(e1_sandwich(seed))]))
+    return SteeringExpression(m, _steering_terms(pairs, side == "both"))
 
 
 def construct_exp_left(seed: CliffordPolynomial, order: int) -> SteeringExpression:

@@ -6,14 +6,16 @@ malformed document below is refused through the command line with exit 2
 and one named stderr line.
 """
 
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffsteer import algebra as algebra_module, polynomials as polynomials_module
-from cliffsteer.algebra import Multivector
+from cliffsteer.algebra import Multivector, parse_fraction
 from cliffsteer.cli import main
 from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
 from cliffsteer.steering import SteeringExpression, SteeringSymbol, construct_exp_left
@@ -103,9 +105,9 @@ def counted(calls: list, real):
 def test_a_document_through_construct_and_verify_makes_no_coefficient_fraction(
     monkeypatch, tmp_path
 ):
-    # coefficients are read as integers and written from the integer form: no
-    # coefficient goes through parse_fraction, and the polynomials module makes
-    # no Fraction; a symbol still reads its rate through parse_fraction, in steering
+    # coefficients and symbol rates are read as integers and written from the
+    # integer form: nothing goes through parse_fraction, and the polynomials
+    # module makes no Fraction
     m = 4
     seed = polyharmonic_basis(3, 2, m)[1] * Multivector.blade(m, (2, 3), Fraction(-3, 4))
     seed = seed + polyharmonic_basis(2, 2, m)[0] * Fraction(5, 3)
@@ -124,6 +126,51 @@ def test_a_document_through_construct_and_verify_makes_no_coefficient_fraction(
     assert json.loads(paths["expr"].read_text()) == construct_exp_left(seed, 2).to_obj()
     report = json.loads(paths["report"].read_text())
     assert report["is_zero"] and report["term_count"] == 0
+
+
+def test_a_coefficient_of_wider_scope_decodes_into_an_expression_without_fractions(
+    monkeypatch
+):
+    # an expression re-declares each coefficient's scope as x2..xm on the integer form
+    seed = polyharmonic_basis(3, 2, M)[1] * Multivector.blade(M, (2, 3), Fraction(-3, 4))
+    coef = {**seed.to_obj(), "vars": list(range(M + 1))}
+    sym = SteeringSymbol.power_exp(0, 1)
+    doc = {"m": M, "terms": [{"symbol": sym.to_obj(), "coef": coef}]}
+    made = []
+    monkeypatch.setattr(polynomials_module, "Fraction", counted(made, Fraction))
+    expr = SteeringExpression.from_obj(doc)
+    assert made == []
+    monkeypatch.undo()
+    assert expr.coefficient(sym).var_scope == frozenset(range(2, M + 1))
+    assert expr == SteeringExpression(M, [(sym, seed)])
+    assert expr.to_obj() == {**doc, "terms": [{**doc["terms"][0], "coef": seed.to_obj()}]}
+    outside = {**doc, "terms": [{**doc["terms"][0], "coef": (
+        CliffordPolynomial.variable(M, 1) * Multivector.blade(M, (2,))).to_obj()}]}
+    with pytest.raises(ValueError, match="^monomial uses x1 outside the declared variable scope$"):
+        SteeringExpression.from_obj(outside)
+
+
+def _identity_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_symbol_rate_is_read_as_parse_fraction_reads_it():
+    # each spelling the refusals line writes as a coefficient, as a symbol rate: the
+    # same symbol as from parse_fraction's value, or the same exception and text
+    for spelling in _identity_tool()._SPELLINGS:
+        doc = {"kind": "powexp", "bar": True, "power": 1, "rate": spelling}
+        try:
+            expected = SteeringSymbol.power_exp(1, parse_fraction(spelling, "symbol rate"), True)
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as refused:
+                SteeringSymbol.from_obj(doc)
+            assert str(refused.value) == str(exc), spelling
+        else:
+            assert SteeringSymbol.from_obj(doc) is expected, spelling
 
 
 # ---------------------------------------------------------------------------

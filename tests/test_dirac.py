@@ -574,6 +574,27 @@ def test_a_zero_monomial_gets_no_output_entries():
                 assert not any(out.terms.values())
 
 
+def test_a_zero_form_builds_the_zero_value_of_its_type_and_scope(monkeypatch):
+    # a form whose every numerator is zero builds its zero value at once: no
+    # polynomial is built for a symbol, nor from a polynomial's numerator map
+    m = 4
+    scope = frozenset({0, 2, 3})
+    sym, other = SteeringSymbol.power_exp(0, 1), SteeringSymbol.cosine(Fraction(3, 2), bar=True)
+    numerators = {(1, 0, 1, 0, 0): {0: 0, 5: 0}, (0, 0, 0, 0, 0): {}}
+    built = []
+    real = CliffordPolynomial._built
+    monkeypatch.setattr(CliffordPolynomial, "_built",
+                        classmethod(lambda cls, *args: built.append(args[2]) or real(*args)))
+    poly = NumeratorForm(CliffordPolynomial.zero(m, scope), {None: numerators}, 3).build()
+    expr = NumeratorForm(SteeringExpression(m), {sym: numerators, other: {}}, 2).build()
+    assert built == [{}]
+    assert type(poly) is CliffordPolynomial and type(expr) is SteeringExpression
+    assert not poly and not expr and len(poly) == len(expr) == 0
+    assert poly.var_scope == scope
+    assert poly.to_obj() == CliffordPolynomial.zero(m, scope).to_obj()
+    assert expr.to_obj() == SteeringExpression(m).to_obj()
+
+
 # -- the one form ----------------------------------------------------------------
 
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffsteer import steering
-from cliffsteer.algebra import Multivector
+from cliffsteer.algebra import Multivector, e1_sandwich
 from cliffsteer.polynomials import CliffordPolynomial, polyharmonic_basis
 from cliffsteer.polynomials import NumeratorForm
 from cliffsteer.steering import (
@@ -760,6 +761,51 @@ def _right_monogenic_pair(m):
     return first, second
 
 
+@st.composite
+def two_sided_seeds(draw):
+    # two or three right monogenic seeds at one m in 3..6: a constant times the right
+    # y-Dirac derivative of a harmonic polynomial with Clifford coefficients.  A
+    # scalar-coefficient harmonic with a unit factor gives M - e1 M e1 = 0
+    m = draw(st.integers(min_value=3, max_value=6))
+    masks = st.integers(min_value=0, max_value=(1 << m) - 1)
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    constants = st.dictionaries(masks, rationals, min_size=1, max_size=3).map(
+        lambda terms: Multivector(m, terms)
+    )
+    seeds = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        basis = polyharmonic_basis(draw(st.integers(min_value=1, max_value=3)), 1, m)
+        picks = st.lists(st.sampled_from(basis), min_size=1, max_size=2, unique_by=id)
+        h = CliffordPolynomial.zero(m, range(2, m + 1))
+        for b in draw(picks):
+            h = h + b * draw(st.one_of(st.just(Multivector.scalar(m, 1)), constants))
+        seeds.append(draw(st.one_of(st.just(Multivector.scalar(m, 1)), constants))
+                     * h.dirac_y("right"))
+    return seeds
+
+
+def _two_sided_reference(family, seeds):
+    # the order-1 construction on A = M - e1 M e1 in Fraction arithmetic: each seed
+    # term phi(z) A and c_1 (I phi)(zb) dy A, c_1 = -1/2, I the antiderivative in z:
+    # exp -> exp, cos -> sin, sin -> -cos and z^k -> z^(k+1)/(k+1)
+    diffs = [seed - e1_sandwich(seed) for seed in seeds]
+    if family == "exp":
+        pairs = [(EXP_Z, EXP_ZBAR, Fraction(-1, 2))]
+    elif family == "trig":
+        cos, sin = SteeringSymbol.cosine(1), SteeringSymbol.sine(1)
+        pairs = [(cos, sin.conjugate(), Fraction(-1, 2)), (sin, cos.conjugate(), Fraction(1, 2))]
+    else:
+        pairs = [
+            (SteeringSymbol.power_exp(k), SteeringSymbol.power_exp(k + 1, bar=True),
+             Fraction(-1, 2 * (k + 1)))
+            for k in range(len(seeds))
+        ]
+    terms = []
+    for (sym, target, weight), a in zip(pairs, diffs):
+        terms += [(sym, a), (target, _dy(a) * weight)]
+    return SteeringExpression(seeds[0].m, terms)
+
+
 class TestTwoSidedConstructor:
     def test_exponential_example(self):
         seed = (x(M, 2, yonly=True) + ymono(M, {3: 1}, e(M, 2, 3))) * Fraction(1, 2)
@@ -815,6 +861,14 @@ class TestTwoSidedConstructor:
             assert tail
             terms.append((SteeringSymbol.power_exp(k, bar=True), tail))
         assert construct_two_sided("power", seeds) == SteeringExpression(M, terms)
+
+    @given(two_sided_seeds())
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_a_fraction_reference(self, seeds):
+        for family, arg in (("exp", seeds[0]), ("trig", seeds[:2]), ("power", seeds)):
+            got = construct_two_sided(family, arg)
+            assert got == _two_sided_reference(family, seeds)
+            assert got.to_obj() == _two_sided_reference(family, seeds).to_obj()
 
     def test_rejects_non_right_monogenic_seed(self):
         with pytest.raises(ValueError, match="right monogenic"):

@@ -31,7 +31,12 @@ the exit code, stdout and stderr of ``construct``, of ``verify`` and of
 each document of ``refusal_documents``: the ``construct`` seed with one
 coefficient spelled in each way a reader may meet (accepted or refused), or
 with one fault of a polynomial's terms, or with three faults, which pins the
-refusal that comes first.
+refusal that comes first.  The ``kernel`` line digests ``NumeratorForm.dirac``
+on seeded integer forms at m 2..7 (``kernel_outcomes``): every side, sign 1
+and -1, with and without ``y_only``, times 1..3, each output's denominator
+and built document.  The ``two-sided`` line digests ``construct_two_sided``
+for each family at m 3, 5 and 7 on seeds where M - e1 M e1 is zero and where
+it is not (``two_sided_outcomes``), with both Cauchy-Riemann reports.
 
 ``--base REV`` computes the same lines in a child process on the committed
 files of REV (``git archive``, unpacked in a temporary directory, as
@@ -47,6 +52,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -171,6 +177,93 @@ def refusal_outcomes(cs, documents: list) -> list:
     return parts
 
 
+# generator counts of the kernel line, and of the two-sided line
+KERNELS = range(2, 8)
+TINY_KERNELS = range(2, 4)
+TWO_SIDED = (3, 5, 7)
+TINY_TWO_SIDED = (3,)
+
+
+def _monomials(rng, m: int, first: int, count: int) -> dict:
+    """``count`` seeded monomials over x_first..x_m, each with up to three
+    blade numerators in -5..5, then one whose numerators are all zero."""
+    out = {}
+    for _ in range(count):
+        exps = tuple(rng.randint(0, 2) if i >= first else 0 for i in range(m + 1))
+        masks = rng.sample(range(1 << m), 3)
+        out[exps] = {mask: rng.randint(-5, 5) for mask in masks}
+    out[(0,) * first + (1,) * (m + 1 - first)] = {0: 0, (1 << m) - 1: 0}
+    return out
+
+
+def kernel_outcomes(cs, ms) -> list:
+    """``[m, kind, side, sign, y_only, times, den, document]`` of
+    ``NumeratorForm.dirac`` on a seeded polynomial form and a seeded expression
+    form at each m of ``ms``, for both sides, sign 1 and -1, with and without
+    ``y_only``, and times 1..3.  The expression's symbols are barred and
+    unbarred at rates 0, 1, -2 and 3/2, and each form holds one monomial whose
+    numerators are all zero.  Two small expression forms more pin which output
+    entries a pass makes, through the next pass's denominator.  The document is
+    the built output's."""
+    form_of = cs.polynomials.NumeratorForm
+    kinds = [("powexp", p, r) for p in range(3) for r in (0, 1, -2, Fraction(3, 2))]
+    kinds += [(kind, 0, r) for kind in ("cos", "sin") for r in (1, Fraction(3, 2))]
+    parts = []
+    for m in ms:
+        rng = random.Random(f"kernel:{m}")
+        poly = (cs.CliffordPolynomial.zero(m), {None: _monomials(rng, m, 0, 4)})
+        symbols = [cs.SteeringSymbol(kind, bar, p, r)
+                   for kind, p, r in kinds for bar in (False, True)]
+        expr = (cs.SteeringExpression.zero(m),
+                {sym: _monomials(rng, m, 2, 2) for sym in rng.sample(symbols, 5)})
+        # a second pass's denominator shows which symbols the first made an entry
+        # for: sin(3/2 z) with only a constant monomial, which no e_j d/dx_j writes,
+        # and cos(3/2 zb) with only a zero monomial, whose d/dz-bar target is made
+        x2, one, zero = (0, 0, 1) + (0,) * (m - 2), (0,) * (m + 1), (0, 0) + (1,) * (m - 1)
+        exp_z = {cs.SteeringSymbol("powexp", False, 0, 1): {x2: {0: 1}}}
+        sin_z = {cs.SteeringSymbol("sin", False, 0, Fraction(3, 2)): {one: {1: 3}}}
+        cos_zb = {cs.SteeringSymbol("cos", True, 0, Fraction(3, 2)): {zero: {0: 0}}}
+        forms = [("polynomial", poly), ("expression", expr),
+                 ("constant", (expr[0], {**exp_z, **sin_z})),
+                 ("zero", (expr[0], {**exp_z, **cos_zb}))]
+        for kind, (f, terms) in forms:
+            form = form_of(f, terms, rng.randint(1, 6))
+            for side in ("left", "right"):
+                for sign in (1, -1):
+                    for y_only in (False, True):
+                        for times in (1, 2, 3):
+                            out = form.dirac(side, sign, y_only, times)
+                            parts.append([m, kind, side, sign, y_only, times, out.den,
+                                          out.build().to_obj()])
+    return parts
+
+
+def two_sided_outcomes(cs, ms) -> list:
+    """The document and the left and right Cauchy-Riemann reports of
+    ``construct_two_sided`` for each family at each m of ``ms``, on seeded
+    right monogenic seeds: y-Dirac derivatives M of scalar harmonics, odd in
+    e2..em, so that M - e1 M e1 is zero, and e2 M, for which it is not."""
+    parts = []
+    for m in ms:
+        rng = random.Random(f"two-sided:{m}")
+        y = range(2, m + 1)
+        harmonic = cs.polyharmonic_basis(3, 1, m)
+        zero_diff = []
+        for _ in range(2):
+            h = cs.CliffordPolynomial.zero(m, y)
+            for b in rng.sample(harmonic, 2):
+                h = h + b * Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+            zero_diff.append(h.dirac_y("left"))
+        e2 = cs.Multivector.blade(m, (2,))
+        nonzero_diff = [e2 * s for s in zero_diff]
+        for seeds in (zero_diff, nonzero_diff, [zero_diff[0], nonzero_diff[1]]):
+            for family, arg in (("exp", seeds[0]), ("trig", tuple(seeds)), ("power", seeds)):
+                f = cs.construct_two_sided(family, arg)
+                reports = [cs.n_monogenic_residual(f, 1, side) for side in ("left", "right")]
+                parts.append([m, family, f.to_obj(), *(r.to_obj() for r in reports)])
+    return parts
+
+
 def load(tree: Path):
     """``cliffsteer`` from ``tree/src`` and ``perfbench.workloads`` from ``tree``."""
     sys.path[:0] = [str(tree / "src"), str(tree)]
@@ -202,8 +295,9 @@ def _digest(parts) -> str:
 
 def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
     """One line per workload and seed, one each for Appell, symbols and the
-    suite, two for the kernel bases and one for the refusals; ``tiny`` shrinks
-    every workload, each grid, the suite and the refusals, for a quick
+    suite, two for the kernel bases, one for the refusals and one each for the
+    Dirac kernel and the two-sided construction; ``tiny`` shrinks every
+    workload, each grid, the suite, the refusals and the last two, for a quick
     self-test."""
     lines = []
     for name in workloads.WORKLOADS:
@@ -240,6 +334,10 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
     documents = refusal_documents(tiny)
     lines.append(f"refusals {len(documents)} documents "
                  f"{_digest(refusal_outcomes(cs, documents))}")
+    ms = TINY_KERNELS if tiny else KERNELS
+    lines.append(f"kernel m {ms[0]}..{ms[-1]} {_digest(kernel_outcomes(cs, ms))}")
+    ms = TINY_TWO_SIDED if tiny else TWO_SIDED
+    lines.append(f"two-sided m {','.join(map(str, ms))} {_digest(two_sided_outcomes(cs, ms))}")
     return lines
 
 
@@ -301,7 +399,7 @@ def subcommand_outcomes(cs) -> list:
 
 def all_lines(tree: Path) -> list[str]:
     """Every digest line of the tree: workloads, Appell, symbols, suite, kernel
-    bases, refusals and subcommands."""
+    bases, refusals, Dirac kernel, two-sided and subcommands."""
     cs, workloads = load(tree)
     return [*digest_lines(cs, workloads), f"subcommands {_digest(subcommand_outcomes(cs))}"]
 
