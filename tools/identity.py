@@ -185,8 +185,8 @@ TINY_TWO_SIDED = (3,)
 
 
 def _monomials(rng, m: int, first: int, count: int) -> dict:
-    """``count`` seeded monomials over x_first..x_m, each with up to three
-    blade numerators in -5..5, then one whose numerators are all zero."""
+    """``count`` seeded monomials over x_first..x_m, each with numerators in
+    -5..5 on three blades, then one whose numerators are all zero."""
     out = {}
     for _ in range(count):
         exps = tuple(rng.randint(0, 2) if i >= first else 0 for i in range(m + 1))
@@ -197,7 +197,7 @@ def _monomials(rng, m: int, first: int, count: int) -> dict:
 
 
 def kernel_outcomes(cs, ms) -> list:
-    """``[m, kind, side, sign, y_only, times, den, document]`` of
+    """``[m, form, side, sign, y_only, times, den, document]`` of
     ``NumeratorForm.dirac`` on a seeded polynomial form and a seeded expression
     form at each m of ``ms``, for both sides, sign 1 and -1, with and without
     ``y_only``, and times 1..3.  The expression's symbols are barred and
@@ -226,14 +226,14 @@ def kernel_outcomes(cs, ms) -> list:
         forms = [("polynomial", poly), ("expression", expr),
                  ("constant", (expr[0], {**exp_z, **sin_z})),
                  ("zero", (expr[0], {**exp_z, **cos_zb}))]
-        for kind, (f, terms) in forms:
+        for name, (f, terms) in forms:
             form = form_of(f, terms, rng.randint(1, 6))
             for side in ("left", "right"):
                 for sign in (1, -1):
                     for y_only in (False, True):
                         for times in (1, 2, 3):
                             out = form.dirac(side, sign, y_only, times)
-                            parts.append([m, kind, side, sign, y_only, times, out.den,
+                            parts.append([m, name, side, sign, y_only, times, out.den,
                                           out.build().to_obj()])
     return parts
 
