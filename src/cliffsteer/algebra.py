@@ -31,6 +31,12 @@ ScalarLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
+# PARITY[mask] is mask.bit_count() & 1 for every mask of MAX_GENERATORS bits: the
+# table for one more bit is the table so far, then it again with each entry flipped
+PARITY = b"\0"
+while len(PARITY) < 1 << MAX_GENERATORS:
+    PARITY += PARITY.translate(b"\1\0" + bytes(254))
+
 
 def coerce_fraction(value: ScalarLike) -> Fraction:
     """Return ``value`` as a Fraction, rejecting floats and other inexact types."""
@@ -330,15 +336,6 @@ class TermMap:
 TermMap._keys = TermMap._terms
 
 
-def _blade_products(a: dict, b: dict) -> Iterator[Tuple[int, Fraction]]:
-    # every (mask, coefficient) term of the product of a and b, like terms unsummed
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            sign, mask = blade_product(ma, mb)
-            q = ca * cb
-            yield mask, (-q if sign < 0 else q)
-
-
 class Multivector(TermMap):
     """Immutable sparse element of R_{0,m}.
 
@@ -378,12 +375,32 @@ class Multivector(TermMap):
     # -- ring structure ------------------------------------------------------
 
     def __mul__(self, other):
-        """The geometric product; every other operand is ``TermMap``'s."""
-        if isinstance(other, Multivector):
-            self._require_same_m(other)
-            data = self.merge_terms({}, _blade_products(self._terms, other._terms))
-            return Multivector._unsafe(self.m, data)
-        return super().__mul__(other)
+        """The geometric product; every other operand is ``TermMap``'s.
+
+        A term c e_B of one factor relabels the other's blades e_A as
+        +-e_(A xor B), one to one, since XOR with B is a bijection.  So the
+        product is one signed relabel of the longer factor per term of the
+        shorter: the first is written straight into the output, and only later
+        ones are merged.  A unit c reuses or negates each coefficient."""
+        if not isinstance(other, Multivector):
+            return super().__mul__(other)
+        self._require_same_m(other)
+        a, b = self._terms, other._terms
+        left = len(a) <= len(b)  # the shorter factor's terms act on the left
+        short, terms = (a, b) if left else (b, a)
+        data: dict = {}
+        for mask, c in short.items():
+            flip = c == -1
+            scale = not flip and c != 1
+            relabel = {} if data else data
+            for key, q in terms.items():
+                sign, out = blade_product(mask, key) if left else blade_product(key, mask)
+                if scale:
+                    q = q * c
+                relabel[out] = -q if (sign < 0) is not flip else q
+            if relabel is not data:
+                self.merge_terms(data, relabel.items())
+        return Multivector._unsafe(self.m, data)
 
     # -- algebra operations ----------------------------------------------------
 

@@ -18,8 +18,8 @@ from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Tuple, Union
 
 from .algebra import (
-    Multivector, TermMap, blade_terms, blades_obj, document_m, generator_count, integer_in,
-    json_field, json_list, json_object, quoted
+    PARITY, Multivector, TermMap, blade_terms, blades_obj, document_m, generator_count,
+    integer_in, json_field, json_list, json_object, quoted
 )
 
 Monomial = Tuple[int, ...]
@@ -423,14 +423,15 @@ class NumeratorForm:
         Each application is one pass over the flat (symbol, monomial, blade,
         numerator) terms.  e_j on e_A is a signed bit flip, its sign the parity
         of the generators of A up to and including j on the left, or from j up
-        on the right.  On a steering expression d/dx_0 and d/dx_1 act on the
-        symbols through ``SteeringSymbol._dz`` (d(z-bar)/dx_1 = -e_1), and e_j
-        with j >= 2 on the left flips the bar.  On the left, d/dx_0 + e_1 d/dx_1
-        = 2 d/dz-bar on a symbol: one action, which leaves phi(z) out for sign 1
-        and doubles the derivative of phi(z-bar).  Zero numerators are skipped
-        where they are read; the output is over the input denominator times
-        the lcm of the rate denominators.  Once a pass leaves no nonzero
-        numerator, the passes left are not run: the form is already zero.
+        on the right, read from ``PARITY``.  On a steering expression d/dx_0 and
+        d/dx_1 act on the symbols through ``SteeringSymbol._dz`` (d(z-bar)/dx_1 =
+        -e_1), and e_j with j >= 2 on the left flips the bar.  On the left,
+        d/dx_0 + e_1 d/dx_1 = 2 d/dz-bar on a symbol: one action, which leaves
+        phi(z) out for sign 1 and doubles the derivative of phi(z-bar).  Zero
+        numerators are skipped where they are read; the output is over the input
+        denominator times the lcm of the rate denominators.  Once a pass leaves
+        no nonzero numerator, the passes left are not run: the form is already
+        zero.
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -460,8 +461,8 @@ class NumeratorForm:
                 # their output maps, each made on its first write, as many get no term
                 keys = (sym, sym.conjugate() if sym is not None and left else sym)
                 maps = [None, None]
-                # (out symbol's monomials, multiplier, parity selector) of d/dx_0 and
-                # e_1 d/dx_1 on the symbol; the monomial and the blade stay
+                # (out symbol's monomials, (multiplier, -multiplier), parity selector)
+                # of d/dx_0 and e_1 d/dx_1 on the symbol; the monomial and the blade stay
                 sym_actions = []
                 if sym is not None and not y_only:
                     x1_sign = sign if sym.bar else -sign
@@ -469,22 +470,21 @@ class NumeratorForm:
                         n = q.numerator * (rate_den // q.denominator)
                         if not left:
                             out = acc.setdefault(dsym, {})
-                            sym_actions += [(out, n, 0), (out, x1_sign * n, full ^ 1)]
+                            n1 = x1_sign * n
+                            sym_actions += [(out, (n, -n), 0), (out, (n1, -n1), full ^ 1)]
                         elif x1_sign > 0:  # one action, 2 d/dz-bar, or none at all
-                            sym_actions.append((acc.setdefault(dsym, {}), 2 * n, 0))
+                            sym_actions.append((acc.setdefault(dsym, {}), (2 * n, -2 * n), 0))
                 for exps, blades in monos.items():
                     nonzero = blades.items()
                     if 0 in blades.values():
                         nonzero = [(mask, c) for mask, c in nonzero if c]
                     if not nonzero:  # a zero monomial gets no output entries
                         continue
-                    for out, n, sel in sym_actions:
+                    # pm[PARITY[mask & sel]] is the multiplier with its sign for blade mask
+                    for out, pm, sel in sym_actions:
                         target = out.setdefault(exps, {})
                         for mask, c in nonzero:
-                            v = c * n
-                            if (mask & sel).bit_count() & 1:
-                                v = -v
-                            target[mask] = target.get(mask, 0) + v
+                            target[mask] = target.get(mask, 0) + c * pm[PARITY[mask & sel]]
                     for j, n, bit, sel, flips in gens:
                         k = exps[j]
                         if not k:
@@ -493,13 +493,10 @@ class NumeratorForm:
                         if out is None:
                             out = maps[flips] = acc.setdefault(keys[flips], {})
                         target = out.setdefault(exps[:j] + (k - 1,) + exps[j + 1 :], {})
-                        n *= k
+                        pm = (n * k, -n * k)
                         for mask, c in nonzero:
-                            v = c * n
-                            if (mask & sel).bit_count() & 1:
-                                v = -v
-                            mask ^= bit
-                            target[mask] = target.get(mask, 0) + v
+                            t = mask ^ bit
+                            target[t] = target.get(t, 0) + c * pm[PARITY[mask & sel]]
             form = NumeratorForm(self.f, acc, form.den * rate_den)
         return form
 

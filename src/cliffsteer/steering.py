@@ -496,6 +496,13 @@ def _steering_terms(pairs: Sequence[tuple], two_sided: bool = False) -> list:
     ]
 
 
+def _built(m: int, terms: list) -> SteeringExpression:
+    # the expression of (symbol, polynomial) terms the package made, each over the
+    # y scope at m, where no check of the constructor can fail: only its merge runs,
+    # which drops zeros and adds through + only where two terms share a symbol
+    return SteeringExpression._unsafe(m, SteeringExpression.merge_terms({}, terms))
+
+
 def _family(family: str, seeds) -> list:
     # the z side of a family at rate 1, as (name refusals give the seed, symbol,
     # seed) triples; power runs at rate 0
@@ -528,7 +535,7 @@ def _construct(z_side: Sequence[tuple], order: int = 1, side: str = "left") -> S
         else:
             _require_monogenic(seed, "right", what)
             pairs.append((sym, [NumeratorForm(seed), NumeratorForm(e1_sandwich(seed))]))
-    return SteeringExpression(m, _steering_terms(pairs, side == "both"))
+    return _built(m, _steering_terms(pairs, side == "both"))
 
 
 def construct_exp_left(seed: CliffordPolynomial, order: int) -> SteeringExpression:
@@ -685,4 +692,4 @@ def dsolve(spec: DSolveSpec) -> SteeringExpression:
                 continue
             _require_monogenic(mk, "left", f"root {r} seed {k}")
             terms.append((SteeringSymbol.power_exp(k, r), mk))
-    return SteeringExpression(spec.m, terms + _steering_terms(pairs))
+    return _built(spec.m, terms + _steering_terms(pairs))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cliffsteer.algebra import (
+    MAX_GENERATORS,
+    PARITY,
     Multivector,
     blade_product,
     e1_sandwich,
@@ -145,6 +147,11 @@ class TestNorm:
             assert a.norm_sq() == (a * a.conjugate()).grade(0).scalar_part()
 
 
+def test_the_parity_table_is_the_parity_of_every_mask():
+    assert len(PARITY) == 1 << MAX_GENERATORS
+    assert all(PARITY[mask] == mask.bit_count() & 1 for mask in range(1 << MAX_GENERATORS))
+
+
 class TestE1Sandwich:
     def test_examples(self):
         assert e1_sandwich(scalar(4, 1)) == -1
@@ -174,6 +181,97 @@ def test_product_associative(a, b, c):
 def test_product_distributes(a, b):
     c = a + b
     assert c * c == a * a + a * b + b * a + b * b
+
+
+# A reference for products that shares no code with blade_product or
+# Multivector.__mul__: a blade is its sorted tuple of generator indices, and a
+# product of blades is the concatenated word, sorted by adjacent swaps, each of
+# which flips the sign (e_i e_j = -e_j e_i), while two equal neighbours square
+# to -1 and leave the word.
+
+
+def word_product(word):
+    """(sign, sorted word) of the product of the generators of ``word`` in order."""
+    word, sign, i = list(word), 1, 0
+    while i < len(word) - 1:
+        if word[i] == word[i + 1]:
+            del word[i : i + 2]
+        elif word[i] > word[i + 1]:
+            word[i], word[i + 1] = word[i + 1], word[i]
+        else:
+            i += 1
+            continue
+        sign, i = -sign, max(i - 1, 0)
+    return sign, tuple(word)
+
+
+def reference_product(a, b):
+    """The product of two {sorted word: coefficient} maps, zeros dropped."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            sign, word = word_product(wa + wb)
+            out[word] = out.get(word, 0) + sign * ca * cb
+    return {word: q for word, q in out.items() if q}
+
+
+def from_words(m, terms):
+    return Multivector(m, {sum(1 << (j - 1) for j in word): q for word, q in terms.items()})
+
+
+def test_word_product_examples():
+    assert word_product((2, 1)) == (-1, (1, 2))
+    assert word_product((1, 2, 1)) == (1, (2,))
+    assert word_product((3, 1, 2, 3)) == (-1, (1, 2))
+
+
+UNITS_AND_A_FRACTION = st.sampled_from([Fraction(1), Fraction(-1)]) | st.fractions(
+    min_value=-4, max_value=4, max_denominator=6
+).filter(lambda q: q not in (0, 1, -1))
+
+
+def words(m):
+    return st.lists(st.integers(1, m), unique=True).map(lambda js: tuple(sorted(js)))
+
+
+def word_maps(m, min_size, max_size):
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    return st.dictionaries(words(m), coefs | UNITS_AND_A_FRACTION, min_size=min_size,
+                           max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_term_products_match_the_sorting_reference(data):
+    m = data.draw(st.integers(2, 8))
+    one = {data.draw(words(m)): data.draw(UNITS_AND_A_FRACTION)}
+    many = data.draw(word_maps(m, 0, 12))
+    for a, b in ((one, many), (many, one)):
+        assert from_words(m, a) * from_words(m, b) == from_words(m, reference_product(a, b))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_many_term_products_match_the_sorting_reference(data):
+    m = data.draw(st.integers(2, 8))
+    a, b = data.draw(word_maps(m, 2, 8)), data.draw(word_maps(m, 2, 8))
+    assert from_words(m, a) * from_words(m, b) == from_words(m, reference_product(a, b))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_e1_sandwich_of_polynomials_is_the_sign_map(data):
+    # e1 e_A e1 = (-1)^(|A| + 1) e_A if A lacks 1, else (-1)^|A| e_A
+    m = data.draw(st.integers(2, 8))
+    exps = st.tuples(*[st.integers(0, 2)] * (m + 1))
+    terms = data.draw(st.dictionaries(exps, word_maps(m, 1, 6), min_size=1, max_size=4))
+    poly = CliffordPolynomial(m, {k: from_words(m, c) for k, c in terms.items()})
+    expected = CliffordPolynomial(m, {
+        k: from_words(m, {w: q if (len(w) + (1 not in w)) % 2 == 0 else -q
+                          for w, q in c.items()})
+        for k, c in terms.items()
+    })
+    assert e1_sandwich(poly) == expected
 
 
 class TestConstructionAndJson:

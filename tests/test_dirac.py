@@ -360,6 +360,16 @@ def test_single_symbol_matches_definition(sym, scale, bar, sign, side):
             check(NumeratorForm(f).dirac(side, sign).build(), expected, f)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_pass_at_sixteen_generators_reads_the_top_of_the_parity_table(side, sign):
+    # e_16 d/dx_16 on x16 times the full blade selects all sixteen generators on the
+    # left and the top one alone on the right, the parity table's last entries
+    m = 16
+    f = CliffordPolynomial.monomial(m, {16: 1}, Multivector(m, {(1 << m) - 1: Fraction(-3, 2)}))
+    check(NumeratorForm(f).dirac(side, sign).build(), reference(f, side, sign), f)
+
+
 def count_dirac_calls(monkeypatch, build):
     calls = []
     original = NumeratorForm.dirac

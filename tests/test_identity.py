@@ -28,7 +28,8 @@ def test_digest_lines_repeat_and_a_differing_line_exits_one(identity, capsys):
     expected = [f"{w} seed {s}" for w in workloads.WORKLOADS for s in identity.SEEDS]
     assert names == expected + ["appell m 2..3 k 0..3", "symbols", " ".join(identity.TINY_SUITE),
                                 "basis m 2..3 d 0..3 o 1..2", "basis m 3..3 d 6..7 o 1..2",
-                                "refusals 4 documents", "kernel m 2..3", "two-sided m 3"]
+                                "refusals 4 documents", "kernel m 2..3", "two-sided m 3",
+                                "products m 2..3"]
     assert identity.compare(first, first) == 0
     assert capsys.readouterr().err == ""
 

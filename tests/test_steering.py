@@ -1136,6 +1136,58 @@ def test_dsolve_skips_a_zero_monogenic_seed():
     assert d_equation_residual(solution, (1, -2, 1)).is_zero
 
 
+def _constructions():
+    # every family on the left at orders 1 and 2 and on both sides, eigen, and
+    # dsolve specs: eigen pairs at two roots, a root whose eigen pair and k = 0
+    # monogenic seed share exp(z), and the zero root
+    rng = random.Random(42)
+    out = []
+    for m in (4, 5):
+        def seed(order):
+            total = CliffordPolynomial.zero(m, range(2, m + 1))
+            for b in polyharmonic_basis(3, order, m)[:3]:
+                total = total + b * e(m, 2) * Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            return total
+
+        for order in (1, 2):
+            out += [construct_exp_left(seed(order), order),
+                    construct_trig_left(seed(order), seed(order), order),
+                    construct_power_left([seed(order), seed(order), seed(order)], order)]
+        first, second = _right_monogenic_pair(m)
+        out += [construct_two_sided("exp", second),
+                construct_two_sided("trig", (first, second)),
+                construct_two_sided("power", [first, second, first]),
+                construct_eigen(Fraction(-3, 2), seed(1))]
+        mono = _monogenic_seed(m)
+        specs = [
+            ((1, 1, -2), (RootSpec(Fraction(1), 1, seed(1)), RootSpec(Fraction(-2), 1, seed(1)))),
+            ((1, -2, 1), (RootSpec(Fraction(1), 2, seed(1), (mono, mono * 3)),)),
+            ((1, 0, 0), (RootSpec(Fraction(0), 2, None, (mono, mono)),)),
+        ]
+        out += [dsolve(DSolveSpec(m, *spec)) for spec in specs]
+    return out
+
+
+def test_constructions_equal_their_terms_through_the_validating_constructor():
+    for built in _constructions():
+        again = SteeringExpression(built.m, built.items())
+        assert built == again and built.to_obj() == again.to_obj()
+        assert all(poly for _, poly in built.items())
+
+
+def test_dsolve_sums_shared_symbol_terms_and_drops_them_where_they_cancel():
+    mono, h = _monogenic_seed(M), random_harmonic(random.Random(43), M, 2)
+    summed = dsolve(DSolveSpec(M, (1, -1), (RootSpec(Fraction(1), 1, h, (mono,)),)))
+    assert summed.coefficient(EXP_Z) == h + mono
+    # -mono is harmonic with a zero y-Dirac derivative: its eigen pair is
+    # exp(z)(-mono), which the k = 0 seed exp(z) mono cancels
+    roots = (RootSpec(Fraction(1), 1, -mono, (mono,)), RootSpec(Fraction(-2), 1, h))
+    solution = dsolve(DSolveSpec(M, (1, 1, -2), roots))
+    assert EXP_Z not in dict(solution.items())
+    assert solution == dsolve(DSolveSpec(M, (1, 2), (RootSpec(Fraction(-2), 1, h),)))
+    assert solution.to_obj() == SteeringExpression(M, solution.items()).to_obj()
+
+
 class TestExpressionJson:
     def test_roundtrip(self):
         rng = random.Random(36)

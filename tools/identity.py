@@ -36,7 +36,11 @@ on seeded integer forms at m 2..7 (``kernel_outcomes``): every side, sign 1
 and -1, with and without ``y_only``, times 1..3, each output's denominator
 and built document.  The ``two-sided`` line digests ``construct_two_sided``
 for each family at m 3, 5 and 7 on seeds where M - e1 M e1 is zero and where
-it is not (``two_sided_outcomes``), with both Cauchy-Riemann reports.
+it is not (``two_sided_outcomes``), with both Cauchy-Riemann reports.  The
+``products`` line digests seeded ``Multivector`` products at m 2..8 in every
+shape (one term times many, many times one term, many times many), a
+polynomial times a blade on each side, and ``e1_sandwich`` of seeded
+polynomials and a multivector (``product_outcomes``).
 
 ``--base REV`` computes the same lines in a child process on the committed
 files of REV (``git archive``, unpacked in a temporary directory, as
@@ -177,11 +181,13 @@ def refusal_outcomes(cs, documents: list) -> list:
     return parts
 
 
-# generator counts of the kernel line, and of the two-sided line
+# generator counts of the kernel line, of the two-sided line and of the products line
 KERNELS = range(2, 8)
 TINY_KERNELS = range(2, 4)
 TWO_SIDED = (3, 5, 7)
 TINY_TWO_SIDED = (3,)
+PRODUCTS = range(2, 9)
+TINY_PRODUCTS = range(2, 4)
 
 
 def _monomials(rng, m: int, first: int, count: int) -> dict:
@@ -235,6 +241,41 @@ def kernel_outcomes(cs, ms) -> list:
                             out = form.dirac(side, sign, y_only, times)
                             parts.append([m, name, side, sign, y_only, times, out.den,
                                           out.build().to_obj()])
+    return parts
+
+
+def product_outcomes(cs, ms) -> list:
+    """``[m, document]`` of seeded ``Multivector`` products at each m of ``ms``:
+    a one-term factor with coefficient 1, -1 and 3/2 times twelve terms on each
+    side, six terms times nine both ways, and (e1 + e2)^2, whose like terms
+    cancel; then of a seeded polynomial times a blade on each side, and of
+    ``e1_sandwich`` of that polynomial, of its decoded document (an integer
+    form) and of a multivector."""
+    parts = []
+    for m in ms:
+        rng = random.Random(f"products:{m}")
+
+        def mv(count):
+            masks = rng.sample(range(1 << m), min(count, 1 << m))
+            return cs.Multivector(
+                m, {mask: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for mask in masks}
+            )
+
+        made = []
+        for coef in (1, -1, Fraction(3, 2)):
+            one, many = cs.Multivector(m, {rng.randrange(1 << m): coef}), mv(12)
+            made += [one * many, many * one]
+        few, more = mv(6), mv(9)
+        pair = cs.Multivector.blade(m, (1,)) + cs.Multivector.blade(m, (2,))
+        made += [few * more, more * few, pair * pair]
+        poly = cs.CliffordPolynomial(m, {
+            tuple(rng.randint(0, 2) for _ in range(m + 1)): mv(rng.randint(1, 8)) for _ in range(4)
+        })
+        blade = cs.Multivector.blade(m, sorted(rng.sample(range(1, m + 1), 2)), -1)
+        decoded = cs.CliffordPolynomial.from_obj(poly.to_obj())
+        made += [blade * poly, poly * blade, cs.e1_sandwich(poly), cs.e1_sandwich(decoded),
+                 cs.e1_sandwich(mv(10))]
+        parts += [[m, value.to_obj()] for value in made]
     return parts
 
 
@@ -296,9 +337,9 @@ def _digest(parts) -> str:
 def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
     """One line per workload and seed, one each for Appell, symbols and the
     suite, two for the kernel bases, one for the refusals and one each for the
-    Dirac kernel and the two-sided construction; ``tiny`` shrinks every
-    workload, each grid, the suite, the refusals and the last two, for a quick
-    self-test."""
+    Dirac kernel, the two-sided construction and the products; ``tiny`` shrinks
+    every workload, each grid, the suite, the refusals and the last three, for
+    a quick self-test."""
     lines = []
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -338,6 +379,8 @@ def digest_lines(cs, workloads, tiny: bool = False) -> list[str]:
     lines.append(f"kernel m {ms[0]}..{ms[-1]} {_digest(kernel_outcomes(cs, ms))}")
     ms = TINY_TWO_SIDED if tiny else TWO_SIDED
     lines.append(f"two-sided m {','.join(map(str, ms))} {_digest(two_sided_outcomes(cs, ms))}")
+    ms = TINY_PRODUCTS if tiny else PRODUCTS
+    lines.append(f"products m {ms[0]}..{ms[-1]} {_digest(product_outcomes(cs, ms))}")
     return lines
 
 
@@ -399,7 +442,7 @@ def subcommand_outcomes(cs) -> list:
 
 def all_lines(tree: Path) -> list[str]:
     """Every digest line of the tree: workloads, Appell, symbols, suite, kernel
-    bases, refusals, Dirac kernel, two-sided and subcommands."""
+    bases, refusals, Dirac kernel, two-sided, products and subcommands."""
     cs, workloads = load(tree)
     return [*digest_lines(cs, workloads), f"subcommands {_digest(subcommand_outcomes(cs))}"]
 
